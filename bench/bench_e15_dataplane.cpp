@@ -529,7 +529,7 @@ double measure_esp_roundtrips_per_sec(bool quick) {
   Network net;
   const Bytes key = to_bytes("bench-key");
   const Packet inner = make_udp_packet(net);
-  return rate_per_sec(quick ? 2000 : 50000, [&](std::size_t i) {
+  return rate_per_sec(quick ? 20000 : 50000, [&](std::size_t i) {
     Packet outer = esp_encap(inner, Ipv4Addr(10, 0, 0, 1),
                              Ipv4Addr(203, 0, 113, 5), key, 1,
                              static_cast<std::uint32_t>(i + 1));

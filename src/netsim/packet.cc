@@ -1,7 +1,5 @@
 #include "netsim/packet.h"
 
-#include "util/digest.h"
-
 namespace pvn {
 
 const char* to_string(IpProto proto) {
@@ -40,16 +38,6 @@ std::vector<std::string> HopTrace::strings() const {
   out.reserve(ids.size());
   for (const std::uint32_t id : ids) out.push_back(names->name_of(id));
   return out;
-}
-
-std::uint64_t Packet::flow_hash() const {
-  ByteWriter w;
-  w.u32(ip.src.v);
-  w.u32(ip.dst.v);
-  w.u8(static_cast<std::uint8_t>(ip.proto));
-  const std::size_t n = l4.size() < 8 ? l4.size() : 8;
-  w.raw(std::span<const std::uint8_t>(l4.data(), n));
-  return digest_of(w.bytes()).lanes[0];
 }
 
 }  // namespace pvn

@@ -89,10 +89,6 @@ struct Packet {
   std::uint64_t trace_id = 0;
 
   std::size_t size() const { return IpHeader::kWireSize + l4.size(); }
-
-  // Stable 5-tuple-ish hash used by ECMP-style choices and flow counters.
-  // L4 ports are not parsed here; uses src/dst/proto plus a prefix of l4.
-  std::uint64_t flow_hash() const;
 };
 
 // A batch of packets delivered by one simulator event (the burst

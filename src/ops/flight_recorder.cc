@@ -104,10 +104,9 @@ void FlightRecorder::attach(Network& net) {
       ShardState& ss = *shards_[ShardGroup::current_shard()];
       const std::size_t mask = cfg_.flow_slots - 1;
       for (const Packet& p : burst) {
-        // Inline flow key over (src, dst, proto, first l4 bytes).
-        // Packet::flow_hash() heap-allocates a writer and runs the wide
-        // digest — far too heavy to call per packet on a sampled burst;
-        // the recorder only needs a stable local identity.
+        // Inline flow key over (src, dst, proto, first l4 bytes): the
+        // recorder only needs a stable local identity, so two cheap
+        // 64-bit mixes stand in for a wide digest on every sampled packet.
         std::uint64_t flow =
             (static_cast<std::uint64_t>(p.ip.src.v) << 32) | p.ip.dst.v;
         flow = hash_combine_u64(flow, static_cast<std::uint64_t>(p.ip.proto));

@@ -170,6 +170,7 @@ class Testbed {
 
  private:
   TestbedConfig cfg_;
+  std::uint32_t tunnel_seq_ = 0;  // ESP sequence of the switch's tunnel hook
 };
 
 }  // namespace pvn

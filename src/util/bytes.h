@@ -81,6 +81,9 @@ class ByteWriter {
  public:
   ByteWriter() = default;
 
+  // Pre-sizes the buffer when the encoded length is known up front.
+  void reserve(std::size_t n) { buf_.reserve(n); }
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u16(std::uint16_t v);
   void u32(std::uint32_t v);

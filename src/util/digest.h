@@ -32,7 +32,8 @@ struct Digest {
   bool operator==(const Digest&) const = default;
   std::string hex() const;
   Bytes to_bytes() const;
-  static std::optional<Digest> from_bytes(const Bytes& b);
+  // Inverse of to_bytes(): exactly 32 bytes, else nullopt.
+  static std::optional<Digest> from_bytes(std::span<const std::uint8_t> b);
 };
 
 // Hashes an arbitrary byte string.
@@ -40,7 +41,8 @@ Digest digest_of(std::span<const std::uint8_t> data);
 Digest digest_of(const Bytes& data);
 Digest digest_of(std::string_view data);
 
-// Keyed MAC: digest over key-prefixed and key-suffixed data (HMAC-shaped).
+// Keyed MAC: digest over key-prefixed and key-suffixed data (HMAC-shaped),
+// i.e. digest_of(blob(key) || data || blob(key)) in ByteWriter framing.
 Digest hmac(const Bytes& key, std::span<const std::uint8_t> data);
 Digest hmac(const Bytes& key, const Bytes& data);
 

@@ -700,6 +700,130 @@ TEST_P(EspProperty, SingleBitFlipsAlwaysFailAuth) {
   }
 }
 
+Packet random_inner_packet(Network& net, Rng& rng, std::size_t max_l4) {
+  Bytes l4(rng.next_below(max_l4 + 1));
+  for (std::uint8_t& b : l4) b = static_cast<std::uint8_t>(rng.next_u64());
+  Packet inner = net.make_packet(
+      Ipv4Addr(static_cast<std::uint32_t>(rng.next_u64())),
+      Ipv4Addr(static_cast<std::uint32_t>(rng.next_u64())),
+      rng.bernoulli(0.5) ? IpProto::kTcp : IpProto::kUdp, std::move(l4));
+  inner.ip.tos = static_cast<std::uint8_t>(rng.next_u64());
+  inner.ip.ttl = static_cast<std::uint8_t>(rng.next_u64());
+  return inner;
+}
+
+// The ESP frame layout, built the long way round from the generic codec:
+// u32 spi | u32 seq | blob(inner) | hmac(key, inner).to_bytes(), where
+// `inner` is normally the inner packet's IP header followed by its l4.
+Bytes reference_esp_frame(std::uint32_t spi, std::uint32_t seq,
+                          const Bytes& inner, const Bytes& key) {
+  ByteWriter w;
+  w.u32(spi);
+  w.u32(seq);
+  w.blob(inner);
+  w.raw(hmac(key, inner).to_bytes());
+  return std::move(w).take();
+}
+
+Packet esp_packet(Bytes frame) {
+  Packet p;
+  p.ip.proto = IpProto::kEsp;
+  p.l4 = std::move(frame);
+  return p;
+}
+
+TEST_P(EspProperty, EncapMatchesReferenceLayoutByteForByte) {
+  Rng rng(GetParam() + 11);
+  Network net(GetParam());
+  for (int i = 0; i < 200; ++i) {
+    const Packet inner = random_inner_packet(net, rng, 1500);
+    Bytes key(rng.next_below(65));
+    for (std::uint8_t& b : key) b = static_cast<std::uint8_t>(rng.next_u64());
+    const auto spi = static_cast<std::uint32_t>(rng.next_u64());
+    const auto seq = static_cast<std::uint32_t>(rng.next_u64());
+    const Packet outer = esp_encap(inner, Ipv4Addr(1, 1, 1, 1),
+                                   Ipv4Addr(2, 2, 2, 2), key, spi, seq);
+    ByteWriter inner_bytes;
+    inner.ip.encode(inner_bytes);
+    inner_bytes.raw(inner.l4);
+    ASSERT_EQ(outer.l4, reference_esp_frame(spi, seq, inner_bytes.bytes(), key))
+        << "inner l4 " << inner.l4.size() << " B, key " << key.size() << " B";
+    EXPECT_EQ(outer.ip.src, Ipv4Addr(1, 1, 1, 1));
+    EXPECT_EQ(outer.ip.dst, Ipv4Addr(2, 2, 2, 2));
+    EXPECT_EQ(outer.ip.proto, IpProto::kEsp);
+    EXPECT_EQ(outer.ip.tos, 0);
+    EXPECT_EQ(outer.id, inner.id);
+  }
+}
+
+TEST_P(EspProperty, EveryStrictPrefixIsRejected) {
+  Rng rng(GetParam() + 13);
+  Network net(GetParam());
+  const Bytes key = to_bytes("property-key");
+  for (int i = 0; i < 4; ++i) {
+    // Includes an empty inner l4: the smallest valid frame.
+    const Packet inner = random_inner_packet(net, rng, i == 0 ? 0 : 300);
+    const Packet outer = esp_encap(inner, Ipv4Addr(1, 1, 1, 1),
+                                   Ipv4Addr(2, 2, 2, 2), key, 1, 1);
+    ASSERT_TRUE(esp_decap(outer, key).has_value());
+    const Bytes& full = outer.l4;
+    for (std::size_t cut = 0; cut < full.size(); ++cut) {
+      Packet truncated = outer;
+      truncated.l4 =
+          Bytes(full.begin(), full.begin() + static_cast<std::ptrdiff_t>(cut));
+      EXPECT_FALSE(esp_decap(truncated, key).has_value())
+          << "truncation at " << cut << " of " << full.size();
+    }
+  }
+}
+
+TEST_P(EspProperty, DeclaredLengthMustLeaveAWholeMac) {
+  Rng rng(GetParam() + 17);
+  Network net(GetParam());
+  const Bytes key = to_bytes("property-key");
+  const Packet inner = random_inner_packet(net, rng, 200);
+  const Bytes full =
+      esp_encap(inner, Ipv4Addr(1, 1, 1, 1), Ipv4Addr(2, 2, 2, 2), key, 1, 1).l4;
+  const std::uint32_t len = static_cast<std::uint32_t>(inner.size());
+  const auto with_len = [&](std::uint32_t declared) {
+    Bytes frame = full;
+    for (int b = 0; b < 4; ++b) {
+      frame[8 + b] = static_cast<std::uint8_t>(declared >> (24 - 8 * b));
+    }
+    return esp_packet(std::move(frame));
+  };
+  ASSERT_TRUE(esp_decap(with_len(len), key).has_value());
+  // Past the end of the buffer, including lengths that wrap a 32-bit sum.
+  const std::uint32_t remaining = static_cast<std::uint32_t>(full.size() - 12);
+  for (const std::uint32_t declared :
+       {remaining + 1, remaining + 1000, 0x7FFFFFFFu, 0xFFFFFFE0u, 0xFFFFFFFFu}) {
+    EXPECT_FALSE(esp_decap(with_len(declared), key).has_value())
+        << "declared " << declared;
+  }
+  // Inside the buffer but leaving 0..31 bytes for the 32-byte MAC.
+  for (std::uint32_t short_by = 1; short_by <= 32; ++short_by) {
+    EXPECT_FALSE(esp_decap(with_len(len + short_by), key).has_value())
+        << "MAC short by " << short_by;
+  }
+}
+
+TEST_P(EspProperty, AuthenticInnerShorterThanIpHeaderIsRejected) {
+  Rng rng(GetParam() + 19);
+  const Bytes key = to_bytes("property-key");
+  Bytes inner_bytes;
+  for (std::size_t n = 0; n < IpHeader::kWireSize; ++n) {
+    // A correct MAC over a too-short inner packet: only the length rejects.
+    const Packet outer = esp_packet(reference_esp_frame(1, 1, inner_bytes, key));
+    EXPECT_FALSE(esp_decap(outer, key).has_value()) << "inner of " << n << " B";
+    inner_bytes.push_back(static_cast<std::uint8_t>(rng.next_u64()));
+  }
+  // A bare 20-byte header with the same framing decodes, to an empty l4.
+  const auto header_only =
+      esp_decap(esp_packet(reference_esp_frame(1, 1, inner_bytes, key)), key);
+  ASSERT_TRUE(header_only.has_value());
+  EXPECT_TRUE(header_only->l4.empty());
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, EspProperty, ::testing::Values(21, 22, 23));
 
 // --- Meter long-run conformance property ----------------------------------------------

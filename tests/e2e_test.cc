@@ -168,6 +168,36 @@ TEST(E2E, TunnelReturnPathDecapsulatesAtSwitch) {
   EXPECT_EQ(tb.esp_decap_proc->auth_failures(), 0u);
 }
 
+TEST(E2E, TunnelEspSequenceNumbersArePerTestbed) {
+  // Each testbed numbers its switch's ESP frames from 1, whatever testbeds
+  // ran earlier in the process.
+  for (int round = 0; round < 2; ++round) {
+    Testbed tb;
+    Pvnc pvnc;
+    pvnc.name = "alice-phone";
+    PvncPolicy tunnel;
+    tunnel.kind = PvncPolicy::Kind::kTunnel;
+    tunnel.match.proto = IpProto::kUdp;
+    tunnel.match.dst_port = 443;
+    tunnel.gateway = tb.addrs.cloud_gw;
+    pvnc.policies.push_back(tunnel);
+    ASSERT_TRUE(tb.deploy(pvnc).ok);
+
+    std::vector<std::uint32_t> seqs;
+    tb.cloud_gw->port_link(0)->add_tap(
+        [&](const Packet& pkt, const Node&, const Node& to) {
+          if (pkt.ip.proto != IpProto::kEsp || &to != tb.cloud_gw) return;
+          ByteReader r(pkt.l4);
+          r.u32();  // spi
+          seqs.push_back(r.u32());
+        });
+    tb.client->send_udp(tb.addrs.web, 5555, 443, Bytes(32, 7));
+    tb.client->send_udp(tb.addrs.web, 5555, 443, Bytes(32, 8));
+    tb.net.sim().run_until(tb.net.sim().now() + seconds(10));
+    EXPECT_EQ(seqs, (std::vector<std::uint32_t>{1, 2})) << "testbed " << round;
+  }
+}
+
 TEST(E2E, ReplicaSelectorSteersCdnLookups) {
   Testbed tb;
   Pvnc pvnc;

@@ -126,6 +126,10 @@ struct BadPvncCase {
   const char* text;
 };
 
+// Without this gtest prints the two pointers' bytes, which change from run to
+// run, into every test name.
+void PrintTo(const BadPvncCase& c, std::ostream* os) { *os << c.label; }
+
 class PvncParserErrors : public ::testing::TestWithParam<BadPvncCase> {};
 
 TEST_P(PvncParserErrors, ReportsLineAndMessage) {

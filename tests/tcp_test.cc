@@ -332,10 +332,12 @@ TEST(Tcp, GivesUpAfterMaxSynRetries) {
 }
 
 // Property sweep: exactly-once in-order delivery across an RTT x loss grid.
+// gtest names each case by its raw bytes, so every field is 8 bytes wide: a
+// padded struct would put indeterminate padding bytes into the test names.
 struct TcpGridCase {
-  int latency_ms;
+  std::int64_t latency_ms;
   double loss;
-  int kilobytes;
+  std::int64_t kilobytes;
   std::uint64_t seed;
 };
 

@@ -416,6 +416,74 @@ TEST(Hmac, KeyedAndDataSensitive) {
   EXPECT_NE(hmac(k1, m), hmac(k1, to_bytes("messagf")));
 }
 
+// Reference digest: one full FNV-1a pass over the input per lane, then the
+// in-place cross-lane avalanche. digest_of must reproduce it bit for bit,
+// because every stored digest, MAC and determinism digest depends on it.
+Digest reference_digest(std::span<const std::uint8_t> data) {
+  const auto mix = [](std::uint64_t z) {
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+  };
+  Digest d;
+  for (std::size_t lane = 0; lane < d.lanes.size(); ++lane) {
+    std::uint64_t h = 0xCBF29CE484222325ull + 0x9E3779B97F4A7C15ull * lane;
+    for (std::uint8_t byte : data) {
+      h ^= byte;
+      h *= 0x100000001B3ull;
+    }
+    d.lanes[lane] = mix(h + lane);
+  }
+  for (std::size_t i = 0; i < d.lanes.size(); ++i) {
+    d.lanes[i] = mix(d.lanes[i] ^ d.lanes[(i + 1) % d.lanes.size()]);
+  }
+  return d;
+}
+
+// Reference MAC: the digest of the materialized blob(key) || data || blob(key).
+Digest reference_hmac(const Bytes& key, std::span<const std::uint8_t> data) {
+  ByteWriter w;
+  w.blob(key);
+  w.raw(data);
+  w.blob(key);
+  return reference_digest(w.bytes());
+}
+
+Bytes random_bytes(Rng& rng, std::size_t n) {
+  Bytes b(n);
+  for (std::uint8_t& byte : b) byte = static_cast<std::uint8_t>(rng.next_u64());
+  return b;
+}
+
+TEST(Digest, MatchesFourPassReferenceBitForBit) {
+  EXPECT_EQ(digest_of(Bytes{}), reference_digest({}));
+  EXPECT_EQ(digest_of(""), reference_digest({}));
+  Rng rng(4096);
+  for (int i = 0; i < 400; ++i) {
+    // Sizes uniform in [0, 4096]; every fourth input is at most 16 bytes.
+    const std::size_t n = i % 4 == 0 ? rng.next_below(17) : rng.next_below(4097);
+    const Bytes data = random_bytes(rng, n);
+    ASSERT_EQ(digest_of(data), reference_digest(data)) << "size " << n;
+  }
+  const Bytes max_input = random_bytes(rng, 4096);
+  EXPECT_EQ(digest_of(max_input), reference_digest(max_input));
+}
+
+TEST(Hmac, MatchesConcatenatingReferenceBitForBit) {
+  EXPECT_EQ(hmac(Bytes{}, Bytes{}), reference_hmac({}, {}));
+  Rng rng(6464);
+  for (int i = 0; i < 400; ++i) {
+    const Bytes key = random_bytes(rng, rng.next_below(65));
+    const Bytes data = random_bytes(
+        rng, i % 4 == 0 ? rng.next_below(17) : rng.next_below(4097));
+    ASSERT_EQ(hmac(key, data), reference_hmac(key, data))
+        << "key " << key.size() << " B, data " << data.size() << " B";
+  }
+  const Bytes key = random_bytes(rng, 64);
+  EXPECT_EQ(hmac(key, Bytes{}), reference_hmac(key, {}));
+  EXPECT_EQ(hmac(Bytes{}, key), reference_hmac({}, key));
+}
+
 TEST(Signatures, VerifyAcceptsGenuineSignature) {
   KeyPair kp(1234);
   KeyRegistry registry;
