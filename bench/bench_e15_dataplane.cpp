@@ -4,8 +4,9 @@
 // connections" even with per-subscriber rules and chains. We measure the
 // host-CPU cost of the mechanisms the per-packet path exercises: flow-table
 // lookup vs table size (two-level hashed index vs the linear-scan baseline),
-// middlebox chain traversal vs chain length, simulator event throughput,
-// meter conformance, and the codec round-trips on the wire path.
+// flow-table add/remove churn between lookups, middlebox chain traversal vs
+// chain length, simulator event throughput, meter conformance, and the codec
+// round-trips on the wire path.
 //
 // Besides the google-benchmark tables, the binary always emits a
 // machine-readable BENCH_dataplane.json summary (override the path with
@@ -276,6 +277,49 @@ FlowTableSample measure_flow_table(int rules, bool quick) {
   return s;
 }
 
+// Control-plane churn on a live 4096-rule subscriber table, the fleet_churn
+// pattern: each cycle installs a rule under a new cookie, looks a packet up,
+// tears the oldest cookie down and looks up again. kLive churned cookies
+// stay installed throughout, so every timed cycle removes one. Times whole
+// batches until the minimum run time has passed (100 ms quick, 1 s full).
+double measure_flow_table_churn_per_sec(bool quick) {
+  constexpr int kRules = 4096;
+  constexpr std::size_t kLive = 64;
+  constexpr std::size_t kBatch = 256;
+  Network net;
+  FlowTable table;
+  fill_subscriber_rules(table, kRules);
+  const std::vector<Packet> pool = subscriber_packets(net, kRules);
+  const auto cookie = [](std::size_t n) { return "sub:" + std::to_string(n); };
+  const auto install = [&](std::size_t n) {
+    FlowRule rule;
+    rule.priority = 100;
+    rule.match.dst =
+        Prefix{subscriber_dst(kRules + static_cast<int>(n % kRules)), 32};
+    rule.cookie = cookie(n);
+    rule.actions.push_back(ActOutput{1});
+    table.add(std::move(rule));
+  };
+  for (std::size_t n = 0; n < kLive; ++n) install(n);
+
+  const auto min_run = std::chrono::milliseconds(quick ? 100 : 1000);
+  std::size_t cycles = 0;
+  const auto t0 = std::chrono::steady_clock::now();
+  std::chrono::steady_clock::duration elapsed{};
+  do {
+    for (std::size_t i = 0; i < kBatch; ++i, ++cycles) {
+      install(kLive + cycles);
+      benchmark::DoNotOptimize(
+          table.lookup(pool[(2 * cycles) % pool.size()], 0));
+      table.remove_by_cookie(cookie(cycles));
+      benchmark::DoNotOptimize(
+          table.lookup(pool[(2 * cycles + 1) % pool.size()], 0));
+    }
+    elapsed = std::chrono::steady_clock::now() - t0;
+  } while (elapsed < min_run);
+  return static_cast<double>(cycles) / seconds_of(elapsed);
+}
+
 double measure_chain_packets_per_sec(int modules_count, bool quick) {
   Simulator sim;
   MboxHost host(sim);
@@ -542,6 +586,7 @@ bool write_json_summary(const char* path, bool quick, std::size_t shards) {
   const int kSizes[] = {16, 256, 1024, 4096};
   std::vector<FlowTableSample> samples;
   for (const int n : kSizes) samples.push_back(measure_flow_table(n, quick));
+  const double churn = measure_flow_table_churn_per_sec(quick);
   const double chain5 = measure_chain_packets_per_sec(5, quick);
   const double chain5_burst = measure_chain_burst_packets_per_sec(5, quick);
   const double events = measure_sim_events_per_sec(quick);
@@ -582,6 +627,7 @@ bool write_json_summary(const char* path, bool quick, std::size_t shards) {
                  i + 1 < samples.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
+  std::fprintf(f, "  \"flow_table_churn_per_sec\": %.0f,\n", churn);
   std::fprintf(f, "  \"chain5_packets_per_sec\": %.0f,\n", chain5);
   std::fprintf(f, "  \"chain5_burst_packets_per_sec\": %.0f,\n", chain5_burst);
   std::fprintf(f, "  \"chain_burst_speedup\": %.2f,\n",
@@ -618,6 +664,9 @@ bool write_json_summary(const char* path, bool quick, std::size_t shards) {
                 "speedup %6.2fx\n",
                 s.rules, s.hashed_per_sec, s.linear_per_sec, s.speedup);
   }
+  std::printf("flow_table churn:      %12.0f add/lookup/remove/lookup "
+              "cycles/s (4096 rules)\n",
+              churn);
   std::printf("chain (5 modules):     %12.0f packets/s\n", chain5);
   std::printf("chain burst (x32):     %12.0f packets/s  (%.1fx)\n",
               chain5_burst, chain5 > 0 ? chain5_burst / chain5 : 0.0);

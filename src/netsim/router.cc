@@ -3,30 +3,56 @@
 #include <algorithm>
 
 namespace pvn {
+namespace {
+
+// The address bits a prefix of length `len` compares; as Prefix::contains.
+std::uint32_t mask_of(int len) {
+  if (len <= 0) return 0;
+  return len >= 32 ? 0xFFFFFFFFu : ~((1u << (32 - len)) - 1);
+}
+
+}  // namespace
 
 Router::Router(Network& net, std::string name) : Node(net, std::move(name)) {}
 
+std::vector<Router::Level>::iterator Router::level_of(int len) {
+  return std::lower_bound(levels_.begin(), levels_.end(), len,
+                          [](const Level& l, int n) { return l.len > n; });
+}
+
 void Router::add_route(Prefix prefix, int port) {
-  routes_.push_back(Entry{prefix, port});
-  // Keep longest prefixes first so route_for can take the first hit.
-  std::stable_sort(routes_.begin(), routes_.end(),
-                   [](const Entry& a, const Entry& b) {
-                     return a.prefix.len > b.prefix.len;
-                   });
+  auto level = level_of(prefix.len);
+  if (level == levels_.end() || level->len != prefix.len) {
+    level = levels_.emplace(level);
+    level->len = prefix.len;
+    level->mask = mask_of(prefix.len);
+  }
+  level->routes[prefix.addr.v & level->mask].push_back(
+      Route{prefix.addr, port});
 }
 
 bool Router::remove_route(const Prefix& prefix) {
-  const auto it = std::find_if(
-      routes_.begin(), routes_.end(),
-      [&](const Entry& e) { return e.prefix == prefix; });
-  if (it == routes_.end()) return false;
-  routes_.erase(it);
+  const auto level = level_of(prefix.len);
+  if (level == levels_.end() || level->len != prefix.len) return false;
+  const auto key = level->routes.find(prefix.addr.v & level->mask);
+  if (key == level->routes.end()) return false;
+  std::vector<Route>& routes = key->second;
+  const auto it =
+      std::find_if(routes.begin(), routes.end(),
+                   [&](const Route& r) { return r.addr == prefix.addr; });
+  if (it == routes.end()) return false;
+  routes.erase(it);
+  if (routes.empty()) {
+    level->routes.erase(key);
+    if (level->routes.empty()) levels_.erase(level);
+  }
   return true;
 }
 
 int Router::route_for(Ipv4Addr dst) const {
-  for (const Entry& e : routes_) {
-    if (e.prefix.contains(dst)) return e.port;
+  for (const Level& level : levels_) {
+    const auto it = level.routes.find(dst.v & level.mask);
+    if (it != level.routes.end()) return it->second.front().port;
   }
   return -1;
 }

@@ -27,6 +27,10 @@ telemetry::Counter& removed_counter() {
   return c;
 }
 
+std::size_t cookie_hash(const std::string& cookie) {
+  return StringHash{}(cookie);
+}
+
 }  // namespace
 
 std::size_t FlowTable::ExactKeyHash::operator()(
@@ -45,45 +49,61 @@ std::size_t FlowTable::ExactKeyHash::operator()(
 
 void FlowTable::add(FlowRule rule) {
   rule.cached_specificity = rule.match.specificity();
-  // Find insertion position: ordered by priority desc, then specificity
-  // desc, then insertion order (stable). Uses the cached specificity of the
-  // rules walked past instead of recomputing each one.
-  const int prio = rule.priority;
-  const int spec = rule.cached_specificity;
-  auto it = rules_.begin();
-  for (; it != rules_.end(); ++it) {
-    if (it->priority < prio) break;
-    if (it->priority == prio && it->cached_specificity < spec) break;
+  std::uint32_t id;
+  if (free_.empty()) {
+    id = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    id = free_.back();
+    free_.pop_back();
   }
-  rules_.insert(it, std::move(rule));
-  index_dirty_ = true;
+  Slot& slot = slots_[id];
+  slot.rule = std::move(rule);
+  slot.seq = ++next_seq_;
+  const auto [head, fresh] =
+      by_cookie_.try_emplace(cookie_hash(slot.rule.cookie), id);
+  if (!fresh) {
+    slot.next_cookie = head->second;
+    slots_[head->second].prev_cookie = id;
+    head->second = id;
+  }
+  index(id);
 }
 
 std::size_t FlowTable::remove_by_cookie(const std::string& cookie) {
-  return remove_if(
-      [&cookie](const FlowRule& rule) { return rule.cookie == cookie; });
+  const auto head = by_cookie_.find(cookie_hash(cookie));
+  if (head == by_cookie_.end()) return 0;
+  std::size_t removed = 0;
+  for (std::uint32_t id = head->second; id != kNoSlot;) {
+    const std::uint32_t next = slots_[id].next_cookie;
+    if (slots_[id].rule.cookie == cookie) {
+      erase_slot(id);
+      ++removed;
+    }
+    id = next;
+  }
+  if (removed > 0) removed_counter().inc(removed);
+  return removed;
 }
 
 std::size_t FlowTable::remove_if(
     const std::function<bool(const FlowRule&)>& pred) {
   std::size_t removed = 0;
-  for (std::size_t i = rules_.size(); i-- > 0;) {
-    if (pred(rules_[i])) {
-      rules_.erase(rules_.begin() + static_cast<std::ptrdiff_t>(i));
+  for (std::uint32_t id = 0; id < slots_.size(); ++id) {
+    if (slots_[id].seq != 0 && pred(slots_[id].rule)) {
+      erase_slot(id);
       ++removed;
     }
   }
-  if (removed > 0) {
-    index_dirty_ = true;
-    removed_counter().inc(removed);
-  }
+  if (removed > 0) removed_counter().inc(removed);
   return removed;
 }
 
 void FlowTable::clear() {
-  rules_.clear();
+  slots_.clear();
+  free_.clear();
   buckets_.clear();
-  index_dirty_ = false;
+  by_cookie_.clear();
 }
 
 std::optional<std::uint8_t> FlowTable::hashable_mask(const FlowMatch& m) {
@@ -105,44 +125,130 @@ std::optional<std::uint8_t> FlowTable::hashable_mask(const FlowMatch& m) {
   return mask;
 }
 
-void FlowTable::rebuild_index() const {
-  buckets_.clear();
-  for (std::uint32_t i = 0; i < rules_.size(); ++i) {
-    const FlowRule& rule = rules_[i];
-    if (buckets_.empty() || buckets_.back().priority != rule.priority) {
-      buckets_.emplace_back();
-      buckets_.back().priority = rule.priority;
-    }
-    Bucket& bucket = buckets_.back();
-    const auto mask = hashable_mask(rule.match);
-    if (!mask) {
-      bucket.wildcard.push_back(i);
-      continue;
-    }
-    ExactKey key;
-    key.mask = *mask;
-    const FlowMatch& m = rule.match;
-    if (m.in_port) key.in_port = *m.in_port;
-    if (m.src) key.src = m.src->addr.v;
-    if (m.dst) key.dst = m.dst->addr.v;
-    if (m.proto) key.proto = static_cast<std::uint8_t>(*m.proto);
-    if (m.src_port) key.src_port = *m.src_port;
-    if (m.dst_port) key.dst_port = *m.dst_port;
-    if (m.tos) key.tos = *m.tos;
-    // First insertion wins: rules_ is walked in sort order, so duplicate
-    // keys keep the (priority, specificity, FIFO) winner.
-    bucket.exact.emplace(key, i);
-    if (std::find(bucket.masks.begin(), bucket.masks.end(), *mask) ==
-        bucket.masks.end()) {
-      bucket.masks.push_back(*mask);
-    }
+FlowTable::ExactKey FlowTable::key_of(const FlowMatch& m, std::uint8_t mask) {
+  ExactKey key;
+  key.mask = mask;
+  if (m.in_port) key.in_port = *m.in_port;
+  if (m.src) key.src = m.src->addr.v;
+  if (m.dst) key.dst = m.dst->addr.v;
+  if (m.proto) key.proto = static_cast<std::uint8_t>(*m.proto);
+  if (m.src_port) key.src_port = *m.src_port;
+  if (m.dst_port) key.dst_port = *m.dst_port;
+  if (m.tos) key.tos = *m.tos;
+  return key;
+}
+
+std::vector<FlowTable::Bucket>::iterator FlowTable::bucket_of(int priority) {
+  return std::lower_bound(
+      buckets_.begin(), buckets_.end(), priority,
+      [](const Bucket& b, int p) { return b.priority > p; });
+}
+
+void FlowTable::index(std::uint32_t id) {
+  const FlowRule& rule = slots_[id].rule;
+  auto bucket = bucket_of(rule.priority);
+  if (bucket == buckets_.end() || bucket->priority != rule.priority) {
+    bucket = buckets_.emplace(bucket);
+    bucket->priority = rule.priority;
   }
-  index_dirty_ = false;
+  ++bucket->rules;
+  const auto mask = hashable_mask(rule.match);
+  if (!mask) {
+    std::vector<std::uint32_t>& wild = bucket->wildcard;
+    wild.insert(std::upper_bound(wild.begin(), wild.end(), id,
+                                 [this](std::uint32_t a, std::uint32_t b) {
+                                   return ranks_before(a, b);
+                                 }),
+                id);
+    return;
+  }
+  const auto [winner, fresh] =
+      bucket->exact.try_emplace(key_of(rule.match, *mask), id);
+  if (!fresh) {
+    // Equal keys mean equal masks, hence equal specificity: duplicates rank
+    // in insertion order, so the newest goes to the chain's tail.
+    std::uint32_t tail = winner->second;
+    while (slots_[tail].next_dup != kNoSlot) tail = slots_[tail].next_dup;
+    slots_[tail].next_dup = id;
+  }
+  const auto counted =
+      std::find_if(bucket->masks.begin(), bucket->masks.end(),
+                   [&](const MaskCount& c) { return c.mask == *mask; });
+  if (counted != bucket->masks.end()) {
+    ++counted->rules;
+  } else {
+    bucket->masks.push_back(MaskCount{*mask, 1});
+  }
+}
+
+void FlowTable::unindex(std::uint32_t id) {
+  const FlowRule& rule = slots_[id].rule;
+  const auto bucket = bucket_of(rule.priority);
+  const auto mask = hashable_mask(rule.match);
+  if (!mask) {
+    std::vector<std::uint32_t>& wild = bucket->wildcard;
+    // Ranks are unique (seq is), so the lower bound is the rule itself.
+    wild.erase(std::lower_bound(wild.begin(), wild.end(), id,
+                                [this](std::uint32_t a, std::uint32_t b) {
+                                  return ranks_before(a, b);
+                                }));
+  } else {
+    const auto winner = bucket->exact.find(key_of(rule.match, *mask));
+    if (winner->second == id) {
+      // The next duplicate, if any, takes the key over.
+      if (slots_[id].next_dup == kNoSlot) {
+        bucket->exact.erase(winner);
+      } else {
+        winner->second = slots_[id].next_dup;
+      }
+    } else {
+      std::uint32_t prev = winner->second;
+      while (slots_[prev].next_dup != id) prev = slots_[prev].next_dup;
+      slots_[prev].next_dup = slots_[id].next_dup;
+    }
+    const auto counted =
+        std::find_if(bucket->masks.begin(), bucket->masks.end(),
+                     [&](const MaskCount& c) { return c.mask == *mask; });
+    if (--counted->rules == 0) bucket->masks.erase(counted);
+  }
+  if (--bucket->rules == 0) buckets_.erase(bucket);
+}
+
+void FlowTable::erase_slot(std::uint32_t id) {
+  unindex(id);
+  Slot& slot = slots_[id];
+  if (slot.prev_cookie != kNoSlot) {
+    slots_[slot.prev_cookie].next_cookie = slot.next_cookie;
+  } else if (slot.next_cookie != kNoSlot) {
+    by_cookie_.find(cookie_hash(slot.rule.cookie))->second = slot.next_cookie;
+  } else {
+    by_cookie_.erase(cookie_hash(slot.rule.cookie));
+  }
+  if (slot.next_cookie != kNoSlot) {
+    slots_[slot.next_cookie].prev_cookie = slot.prev_cookie;
+  }
+  slot = Slot{};
+  free_.push_back(id);
+}
+
+FlowTable::RuleView FlowTable::rules() const {
+  std::vector<std::uint32_t> ids;
+  ids.reserve(size());
+  for (std::uint32_t id = 0; id < slots_.size(); ++id) {
+    if (slots_[id].seq != 0) ids.push_back(id);
+  }
+  std::sort(ids.begin(), ids.end(), [this](std::uint32_t a, std::uint32_t b) {
+    const int pa = slots_[a].rule.priority;
+    const int pb = slots_[b].rule.priority;
+    return pa != pb ? pa > pb : ranks_before(a, b);
+  });
+  RuleView view;
+  view.rules_.reserve(ids.size());
+  for (const std::uint32_t id : ids) view.rules_.push_back(&slots_[id].rule);
+  return view;
 }
 
 const FlowRule* FlowTable::lookup(const Packet& pkt, int in_port) const {
-  if (index_dirty_) rebuild_index();
-
   // L4 ports are parsed lazily, at most once per lookup.
   int ports_state = 0;  // 0 = not parsed, 1 = available, -1 = unavailable
   Port src_port = 0, dst_port = 0;
@@ -156,10 +262,10 @@ const FlowRule* FlowTable::lookup(const Packet& pkt, int in_port) const {
     return ports_state == 1;
   };
 
-  constexpr std::uint32_t kNoRule = 0xFFFFFFFFu;
   for (const Bucket& bucket : buckets_) {
-    std::uint32_t best = kNoRule;
-    for (const std::uint8_t mask : bucket.masks) {
+    std::uint32_t best = kNoSlot;
+    for (const MaskCount& counted : bucket.masks) {
+      const std::uint8_t mask = counted.mask;
       if ((mask & (kFieldSrcPort | kFieldDstPort)) != 0 && !ports_available()) {
         continue;  // port-matching rules cannot match a portless packet
       }
@@ -173,19 +279,22 @@ const FlowRule* FlowTable::lookup(const Packet& pkt, int in_port) const {
       if (mask & kFieldDstPort) key.dst_port = dst_port;
       if (mask & kFieldTos) key.tos = pkt.ip.tos;
       const auto it = bucket.exact.find(key);
-      if (it != bucket.exact.end() && it->second < best) best = it->second;
+      if (it != bucket.exact.end() &&
+          (best == kNoSlot || ranks_before(it->second, best))) {
+        best = it->second;
+      }
     }
-    // Wildcard indices ascend in the same global order the hash winner is
-    // drawn from, so the first wildcard match below `best` decides.
-    for (const std::uint32_t idx : bucket.wildcard) {
-      if (idx >= best) break;
-      if (rules_[idx].match.matches(pkt, in_port)) {
-        best = idx;
+    // Wildcards are in rank order, so the first match ranking ahead of the
+    // hashed winner decides.
+    for (const std::uint32_t id : bucket.wildcard) {
+      if (best != kNoSlot && !ranks_before(id, best)) break;
+      if (slots_[id].rule.match.matches(pkt, in_port)) {
+        best = id;
         break;
       }
     }
-    if (best != kNoRule) {
-      const FlowRule& rule = rules_[best];
+    if (best != kNoSlot) {
+      const FlowRule& rule = slots_[best].rule;
       ++rule.hit_packets;
       rule.hit_bytes += pkt.size();
       hits_counter().inc();

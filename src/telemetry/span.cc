@@ -12,12 +12,24 @@ SpanRecorder& SpanRecorder::global() {
   return recorder;
 }
 
-int& SpanRecorder::open_count(std::string_view session) {
-  for (auto& [name, count] : open_by_session_) {
-    if (name == session) return count;
+int SpanRecorder::open_depth(std::string_view session) const {
+  const auto it = open_by_session_.find(session);
+  return it == open_by_session_.end() ? 0 : it->second;
+}
+
+int SpanRecorder::open_one(std::string_view session) {
+  auto it = open_by_session_.find(session);
+  if (it == open_by_session_.end()) {
+    it = open_by_session_.emplace(std::string(session), 0).first;
   }
-  open_by_session_.emplace_back(std::string(session), 0);
-  return open_by_session_.back().second;
+  return it->second++;
+}
+
+void SpanRecorder::close_one(std::string_view session) {
+  const auto it = open_by_session_.find(session);
+  if (it != open_by_session_.end() && --it->second == 0) {
+    open_by_session_.erase(it);
+  }
 }
 
 SpanRecord& SpanRecorder::claim(std::string_view name,
@@ -31,8 +43,7 @@ SpanRecord& SpanRecorder::claim(std::string_view name,
     if (evicted_open_.size() >= ring_.size()) {
       // Side list full: the oldest evictee really is lost. Close out its
       // depth accounting now — its finish() will miss everywhere.
-      int& open = open_count(evicted_open_.front().session);
-      if (open > 0) --open;
+      close_one(evicted_open_.front().session);
       evicted_open_.erase(evicted_open_.begin());
     }
     evicted_open_.push_back(r);
@@ -54,8 +65,7 @@ SpanRecord& SpanRecorder::claim(std::string_view name,
 Span SpanRecorder::start(std::string_view name, std::string_view category,
                          std::string_view session) {
   SpanRecord& r = claim(name, category, session);
-  int& open = open_count(session);
-  r.depth = open++;
+  r.depth = open_one(session);
   return Span(this, r.seq);
 }
 
@@ -63,8 +73,7 @@ Span SpanRecorder::start(std::string_view name, std::string_view category,
                          std::string_view session, const TraceContext& parent,
                          std::string_view node) {
   SpanRecord& r = claim(name, category, session);
-  int& open = open_count(session);
-  r.depth = open++;
+  r.depth = open_one(session);
   r.node.assign(node);
   if (!parent.valid()) return Span(this, r.seq);
   r.trace_id = parent.trace_id;
@@ -76,7 +85,7 @@ Span SpanRecorder::start(std::string_view name, std::string_view category,
 void SpanRecorder::instant(std::string_view name, std::string_view category,
                            std::string_view session) {
   SpanRecord& r = claim(name, category, session);
-  r.depth = open_count(session);
+  r.depth = open_depth(session);
   r.end = r.start;
 }
 
@@ -84,7 +93,7 @@ void SpanRecorder::instant(std::string_view name, std::string_view category,
                            std::string_view session, const TraceContext& parent,
                            std::string_view node) {
   SpanRecord& r = claim(name, category, session);
-  r.depth = open_count(session);
+  r.depth = open_depth(session);
   r.end = r.start;
   r.node.assign(node);
   if (!parent.valid()) return;
@@ -108,8 +117,7 @@ void SpanRecorder::finish_span(std::uint64_t seq) {
   }
   if (r->end < 0) r->end = std::max(r->start, now());
   last_time_ = std::max(last_time_, r->end);
-  int& open = open_count(r->session);
-  if (open > 0) --open;
+  close_one(r->session);
 }
 
 std::vector<SpanRecord> SpanRecorder::records() const {

@@ -15,9 +15,11 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "telemetry/trace.h"
+#include "util/hash.h"
 #include "util/sim.h"
 #include "util/time.h"
 
@@ -114,10 +116,14 @@ class SpanRecorder {
   // capacity(); beyond that the oldest really is lost (it is force-closed
   // for depth accounting and its late finish() is dropped).
   std::vector<SpanRecord> evicted_open_;
-  // Open-span count per session, for depth stamping. Sessions are few (one
-  // per device) so a small vector beats a map for the hot path.
-  std::vector<std::pair<std::string, int>> open_by_session_;
-  int& open_count(std::string_view session);
+  // Open-span count per session, for depth stamping. A fleet has one
+  // session per device, so this is a hash map; a session's entry exists
+  // only while it has open spans.
+  std::unordered_map<std::string, int, StringHash, StringEq> open_by_session_;
+  int open_depth(std::string_view session) const;
+  // Counts a span opening in `session`; returns its depth.
+  int open_one(std::string_view session);
+  void close_one(std::string_view session);
 };
 
 // Move-only RAII handle; default-constructed Spans are inert, so members

@@ -152,6 +152,12 @@ struct PlantedCase {
   const char* expected_invariant;
 };
 
+// Without this gtest prints the struct's bytes, padding and string pointer
+// included, into every test name, so the names changed from run to run.
+void PrintTo(const PlantedCase& c, std::ostream* os) {
+  *os << c.expected_invariant;
+}
+
 class PlantedBugDetection : public ::testing::TestWithParam<PlantedCase> {};
 
 TEST_P(PlantedBugDetection, IsDetectedShrunkAndReplaysMinimal) {

@@ -2,9 +2,12 @@
 // bandwidth, loss, queues), routers, and trace collection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "netsim/network.h"
 #include "netsim/router.h"
 #include "netsim/trace.h"
+#include "util/rng.h"
 
 namespace pvn {
 namespace {
@@ -321,6 +324,125 @@ TEST(Router, RemoveRoute) {
   net.sim().run();
   EXPECT_EQ(dst.received.size(), 0u);
   EXPECT_EQ(r.no_route_drops(), 1u);
+}
+
+// The linear Router this one replaced, verbatim: routes stable-sorted by
+// prefix length (longest first, insertion order among equals), and the
+// first route containing the destination wins.
+class LinearRoutes {
+ public:
+  void add(Prefix prefix, int port) {
+    routes_.push_back(Entry{prefix, port});
+    std::stable_sort(routes_.begin(), routes_.end(),
+                     [](const Entry& a, const Entry& b) {
+                       return a.prefix.len > b.prefix.len;
+                     });
+  }
+  bool remove(const Prefix& prefix) {
+    const auto it = std::find_if(
+        routes_.begin(), routes_.end(),
+        [&](const Entry& e) { return e.prefix == prefix; });
+    if (it == routes_.end()) return false;
+    routes_.erase(it);
+    return true;
+  }
+  // The winning route's prefix for `dst`, or nullptr.
+  const Prefix* winner(Ipv4Addr dst) const {
+    const Entry* e = winning_entry(dst);
+    return e != nullptr ? &e->prefix : nullptr;
+  }
+  int route_for(Ipv4Addr dst) const {
+    const Entry* e = winning_entry(dst);
+    return e != nullptr ? e->port : -1;
+  }
+  bool empty() const { return routes_.empty(); }
+  const Prefix& at(std::size_t i) const { return routes_[i].prefix; }
+  std::size_t size() const { return routes_.size(); }
+  // True iff a route other than `skip` covers exactly p's addresses.
+  bool has_twin(const Prefix& p, const Prefix* skip) const {
+    for (const Entry& e : routes_) {
+      if (&e.prefix != skip && e.prefix.len == p.len &&
+          e.prefix.contains(p.addr)) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+ private:
+  struct Entry {
+    Prefix prefix;
+    int port;
+  };
+  const Entry* winning_entry(Ipv4Addr dst) const {
+    for (const Entry& e : routes_) {
+      if (e.prefix.contains(dst)) return &e;
+    }
+    return nullptr;
+  }
+  std::vector<Entry> routes_;
+};
+
+TEST(Router, HashedLpmMatchesLinearReference) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    Rng rng(seed);
+    Network net;
+    auto& r = net.add_node<Router>("r");
+    LinearRoutes ref;
+    // Narrow pools so prefixes nest, collide and repeat.
+    const auto random_addr = [&] {
+      return Ipv4Addr(10, static_cast<std::uint8_t>(rng.next_below(2)),
+                      static_cast<std::uint8_t>(rng.next_below(4)),
+                      static_cast<std::uint8_t>(rng.next_below(256)));
+    };
+    const auto probe = [&](const char* step) {
+      for (int p = 0; p < 24; ++p) {
+        // Half the probes land inside an installed prefix.
+        Ipv4Addr dst = random_addr();
+        if (!ref.empty() && rng.bernoulli(0.5)) {
+          dst = ref.at(rng.next_below(ref.size())).addr;
+          dst.v ^= static_cast<std::uint32_t>(rng.next_below(4));
+        }
+        ASSERT_EQ(r.route_for(dst), ref.route_for(dst))
+            << "seed " << seed << " after " << step << ", dst "
+            << dst.to_string();
+      }
+    };
+    int duplicates = 0;
+    int winner_handovers = 0;
+    int next_port = 0;
+    for (int step = 0; step < 400; ++step) {
+      const std::uint64_t op = rng.next_below(10);
+      if (op < 6) {
+        // Host bits stay set below the length, as a sloppy config has them.
+        Prefix p{random_addr(), static_cast<int>(rng.next_below(33))};
+        if (!ref.empty() && rng.bernoulli(0.25)) {
+          p = ref.at(rng.next_below(ref.size()));  // same prefix, new port
+          ++duplicates;
+        }
+        r.add_route(p, next_port);
+        ref.add(p, next_port);
+        ++next_port;
+        probe("add");
+      } else if (op < 9) {
+        // Remove the current winner for some destination.
+        Ipv4Addr dst = random_addr();
+        if (!ref.empty()) dst = ref.at(rng.next_below(ref.size())).addr;
+        const Prefix* won = ref.winner(dst);
+        if (won == nullptr) continue;
+        const Prefix p = *won;
+        if (ref.has_twin(p, won)) ++winner_handovers;
+        EXPECT_EQ(r.remove_route(p), ref.remove(p));
+        probe("remove of a winner");
+      } else {
+        const Prefix p{random_addr(), static_cast<int>(rng.next_below(33))};
+        EXPECT_EQ(r.remove_route(p), ref.remove(p));
+        probe("remove");
+      }
+    }
+    EXPECT_GT(duplicates, 0) << "seed " << seed;
+    EXPECT_GT(winner_handovers, 0) << "seed " << seed;
+  }
 }
 
 // --- Hop trace & echo ---------------------------------------------------------------
