@@ -341,36 +341,6 @@ double measure_chain_packets_per_sec(int modules_count, bool quick) {
   });
 }
 
-// Burst run-to-completion: the same 5-module chain, fed PacketBursts through
-// Chain::process_burst (one shared context, no per-packet vectors). Reported
-// next to the per-packet number so the JSON records the batching win.
-double measure_chain_burst_packets_per_sec(int modules_count, bool quick) {
-  Simulator sim;
-  MboxHost host(sim);
-  Chain& chain = host.create_chain("bench-burst");
-  std::vector<std::unique_ptr<Middlebox>> modules;
-  for (int i = 0; i < modules_count; ++i) {
-    modules.push_back(std::make_unique<PiiDetector>(
-        std::vector<std::string>{"imei=", "password=", "lat="},
-        PiiAction::kMonitor));
-    chain.append(modules.back().get());
-  }
-  Network net;
-  std::vector<Packet> pool;
-  for (std::uint32_t p = 0; p < 64; ++p) pool.push_back(make_udp_packet(net, p));
-  constexpr std::size_t kBurst = 32;
-  const std::size_t iters = (quick ? 5000 : 100000) / kBurst + 1;
-  const double bursts_per_sec = rate_per_sec(iters, [&](std::size_t i) {
-    PacketBurst burst;
-    for (std::size_t b = 0; b < kBurst; ++b) {
-      burst.push_back(Packet(pool[(i * kBurst + b) % pool.size()]));  // CoW
-    }
-    SimDuration delay = 0;
-    benchmark::DoNotOptimize(chain.process_burst(std::move(burst), 0, delay));
-  });
-  return bursts_per_sec * static_cast<double>(kBurst);
-}
-
 // --- parallel sharded scenario ------------------------------------------------
 //
 // The end-to-end dataplane: K access networks (source -> SdnSwitch+chain ->
@@ -588,7 +558,6 @@ bool write_json_summary(const char* path, bool quick, std::size_t shards) {
   for (const int n : kSizes) samples.push_back(measure_flow_table(n, quick));
   const double churn = measure_flow_table_churn_per_sec(quick);
   const double chain5 = measure_chain_packets_per_sec(5, quick);
-  const double chain5_burst = measure_chain_burst_packets_per_sec(5, quick);
   const double events = measure_sim_events_per_sec(quick);
   const double esp = measure_esp_roundtrips_per_sec(quick);
 
@@ -629,9 +598,6 @@ bool write_json_summary(const char* path, bool quick, std::size_t shards) {
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"flow_table_churn_per_sec\": %.0f,\n", churn);
   std::fprintf(f, "  \"chain5_packets_per_sec\": %.0f,\n", chain5);
-  std::fprintf(f, "  \"chain5_burst_packets_per_sec\": %.0f,\n", chain5_burst);
-  std::fprintf(f, "  \"chain_burst_speedup\": %.2f,\n",
-               chain5 > 0 ? chain5_burst / chain5 : 0.0);
   std::fprintf(f, "  \"sim_events_per_sec\": %.0f,\n", events);
   std::fprintf(f, "  \"esp_roundtrips_per_sec\": %.0f,\n", esp);
   std::fprintf(f, "  \"parallel\": {\n");
@@ -668,8 +634,6 @@ bool write_json_summary(const char* path, bool quick, std::size_t shards) {
               "cycles/s (4096 rules)\n",
               churn);
   std::printf("chain (5 modules):     %12.0f packets/s\n", chain5);
-  std::printf("chain burst (x32):     %12.0f packets/s  (%.1fx)\n",
-              chain5_burst, chain5 > 0 ? chain5_burst / chain5 : 0.0);
   std::printf("simulator:             %12.0f events/s\n", events);
   std::printf("esp encap+decap:       %12.0f roundtrips/s\n", esp);
   for (const ParallelSample& s : par) {

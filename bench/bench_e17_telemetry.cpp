@@ -13,9 +13,7 @@
 //      ring, which are then exported and cross-checked by the
 //      TelemetryAuditor.
 //
-// Prints BENCH_telemetry.json (override with PVN_BENCH_JSON). When built
-// with -DPVN_TELEMETRY=OFF the same scenario verifies the compile-time kill
-// switch: every counter must read exactly zero.
+// Prints BENCH_telemetry.json (override with PVN_BENCH_JSON).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -237,7 +235,7 @@ int main(int argc, char** argv) {
 
   const struct {
     const char* layer;
-    const char* probe;  // a counter that must be nonzero when compiled in
+    const char* probe;  // a counter the scenario must make nonzero
   } kLayers[] = {
       {"netsim", "netsim.link.delivered_packets"},
       {"sdn", "sdn.switch.packets_in"},
@@ -251,24 +249,13 @@ int main(int argc, char** argv) {
   for (const auto& l : kLayers) {
     const std::uint64_t total = snap.counter_total(l.probe);
     bench::row(l.layer, l.probe, total);
-    if (telemetry::kCompiledIn && total == 0) all_layers = false;
-  }
-
-  // Disabled build: the kill switch must make every cell read exactly zero.
-  bool disabled_zero = true;
-  if (!telemetry::kCompiledIn) {
-    for (const telemetry::MetricSample& s : snap.samples) {
-      if (s.counter_value != 0 || s.gauge_value != 0 || s.hist_count != 0) {
-        disabled_zero = false;
-      }
-    }
+    if (total == 0) all_layers = false;
   }
 
   // Auditor cross-check: the layers' accounts of the same run must agree.
   const TelemetryAuditor auditor;
   const std::vector<TelemetryFinding> findings =
-      telemetry::kCompiledIn ? auditor.check_dataplane_consistency(snap)
-                             : std::vector<TelemetryFinding>{};
+      auditor.check_dataplane_consistency(snap);
   for (const TelemetryFinding& f : findings) {
     std::printf("AUDIT %s: %s\n", f.check.c_str(), f.detail.c_str());
   }
@@ -296,8 +283,6 @@ int main(int argc, char** argv) {
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"bench\": \"e17_telemetry\",\n");
     std::fprintf(f, "  \"quick\": %s,\n", json_bool(quick).c_str());
-    std::fprintf(f, "  \"telemetry_compiled_in\": %s,\n",
-                 json_bool(telemetry::kCompiledIn).c_str());
     std::fprintf(f, "  \"events_per_sec_uninstrumented\": %.0f,\n",
                  oh.base_events_per_sec);
     std::fprintf(f, "  \"events_per_sec_instrumented\": %.0f,\n",
@@ -319,9 +304,6 @@ int main(int argc, char** argv) {
     std::fprintf(f, "  \"all_layers_covered\": %s,\n",
                  json_bool(all_layers).c_str());
     std::fprintf(f, "  \"audit_findings\": %zu,\n", findings.size());
-    std::fprintf(f, "  \"disabled_counters_zero\": %s,\n",
-                 telemetry::kCompiledIn ? "null"
-                                        : json_bool(disabled_zero).c_str());
     std::fprintf(f, "  \"profile\": {");
     bool first = true;
     for (std::size_t c = 0; c < kSimCategoryCount; ++c) {

@@ -91,47 +91,6 @@ std::vector<Packet> Chain::process(Packet pkt, SimTime now,
   return out;
 }
 
-PacketBurst Chain::process_burst(PacketBurst burst, SimTime now,
-                                 SimDuration& delay) {
-  packets_ += burst.size();
-  m_packets_->inc(burst.size());
-  // The burst's single charged delay: what a fully-forwarded packet pays.
-  delay = per_packet_delay_;
-  for (Middlebox* mbox : modules_) delay += mbox->extra_delay();
-
-  injected_scratch_.clear();
-  MboxContext ctx;
-  ctx.now = now;
-  ctx.findings = &findings_;
-  ctx.injected = &injected_scratch_;
-  const std::size_t findings_before = findings_.size();
-
-  PacketBurst out;
-  for (Packet& pkt : burst) {
-    SimDuration pkt_delay = per_packet_delay_;
-    bool dropped = false;
-    for (std::size_t m = 0; m < modules_.size(); ++m) {
-      Middlebox* mbox = modules_[m];
-      ++mbox->packets_seen;
-      module_cells_[m].processed->inc();
-      pkt_delay += mbox->extra_delay();
-      if (mbox->process(pkt, ctx) == Middlebox::Verdict::kDrop) {
-        ++mbox->packets_dropped;
-        module_cells_[m].dropped->inc();
-        dropped = true;
-        break;
-      }
-    }
-    if (dropped) m_dropped_->inc();
-    m_latency_ns_->observe(static_cast<std::uint64_t>(pkt_delay));
-    if (!dropped) out.push_back(std::move(pkt));
-    for (Packet& p : injected_scratch_) out.push_back(std::move(p));
-    injected_scratch_.clear();
-  }
-  m_findings_->inc(findings_.size() - findings_before);
-  return out;
-}
-
 MboxHost::MboxHost(Simulator& sim, MboxHostConfig cfg) : sim_(&sim), cfg_(cfg) {
   auto& reg = telemetry::MetricsRegistry::global();
   m_instantiations_ = &reg.counter("mbox.host.instantiations");

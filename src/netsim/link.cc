@@ -231,7 +231,9 @@ void Link::deliver_burst_payload(Direction* dir, PacketBurst burst) {
   if (!burst_taps_.empty()) {
     for (const BurstTap& tap : burst_taps_) tap(burst, *dir->from, *dir->to);
   }
-  dir->to->handle_burst(std::move(burst), dir->to_port);
+  for (Packet& pkt : burst) {
+    dir->to->handle_packet(std::move(pkt), dir->to_port);
+  }
 }
 
 void Link::deliver_single(Direction* dir, Packet pkt) {

@@ -7,8 +7,10 @@
 //   * Burst window W > 0 (Network::set_burst_window): same-direction
 //     deliveries whose wire arrivals land within W of the burst head are
 //     coalesced into one kLink event carrying a flat PacketBurst, delivered
-//     at head_arrival + W (NIC interrupt-coalescing). Discrete outcomes are
-//     identical; each packet's exact wire time is kept in arrived_at.
+//     at head_arrival + W (NIC interrupt-coalescing). The event hands each
+//     packet to the receiver's handle_packet in wire order. Discrete
+//     outcomes are identical; each packet's exact wire time is kept in
+//     arrived_at.
 //   * Cross-shard direction (endpoints on different shards): the packet (or
 //     closed burst) is posted through the ShardGroup mailbox. Cross-shard
 //     links must be lossless and their latency must be >= the group's
@@ -93,13 +95,6 @@ class Link {
   // observer can therefore share a link.
   void add_tap(Tap tap) { taps_.push_back(std::move(tap)); }
   void add_burst_tap(BurstTap tap) { burst_taps_.push_back(std::move(tap)); }
-  // Replaces ALL taps — per-packet and burst — with `tap` (legacy
-  // single-observer semantics).
-  void set_tap(Tap tap) {
-    taps_.clear();
-    burst_taps_.clear();
-    taps_.push_back(std::move(tap));
-  }
   void clear_taps() {
     taps_.clear();
     burst_taps_.clear();
@@ -141,7 +136,8 @@ class Link {
   void append_to_burst(Direction& dir, Packet pkt, SimTime arrive);
   // Drains the oldest pending burst on the receiver side.
   void deliver_burst(Direction* dir);
-  // Counts/taps/hands a materialized burst to the receiving node.
+  // Counts/taps a materialized burst and hands its packets, in order, to
+  // the receiving node.
   void deliver_burst_payload(Direction* dir, PacketBurst burst);
   // Per-packet delivery body shared by the legacy path and cross-shard posts.
   void deliver_single(Direction* dir, Packet pkt);

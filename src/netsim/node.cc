@@ -12,10 +12,6 @@ Node::Node(Network& net, std::string name)
       name_(std::move(name)),
       log_(name_) {}
 
-void Node::handle_burst(PacketBurst burst, int in_port) {
-  for (Packet& pkt : burst) handle_packet(std::move(pkt), in_port);
-}
-
 Link* Node::port_link(int port) const {
   if (port < 0 || port >= static_cast<int>(ports_.size())) return nullptr;
   return ports_[static_cast<std::size_t>(port)];

@@ -24,14 +24,10 @@ class Node {
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
-  // Invoked by a Link when a packet arrives on `in_port`.
+  // Invoked by a Link when a packet arrives on `in_port`. A coalesced burst
+  // (Network::set_burst_window) arrives as one call per packet, in wire
+  // order.
   virtual void handle_packet(Packet pkt, int in_port) = 0;
-
-  // Invoked by a Link delivering a coalesced burst (burst window > 0, see
-  // Network::set_burst_window). The default unbatches into handle_packet();
-  // dataplane nodes on the hot path (SdnSwitch) override it to run the whole
-  // burst to completion.
-  virtual void handle_burst(PacketBurst burst, int in_port);
 
   const std::string& name() const { return name_; }
   // Interned id of name() in network().names(); assigned at registration.

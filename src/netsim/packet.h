@@ -91,8 +91,8 @@ struct Packet {
   std::size_t size() const { return IpHeader::kWireSize + l4.size(); }
 };
 
-// A batch of packets delivered by one simulator event (the burst
-// run-to-completion dataplane, DESIGN.md "Hot paths"). Storage is a
+// A batch of packets delivered by one simulator event (Link's burst
+// coalescing, DESIGN.md "Hot paths"). Storage is a
 // small-vector: bursts up to kInline packets live entirely on the event
 // callback's stack/inline buffer; payload bytes are CoW SharedBytes refs, so
 // a burst never copies packet data. Packets appear in wire-arrival order.

@@ -5,7 +5,7 @@
 namespace pvn {
 
 void TraceCollector::attach(Link& link) {
-  // add_burst_tap (not set_tap): attaching a collector must not evict other
+  // add_burst_tap appends: attaching a collector must not evict other
   // observers already on the link, and a burst-aware tap records a coalesced
   // burst in one call instead of forcing per-packet unbatching. Records are
   // stamped with each packet's exact wire arrival (Packet::arrived_at), so

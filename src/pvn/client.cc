@@ -155,18 +155,18 @@ void PvnClient::teardown(Ipv4Addr server) {
 }
 
 void PvnClient::on_packet(const Bytes& payload) {
-  const auto msg = unwrap(payload);
-  if (!msg) return;
-  if (msg->first == PvnMsgType::kLeaseAck) {
-    if (const auto ack = LeaseAck::decode(msg->second)) on_lease_ack(*ack);
+  const auto frame = unwrap_frame(payload);
+  if (!frame) return;
+  if (frame->type == PvnMsgType::kLeaseAck) {
+    if (const auto ack = LeaseAck::decode(frame->body)) on_lease_ack(*ack);
     return;
   }
   if (!in_progress_) return;
   ++outcome_.messages_received;
 
-  switch (msg->first) {
+  switch (frame->type) {
     case PvnMsgType::kOffer: {
-      const auto offer = Offer::decode(msg->second);
+      const auto offer = Offer::decode(frame->body);
       if (offer && offer->seq == seq_ && !awaiting_ack_ &&
           accept_offer(*offer)) {
         offers_.push_back(*offer);
@@ -176,7 +176,7 @@ void PvnClient::on_packet(const Bytes& payload) {
       break;
     }
     case PvnMsgType::kDeployAck: {
-      const auto ack = DeployAck::decode(msg->second);
+      const auto ack = DeployAck::decode(frame->body);
       if (ack && ack->seq == seq_ && awaiting_ack_) {
         outcome_.ok = true;
         outcome_.chain_id = ack->chain_id;
@@ -186,7 +186,7 @@ void PvnClient::on_packet(const Bytes& payload) {
       break;
     }
     case PvnMsgType::kDeployNack: {
-      const auto nack = DeployNack::decode(msg->second);
+      const auto nack = DeployNack::decode(frame->body);
       if (nack && nack->seq == seq_ && awaiting_ack_) {
         outcome_.ok = false;
         outcome_.failure = "nack: " + nack->reason;

@@ -82,10 +82,6 @@ OfferDefect vet_offer(const Offer& offer, std::int64_t est_memory_bytes,
   return OfferDefect::kNone;
 }
 
-Bytes wrap(PvnMsgType type, const Bytes& body) {
-  return wrap(type, body, telemetry::TraceContext{});
-}
-
 Bytes wrap(PvnMsgType type, const Bytes& body,
            const telemetry::TraceContext& trace) {
   ByteWriter w;
@@ -103,12 +99,6 @@ std::optional<PvnFrame> unwrap_frame(const Bytes& payload) {
   f.trace = telemetry::decode_trace_context(r);
   if (!r.ok() || !r.exhausted()) return std::nullopt;
   return f;
-}
-
-std::optional<std::pair<PvnMsgType, Bytes>> unwrap(const Bytes& payload) {
-  auto f = unwrap_frame(payload);
-  if (!f.has_value()) return std::nullopt;
-  return std::make_pair(f->type, std::move(f->body));
 }
 
 Bytes DiscoveryMessage::encode() const {

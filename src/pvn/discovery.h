@@ -261,10 +261,9 @@ struct StateAck {
 
 // Wraps/unwraps a typed message for the UDP payload. Every frame carries a
 // TraceContext trailer (telemetry/trace.h) after the body blob: trace_id 0
-// (the 2-argument wrap) means untraced. The trailer lives in the framing,
+// (an empty `{}` context) means untraced. The trailer lives in the framing,
 // not the message structs, so retransmission byte-identity is preserved —
 // the server dedups on body bytes and re-sends cached full frames verbatim.
-Bytes wrap(PvnMsgType type, const Bytes& body);
 Bytes wrap(PvnMsgType type, const Bytes& body,
            const telemetry::TraceContext& trace);
 
@@ -276,7 +275,5 @@ struct PvnFrame {
   telemetry::TraceContext trace;
 };
 std::optional<PvnFrame> unwrap_frame(const Bytes& payload);
-// Body-only view for call sites that don't propagate causality.
-std::optional<std::pair<PvnMsgType, Bytes>> unwrap(const Bytes& payload);
 
 }  // namespace pvn

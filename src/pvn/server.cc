@@ -45,11 +45,7 @@ DeploymentServer::DeploymentServer(Host& host, PvnStore& store,
     on_packet(src, sport, payload);
   });
   mbox_host_->set_crash_listener([this] { on_mbox_crash(); });
-  // The legacy single-standby config is pool 0; extra pools follow.
-  if (cfg_.standby_host != nullptr) {
-    pools_.push_back({cfg_.standby_host, cfg_.standby_addr, false, 0});
-  }
-  for (const StandbyPoolConfig& pc : cfg_.extra_standbys) {
+  for (const StandbyPoolConfig& pc : cfg_.standbys) {
     if (pc.host != nullptr) pools_.push_back({pc.host, pc.addr, false, 0});
   }
   for (std::size_t i = 0; i < pools_.size(); ++i) {

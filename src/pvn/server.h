@@ -79,14 +79,15 @@ struct ServerConfig {
   std::string network_name = "access-net";
 
   // --- survivability (warm standby + migration) ------------------------
-  // A second mbox compute pool. When set, offers advertise standby
-  // capacity, every deployment gets a warm-standby chain here, and a
-  // primary crash promotes the standby through the controller instead of
-  // degrading or tearing down. Must outlive the server.
-  MboxHost* standby_host = nullptr;
-  // Address of the StandbyAgent fronting standby_host; incremental
-  // checkpoints stream to it as kStateTransfer datagrams.
-  Ipv4Addr standby_addr;
+  // Warm-standby compute pools, in preference order (index = pool number).
+  // When any is set, offers advertise standby capacity, every deployment
+  // gets a warm-standby chain on the first healthy pool, and a primary
+  // crash promotes the standby through the controller instead of degrading
+  // or tearing down. Incremental checkpoints stream to each pool's
+  // StandbyAgent as kStateTransfer datagrams. A crashed or demoted
+  // (Byzantine) pool fails over to the next healthy one. Hosts must outlive
+  // the server.
+  std::vector<StandbyPoolConfig> standbys;
   // Period of the incremental checkpoint stream; bounds the staleness of
   // promoted state. <= 0 disables streaming (cold standby).
   SimDuration checkpoint_interval = milliseconds(200);
@@ -106,9 +107,6 @@ struct ServerConfig {
   // cannot monopolize the event loop.
   std::size_t max_expiries_per_sweep = 0;
   SimDuration sweep_drain_interval = milliseconds(10);
-  // Additional standby pools beyond standby_host/standby_addr. A crashed or
-  // demoted (Byzantine) pool fails over to the next healthy one.
-  std::vector<StandbyPoolConfig> extra_standbys;
   // Demote a standby pool after this many checkpoint acks whose digest
   // contradicts what was sent (or that report the state unapplied).
   // <= 0 disables the Byzantine cross-check.
@@ -318,7 +316,7 @@ class DeploymentServer {
   Controller* controller_;
   Ledger* ledger_;
   ServerConfig cfg_;
-  std::vector<StandbyPool> pools_;  // standby_host + extra_standbys
+  std::vector<StandbyPool> pools_;  // cfg_.standbys with a non-null host
   std::map<std::string, Deployment> deployments_;  // by device id
   std::map<std::string, Bytes> pending_;  // in-flight deploys, encoded request
   std::map<std::string, PendingHandoff> pending_handoffs_;  // by device id

@@ -306,16 +306,4 @@ const FlowRule* FlowTable::lookup(const Packet& pkt, int in_port) const {
   return nullptr;
 }
 
-void FlowTable::count_cached_hit(const FlowRule& rule,
-                                 const Packet& pkt) const {
-  ++rule.hit_packets;
-  rule.hit_bytes += pkt.size();
-  hits_counter().inc();
-}
-
-void FlowTable::count_cached_miss() const {
-  ++misses_;
-  misses_counter().inc();
-}
-
 }  // namespace pvn

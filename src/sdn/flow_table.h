@@ -89,13 +89,6 @@ class FlowTable {
   // rule's counters.
   const FlowRule* lookup(const Packet& pkt, int in_port) const;
 
-  // Burst match-cache support (sdn/switch.cc): account a lookup served from
-  // the per-burst cache exactly as lookup() would have, so rule hit counters
-  // and the global hit/miss telemetry are identical whether or not the cache
-  // short-circuited the probe.
-  void count_cached_hit(const FlowRule& rule, const Packet& pkt) const;
-  void count_cached_miss() const;
-
   std::size_t size() const { return slots_.size() - free_.size(); }
   RuleView rules() const;
 

@@ -17,9 +17,6 @@
 //     never used for control decisions.
 //   * snapshot() copies every cell into a value type the exporters
 //     (telemetry/export.h) render as Prometheus text or JSON.
-//   * Compiling with -DPVN_TELEMETRY_DISABLED (CMake: -DPVN_TELEMETRY=OFF)
-//     turns every mutation into an empty inline function the optimizer
-//     deletes — the instrumented call sites cost exactly nothing.
 //
 // Naming scheme: dotted `layer.component.name`, e.g.
 // `sdn.flow_table.hits`. Per-entity metrics add an `instance` label
@@ -39,22 +36,12 @@
 
 namespace pvn::telemetry {
 
-#ifdef PVN_TELEMETRY_DISABLED
-inline constexpr bool kCompiledIn = false;
-#else
-inline constexpr bool kCompiledIn = true;
-#endif
-
 // Monotonically increasing event count.
 class Counter {
  public:
   void inc(std::uint64_t n = 1) {
-#ifndef PVN_TELEMETRY_DISABLED
     v_.store(v_.load(std::memory_order_relaxed) + n,
              std::memory_order_relaxed);
-#else
-    (void)n;
-#endif
   }
   std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
   void reset() { v_.store(0, std::memory_order_relaxed); }
@@ -66,20 +53,10 @@ class Counter {
 // Point-in-time value that can move both ways (queue depth, memory in use).
 class Gauge {
  public:
-  void set(std::int64_t v) {
-#ifndef PVN_TELEMETRY_DISABLED
-    v_.store(v, std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
-  }
+  void set(std::int64_t v) { v_.store(v, std::memory_order_relaxed); }
   void add(std::int64_t d) {
-#ifndef PVN_TELEMETRY_DISABLED
     v_.store(v_.load(std::memory_order_relaxed) + d,
              std::memory_order_relaxed);
-#else
-    (void)d;
-#endif
   }
   std::int64_t value() const { return v_.load(std::memory_order_relaxed); }
   void reset() { v_.store(0, std::memory_order_relaxed); }
@@ -98,16 +75,12 @@ class Histogram {
       : bounds_(std::move(bounds)), counts_(bounds_.size() + 1) {}
 
   void observe(std::uint64_t v) {
-#ifndef PVN_TELEMETRY_DISABLED
     std::size_t i = 0;
     while (i < bounds_.size() && v > bounds_[i]) ++i;
     counts_[i].store(counts_[i].load(std::memory_order_relaxed) + 1,
                      std::memory_order_relaxed);
     sum_.store(sum_.load(std::memory_order_relaxed) + v,
                std::memory_order_relaxed);
-#else
-    (void)v;
-#endif
   }
 
   const std::vector<std::uint64_t>& bounds() const { return bounds_; }

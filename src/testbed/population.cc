@@ -24,11 +24,11 @@ RogueServer::RogueServer(Host& host, RogueMode mode)
 RogueServer::~RogueServer() { host_->unbind_udp(kPvnPort); }
 
 void RogueServer::on_packet(Ipv4Addr src, Port sport, const Bytes& payload) {
-  const auto msg = unwrap(payload);
-  if (!msg) return;
-  switch (msg->first) {
+  const auto frame = unwrap_frame(payload);
+  if (!frame) return;
+  switch (frame->type) {
     case PvnMsgType::kDiscovery: {
-      const auto dm = DiscoveryMessage::decode(msg->second);
+      const auto dm = DiscoveryMessage::decode(frame->body);
       if (!dm) return;
       // Win the auction: echo back exactly what was asked for, cheaper than
       // any honest quote (pick_best_offer breaks utility ties by price).
@@ -48,11 +48,11 @@ void RogueServer::on_packet(Ipv4Addr src, Port sport, const Bytes& payload) {
                                  : seconds(30);
       ++offers_sent_;
       host_->send_udp(src, kPvnPort, sport,
-                      wrap(PvnMsgType::kOffer, offer.encode()));
+                      wrap(PvnMsgType::kOffer, offer.encode(), {}));
       break;
     }
     case PvnMsgType::kDeployRequest: {
-      const auto req = DeployRequest::decode(msg->second);
+      const auto req = DeployRequest::decode(frame->body);
       if (!req) return;
       if (mode_ == RogueMode::kNakFlood) {
         DeployNack nack;
@@ -62,7 +62,7 @@ void RogueServer::on_packet(Ipv4Addr src, Port sport, const Bytes& payload) {
         nack.retry_after = seconds(5);
         ++naks_sent_;
         host_->send_udp(src, kPvnPort, sport,
-                        wrap(PvnMsgType::kDeployNack, nack.encode()));
+                        wrap(PvnMsgType::kDeployNack, nack.encode(), {}));
         return;
       }
       // kBlackhole (and a bogus-offer taker): ack a deployment that does not
@@ -76,7 +76,7 @@ void RogueServer::on_packet(Ipv4Addr src, Port sport, const Bytes& payload) {
                                                             : seconds(30);
       ++fake_acks_;
       host_->send_udp(src, kPvnPort, sport,
-                      wrap(PvnMsgType::kDeployAck, ack.encode()));
+                      wrap(PvnMsgType::kDeployAck, ack.encode(), {}));
       break;
     }
     default:
@@ -202,8 +202,7 @@ PopulationTestbed::PopulationTestbed(PopulationConfig cfg)
       an.standby_mbox = std::make_unique<MboxHost>(net.sim(), mcfg);
       an.standby_agent =
           std::make_unique<StandbyAgent>(*standby_node, *an.standby_mbox);
-      scfg.standby_host = an.standby_mbox.get();
-      scfg.standby_addr = standby_addr;
+      scfg.standbys.push_back({an.standby_mbox.get(), standby_addr});
     }
     an.server = std::make_unique<DeploymentServer>(
         control, *an.store, *an.mbox, *an.controller, *an.ledger, scfg);

@@ -172,11 +172,10 @@ Testbed::Testbed(TestbedConfig cfg) : net(cfg.seed), cfg_(cfg) {
   scfg.max_expiries_per_sweep = cfg.max_expiries_per_sweep;
   scfg.sweep_drain_interval = cfg.sweep_drain_interval;
   if (cfg.standby) {
-    scfg.standby_host = standby_mbox.get();
-    scfg.standby_addr = addrs.standby;
     scfg.checkpoint_interval = cfg.checkpoint_interval;
+    scfg.standbys.push_back({standby_mbox.get(), addrs.standby});
     for (std::size_t i = 0; i < extra_standby_mboxes.size(); ++i) {
-      scfg.extra_standbys.push_back(
+      scfg.standbys.push_back(
           {extra_standby_mboxes[i].get(), extra_standby_nodes[i]->addr()});
     }
   }

@@ -1,10 +1,10 @@
-// Burst-vs-single equivalence properties for the run-to-completion dataplane
-// (PR 7). The contract under test:
+// Burst-vs-single equivalence properties for link burst coalescing. The
+// contract under test:
 //   * Burst window W > 0 coalesces deliveries but never changes discrete
 //     outcomes: matched rules, verdicts, drops, per-flow packet order, and
-//     every per-object counter are identical to W = 0. Per-hop delivery
-//     times shift by at most W per hop (wire arrivals are preserved in
-//     Packet::arrived_at).
+//     every per-object counter (per-rule hits included) are identical to
+//     W = 0. Per-hop delivery times shift by at most W per hop (wire
+//     arrivals are preserved in Packet::arrived_at).
 //   * An N-shard run produces per-link hop traces identical to the 1-shard
 //     run of the same topology — timestamps included.
 #include <gtest/gtest.h>
@@ -219,6 +219,10 @@ struct Outcome {
   std::uint64_t leaks = 0;
   std::uint64_t tracker_blocked = 0;
   std::uint64_t findings = 0;
+  // Switch by switch, table by table: each rule's (hit_packets, hit_bytes)
+  // in rank order, and each table's misses().
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> rule_hits;
+  std::vector<std::uint64_t> table_misses;
   // (from, to) direction -> ordered (at, src, dst, size) hop records.
   std::map<std::pair<std::string, std::string>,
            std::vector<std::tuple<SimTime, std::uint32_t, std::uint32_t,
@@ -232,7 +236,7 @@ Outcome collect(const Scenario& sc) {
     for (const auto& [flow, seqs] : sink->per_flow) o.per_flow[flow] = seqs;
     o.delivered += sink->delivered;
   }
-  for (const SdnSwitch* sw : sc.switches) {
+  for (SdnSwitch* sw : sc.switches) {
     const SwitchStats& s = sw->stats();
     o.stats.packets_in += s.packets_in;
     o.stats.forwarded += s.forwarded;
@@ -241,6 +245,13 @@ Outcome collect(const Scenario& sc) {
     o.stats.dropped_meter += s.dropped_meter;
     o.stats.diverted_mbox += s.diverted_mbox;
     o.stats.tunneled += s.tunneled;
+    for (int t = 0; t < sw->table_count(); ++t) {
+      const FlowTable& table = sw->table(t);
+      for (const FlowRule& rule : table.rules()) {
+        o.rule_hits.emplace_back(rule.hit_packets, rule.hit_bytes);
+      }
+      o.table_misses.push_back(table.misses());
+    }
   }
   for (const Chain* chain : sc.chains) {
     o.chain_packets += chain->packets();
@@ -269,6 +280,8 @@ void expect_same_discrete_outcomes(const Outcome& a, const Outcome& b) {
   EXPECT_EQ(a.leaks, b.leaks);
   EXPECT_EQ(a.tracker_blocked, b.tracker_blocked);
   EXPECT_EQ(a.findings, b.findings);
+  EXPECT_EQ(a.rule_hits, b.rule_hits);
+  EXPECT_EQ(a.table_misses, b.table_misses);
 }
 
 class BurstEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
@@ -323,171 +336,6 @@ TEST_P(BurstEquivalence, WindowAndShardingPreserveOutcomes) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BurstEquivalence, ::testing::Values(1u, 2u, 7u));
-
-// --- unit equivalence: Chain::process_burst vs Chain::process ---------------
-
-TEST(ChainBurst, ProcessBurstMatchesPerPacketProcess) {
-  Simulator sim_a, sim_b;
-  MboxHost host_a(sim_a), host_b(sim_b);
-  Chain& chain_a = host_a.create_chain("a");
-  Chain& chain_b = host_b.create_chain("b");
-  std::vector<std::unique_ptr<Middlebox>> mods;
-  const auto add_modules = [&mods](Chain& chain) {
-    mods.push_back(std::make_unique<PiiDetector>(
-        std::vector<std::string>{"password="}, PiiAction::kMonitor));
-    chain.append(mods.back().get());
-    mods.push_back(std::make_unique<TrackerBlocker>(
-        std::set<Ipv4Addr>{Ipv4Addr(9, 9, 9, 9)}));
-    chain.append(mods.back().get());
-  };
-  add_modules(chain_a);
-  add_modules(chain_b);
-
-  Network net;
-  PacketBurst burst;
-  std::vector<Packet> singles;
-  for (int i = 0; i < 32; ++i) {
-    Bytes payload = to_bytes(i % 4 == 0 ? "xx password=hunter2" : "plain");
-    const Ipv4Addr dst =
-        i % 5 == 0 ? Ipv4Addr(9, 9, 9, 9) : Ipv4Addr(10, 0, 0, 50);
-    Packet pkt = net.make_packet(Ipv4Addr(10, 0, 0, 2), dst, IpProto::kUdp,
-                                 std::move(payload));
-    singles.push_back(pkt);
-    burst.push_back(std::move(pkt));
-  }
-
-  std::vector<Packet> out_single;
-  SimDuration max_single_delay = 0;
-  for (Packet& pkt : singles) {
-    SimDuration d = 0;
-    for (Packet& p : chain_a.process(std::move(pkt), 0, d)) {
-      out_single.push_back(std::move(p));
-    }
-    max_single_delay = std::max(max_single_delay, d);
-  }
-  SimDuration burst_delay = 0;
-  PacketBurst out_burst = chain_b.process_burst(std::move(burst), 0,
-                                                burst_delay);
-
-  ASSERT_EQ(out_single.size(), out_burst.size());
-  for (std::size_t i = 0; i < out_single.size(); ++i) {
-    EXPECT_EQ(out_single[i].ip.dst, out_burst[i].ip.dst);
-    EXPECT_EQ(static_cast<const Bytes&>(out_single[i].l4),
-              static_cast<const Bytes&>(out_burst[i].l4));
-  }
-  EXPECT_EQ(burst_delay, max_single_delay);
-  EXPECT_EQ(chain_a.packets(), chain_b.packets());
-  EXPECT_EQ(chain_a.findings().size(), chain_b.findings().size());
-  ASSERT_EQ(chain_a.modules().size(), chain_b.modules().size());
-  for (std::size_t m = 0; m < chain_a.modules().size(); ++m) {
-    EXPECT_EQ(chain_a.modules()[m]->packets_seen,
-              chain_b.modules()[m]->packets_seen);
-    EXPECT_EQ(chain_a.modules()[m]->packets_dropped,
-              chain_b.modules()[m]->packets_dropped);
-  }
-}
-
-// --- unit equivalence: SdnSwitch::handle_burst vs handle_packet -------------
-
-struct SwitchRig {
-  explicit SwitchRig(std::uint64_t seed)
-      : net(seed),
-        sw(net.add_node<SdnSwitch>("sw", 2)),
-        sink(net.add_node<RecorderSink>("sink")),
-        host(net.sim()) {
-    net.connect(sw, sink);  // sw port 0
-    chain = &host.create_chain("c");
-    mods.push_back(std::make_unique<PiiDetector>(
-        std::vector<std::string>{"imei="}, PiiAction::kMonitor));
-    chain->append(mods.back().get());
-    sw.register_processor("c", chain);
-    sw.add_meter("m", Rate::mbps(1), /*burst_bytes=*/400);
-
-    FlowRule classify;  // dst A: tag and continue in table 1
-    classify.priority = 100;
-    classify.match.dst = Prefix{Ipv4Addr(10, 0, 0, 50), 32};
-    classify.actions.push_back(ActSetTos{0x10});
-    classify.actions.push_back(ActGotoTable{1});
-    sw.table(0).add(classify);
-    FlowRule drop;  // dst B: explicit drop
-    drop.priority = 90;
-    drop.match.dst = Prefix{Ipv4Addr(10, 0, 0, 66), 32};
-    drop.actions.push_back(ActDrop{});
-    sw.table(0).add(drop);
-    FlowRule metered;  // table 1: meter -> chain -> out
-    metered.priority = 10;
-    metered.match.tos = 0x10;
-    metered.actions.push_back(ActMeter{"m"});
-    metered.actions.push_back(ActMbox{"c"});
-    metered.actions.push_back(ActOutput{0});
-    sw.table(1).add(metered);
-  }
-
-  Network net;
-  SdnSwitch& sw;
-  RecorderSink& sink;
-  MboxHost host;
-  Chain* chain = nullptr;
-  std::vector<std::unique_ptr<Middlebox>> mods;
-};
-
-std::vector<Packet> rig_packets(Network& net) {
-  std::vector<Packet> pkts;
-  for (int i = 0; i < 24; ++i) {
-    Ipv4Addr dst(10, 0, 0, 50);
-    if (i % 7 == 0) dst = Ipv4Addr(10, 0, 0, 66);   // rule drop
-    if (i % 11 == 0) dst = Ipv4Addr(10, 0, 0, 200);  // table miss
-    Bytes payload(300, 0x41);
-    payload[0] = static_cast<std::uint8_t>(i);  // flow tag for RecorderSink
-    pkts.push_back(net.make_packet(Ipv4Addr(10, 0, 0, 2), dst, IpProto::kUdp,
-                                   std::move(payload)));
-  }
-  return pkts;
-}
-
-TEST(SwitchBurst, HandleBurstMatchesHandlePacket) {
-  SwitchRig single(3), bursty(3);
-
-  std::vector<Packet> pkts_s = rig_packets(single.net);
-  for (Packet& pkt : pkts_s) single.sw.handle_packet(std::move(pkt), 5);
-  single.net.sim().run();
-
-  std::vector<Packet> pkts_b = rig_packets(bursty.net);
-  PacketBurst burst;
-  for (Packet& pkt : pkts_b) burst.push_back(std::move(pkt));
-  bursty.sw.handle_burst(std::move(burst), 5);
-  bursty.net.sim().run();
-
-  const SwitchStats& a = single.sw.stats();
-  const SwitchStats& b = bursty.sw.stats();
-  EXPECT_EQ(a.packets_in, b.packets_in);
-  EXPECT_EQ(a.forwarded, b.forwarded);
-  EXPECT_EQ(a.dropped_rule, b.dropped_rule);
-  EXPECT_EQ(a.dropped_miss, b.dropped_miss);
-  EXPECT_EQ(a.dropped_meter, b.dropped_meter);
-  EXPECT_EQ(a.diverted_mbox, b.diverted_mbox);
-  EXPECT_GT(a.dropped_rule, 0u);
-  EXPECT_GT(a.dropped_miss, 0u);
-  EXPECT_GT(a.dropped_meter, 0u);  // the 1 Mbps meter must actually bite
-
-  EXPECT_EQ(single.sink.delivered, bursty.sink.delivered);
-  EXPECT_EQ(single.sink.per_flow, bursty.sink.per_flow);
-  EXPECT_EQ(single.chain->packets(), bursty.chain->packets());
-
-  // Rule hit counters are cache-invariant (the burst match cache accounts
-  // through FlowTable::count_cached_hit).
-  for (int t = 0; t < 2; ++t) {
-    ASSERT_EQ(single.sw.table(t).rules().size(),
-              bursty.sw.table(t).rules().size());
-    for (std::size_t r = 0; r < single.sw.table(t).rules().size(); ++r) {
-      EXPECT_EQ(single.sw.table(t).rules()[r].hit_packets,
-                bursty.sw.table(t).rules()[r].hit_packets);
-      EXPECT_EQ(single.sw.table(t).rules()[r].hit_bytes,
-                bursty.sw.table(t).rules()[r].hit_bytes);
-    }
-    EXPECT_EQ(single.sw.table(t).misses(), bursty.sw.table(t).misses());
-  }
-}
 
 // --- burst taps --------------------------------------------------------------
 

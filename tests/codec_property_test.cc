@@ -222,13 +222,13 @@ TEST_P(DiscoveryProperty, TruncationNeverCrashes) {
   dm.device_id = "device";
   dm.standards = {"openflow-lite"};
   dm.modules = {"pii-detector", "tls-validator"};
-  const Bytes full = wrap(PvnMsgType::kDiscovery, dm.encode());
+  const Bytes full = wrap(PvnMsgType::kDiscovery, dm.encode(), {});
   for (std::size_t cut = 0; cut < full.size(); ++cut) {
     Bytes truncated(full.begin(), full.begin() + static_cast<std::ptrdiff_t>(cut));
-    const auto unwrapped = unwrap(truncated);
-    if (unwrapped && unwrapped->first == PvnMsgType::kDiscovery) {
+    const auto unwrapped = unwrap_frame(truncated);
+    if (unwrapped && unwrapped->type == PvnMsgType::kDiscovery) {
       // Inner decode must fail cleanly or produce a valid message.
-      const auto inner = DiscoveryMessage::decode(unwrapped->second);
+      const auto inner = DiscoveryMessage::decode(unwrapped->body);
       (void)inner;
     }
   }
@@ -254,14 +254,10 @@ TEST_P(DiscoveryProperty, FrameTraceContextRoundTrips) {
     EXPECT_EQ(frame->type, PvnMsgType::kDiscovery);
     EXPECT_EQ(frame->body, body);
     EXPECT_EQ(frame->trace, trace);
-    // The legacy unwrap still serves trace-carrying frames (the trailer is
-    // framing, invisible to body decoders).
-    const auto legacy = unwrap(framed);
-    ASSERT_TRUE(legacy.has_value());
-    EXPECT_EQ(legacy->second, body);
-    // The 2-argument wrap means "untraced": all-zero context.
-    const auto bare = unwrap_frame(wrap(PvnMsgType::kDiscovery, body));
+    // An empty context means "untraced": same body, all-zero trailer.
+    const auto bare = unwrap_frame(wrap(PvnMsgType::kDiscovery, body, {}));
     ASSERT_TRUE(bare.has_value());
+    EXPECT_EQ(bare->body, body);
     EXPECT_FALSE(bare->trace.valid());
   }
 }
@@ -309,7 +305,7 @@ TEST_P(DiscoveryProperty, RandomBytesNeverCrashDecoders) {
   for (int i = 0; i < 500; ++i) {
     Bytes junk(rng.next_below(200));
     for (auto& b : junk) b = static_cast<std::uint8_t>(rng.next_u64());
-    (void)unwrap(junk);
+    (void)unwrap_frame(junk);
     (void)DiscoveryMessage::decode(junk);
     (void)Offer::decode(junk);
     (void)DeployRequest::decode(junk);
@@ -413,16 +409,16 @@ TEST_P(DiscoveryProperty, MutatedValidEncodingsNeverCrashDecoders) {
   sack.digest = {0xDE, 0xAD, 0xBE, 0xEF, 0x01, 0x02, 0x03, 0x04};
 
   const std::vector<Bytes> corpus = {
-      wrap(PvnMsgType::kDiscovery, dm.encode()),
-      wrap(PvnMsgType::kOffer, offer.encode()),
-      wrap(PvnMsgType::kDeployRequest, req.encode()),
-      wrap(PvnMsgType::kDeployAck, ack.encode()),
-      wrap(PvnMsgType::kDeployNack, nack.encode()),
-      wrap(PvnMsgType::kLeaseRenew, renew.encode()),
-      wrap(PvnMsgType::kLeaseAck, lack.encode()),
-      wrap(PvnMsgType::kStateRequest, sreq.encode()),
-      wrap(PvnMsgType::kStateTransfer, xfer.encode()),
-      wrap(PvnMsgType::kStateAck, sack.encode()),
+      wrap(PvnMsgType::kDiscovery, dm.encode(), {}),
+      wrap(PvnMsgType::kOffer, offer.encode(), {}),
+      wrap(PvnMsgType::kDeployRequest, req.encode(), {}),
+      wrap(PvnMsgType::kDeployAck, ack.encode(), {}),
+      wrap(PvnMsgType::kDeployNack, nack.encode(), {}),
+      wrap(PvnMsgType::kLeaseRenew, renew.encode(), {}),
+      wrap(PvnMsgType::kLeaseAck, lack.encode(), {}),
+      wrap(PvnMsgType::kStateRequest, sreq.encode(), {}),
+      wrap(PvnMsgType::kStateTransfer, xfer.encode(), {}),
+      wrap(PvnMsgType::kStateAck, sack.encode(), {}),
   };
 
   const auto decode_as = [](PvnMsgType type, const Bytes& body) {
@@ -471,8 +467,8 @@ TEST_P(DiscoveryProperty, MutatedValidEncodingsNeverCrashDecoders) {
           mutant.size() - at, 1 + rng.next_below(8));
       for (std::size_t k = 0; k < run; ++k) mutant[at + k] = 0xFF;
     }
-    if (const auto unwrapped = unwrap(mutant)) {
-      decode_as(unwrapped->first, unwrapped->second);
+    if (const auto unwrapped = unwrap_frame(mutant)) {
+      decode_as(unwrapped->type, unwrapped->body);
     }
   }
   SUCCEED();

@@ -592,9 +592,6 @@ TEST(Link, ChainedTapsAllObserveEveryDelivery) {
   EXPECT_EQ(attacker_seen, 5);
   EXPECT_EQ(tc.records().size(), 5u);
 
-  // Legacy single-observer semantics still available explicitly.
-  link.set_tap([](const Packet&, const Node&, const Node&) {});
-  EXPECT_EQ(link.tap_count(), 1u);
   link.clear_taps();
   EXPECT_EQ(link.tap_count(), 0u);
 }

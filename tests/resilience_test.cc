@@ -351,12 +351,12 @@ TEST(Resilience, DuplicateDeployRequestsDeployOnceAndReack) {
   req.device_id = "alice-phone";
   req.pvnc = tb.standard_pvnc();
   req.payment = tb.store->price_of(req.pvnc.module_names());
-  const Bytes wire = wrap(PvnMsgType::kDeployRequest, req.encode());
+  const Bytes wire = wrap(PvnMsgType::kDeployRequest, req.encode(), {});
 
   int acks = 0;
   tb.client->bind_udp(4000, [&](Ipv4Addr, Port, Port, const Bytes& payload) {
-    const auto msg = unwrap(payload);
-    if (msg && msg->first == PvnMsgType::kDeployAck) ++acks;
+    const auto frame = unwrap_frame(payload);
+    if (frame && frame->type == PvnMsgType::kDeployAck) ++acks;
   });
   // Two copies in flight at once: the second must not deploy a second chain.
   tb.client->send_udp(tb.addrs.control, 4000, kPvnPort, wire);
@@ -449,8 +449,8 @@ TEST(Resilience, RenewalsAreJitteredNotLockstep) {
     if (pkt.ip.dst != tb.addrs.control) return;
     const auto dgram = parse_udp(pkt.l4);
     if (!dgram || dgram->hdr.dst_port != kPvnPort) return;
-    const auto msg = unwrap(dgram->payload);
-    if (msg && msg->first == PvnMsgType::kLeaseRenew) {
+    const auto frame = unwrap_frame(dgram->payload);
+    if (frame && frame->type == PvnMsgType::kLeaseRenew) {
       renew_times.push_back(tb.net.sim().now());
     }
   });

@@ -170,7 +170,7 @@ TEST(Survivability, StandbyAgentAppliesValidAndRejectsCorruptTransfers) {
     x.ok = ok;
     x.checkpoint = std::move(ckpt);
     tb.control->send_udp(tb.addrs.standby, kPvnPort, kPvnStandbyPort,
-                         wrap(PvnMsgType::kStateTransfer, x.encode()));
+                         wrap(PvnMsgType::kStateTransfer, x.encode(), {}));
     tb.net.sim().run_until(tb.net.sim().now() + milliseconds(50));
   };
 

@@ -35,7 +35,6 @@ TEST(MetricsRegistry, RegistrationIsIdempotent) {
 }
 
 TEST(MetricsRegistry, SnapshotReflectsValuesAndInstances) {
-  if (!telemetry::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   MetricsRegistry reg;
   reg.counter("net.pkts", "a->b").inc(3);
   reg.counter("net.pkts", "b->a").inc(5);
@@ -54,7 +53,6 @@ TEST(MetricsRegistry, SnapshotReflectsValuesAndInstances) {
 }
 
 TEST(MetricsRegistry, ResetZeroesValuesButKeepsHandedOutCells) {
-  if (!telemetry::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   MetricsRegistry reg;
   telemetry::Counter& c = reg.counter("a.b");
   c.inc(7);
@@ -72,7 +70,6 @@ TEST(MetricsRegistry, GlobalIsASingleton) {
 // --- Histogram ---------------------------------------------------------------
 
 TEST(Histogram, BoundsAreInclusiveUpperWithOverflowBucket) {
-  if (!telemetry::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   telemetry::Histogram h({10, 20});
   h.observe(10);  // lands in <=10
   h.observe(11);  // lands in <=20
@@ -237,7 +234,6 @@ MetricsRegistry& golden_registry(MetricsRegistry& reg) {
 }
 
 TEST(Export, PrometheusTextGolden) {
-  if (!telemetry::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   MetricsRegistry reg;
   const std::string got =
       telemetry::prometheus_text(golden_registry(reg).snapshot());
@@ -260,7 +256,6 @@ TEST(Export, PrometheusTextGolden) {
 }
 
 TEST(Export, PrometheusHelpAndLabelEscaping) {
-  if (!telemetry::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   MetricsRegistry reg;
   reg.describe("ops.requests", "Admin requests seen\nby the endpoint \\ ops");
   reg.counter("ops.requests", "she said \"hi\"\\\n").inc(1);
@@ -275,7 +270,6 @@ TEST(Export, PrometheusHelpAndLabelEscaping) {
 }
 
 TEST(Export, MetricsJsonGolden) {
-  if (!telemetry::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   MetricsRegistry reg;
   const std::string got =
       telemetry::metrics_json(golden_registry(reg).snapshot());
@@ -373,7 +367,6 @@ TEST(SimProfiler, CountsEventsEvenWhenTimingDisabled) {
 // --- TelemetryAuditor --------------------------------------------------------
 
 TEST(TelemetryAuditor, FlagsMissingAndUndercountedChains) {
-  if (!telemetry::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   const TelemetryAuditor auditor;
   MetricsRegistry reg;
 
@@ -398,7 +391,6 @@ TEST(TelemetryAuditor, FlagsMissingAndUndercountedChains) {
 // --- End to end: one session populates every layer --------------------------
 
 TEST(TelemetryE2E, DeployedSessionCoversEveryLayerAndPassesAudit) {
-  if (!telemetry::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   MetricsRegistry::global().reset();
   SpanRecorder::global().clear();
 
@@ -507,7 +499,6 @@ TEST(Quantiles, EstimateQuantilesMatchesSingleCalls) {
 }
 
 TEST(Quantiles, MetricSampleQuantileReadsHistogramSamples) {
-  if (!telemetry::kCompiledIn) GTEST_SKIP() << "telemetry compiled out";
   MetricsRegistry reg;
   telemetry::Histogram& h = reg.histogram("q.lat", {10, 20, 40});
   for (int i = 0; i < 5; ++i) h.observe(5);
