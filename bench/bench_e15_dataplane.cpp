@@ -5,8 +5,9 @@
 // host-CPU cost of the mechanisms the per-packet path exercises: flow-table
 // lookup vs table size (two-level hashed index vs the linear-scan baseline),
 // flow-table add/remove churn between lookups, middlebox chain traversal vs
-// chain length, simulator event throughput, meter conformance, and the codec
-// round-trips on the wire path.
+// chain length, simulator event throughput, meter conformance, the codec
+// round-trips on the wire path, and how a host's connect cost scales with
+// the connections it has opened.
 //
 // Besides the google-benchmark tables, the binary always emits a
 // machine-readable BENCH_dataplane.json summary (override the path with
@@ -15,10 +16,12 @@
 // google-benchmark run — that is what the CI perf job uses.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -29,6 +32,7 @@
 #include "mbox/host.h"
 #include "mbox/inline_modules.h"
 #include "netsim/router.h"
+#include "proto/http.h"
 #include "sdn/flow_table.h"
 #include "sdn/switch.h"
 #include "tunnel/esp.h"
@@ -551,6 +555,73 @@ double measure_esp_roundtrips_per_sec(bool quick) {
   });
 }
 
+// Connection scaling: one HttpClient makes 8000 sequential 20 KB fetches,
+// one started every 10 ms, across a 1 Gbit/s, 1 ms dumbbell. The sim run is
+// cut into run_until slices at fetch starts; the ratio is the host time of
+// the slice holding fetches 1-1000 over that of fetches 7001-8000. If a
+// connect costs more the more connections the host has ever opened, the
+// ratio falls well below 1. One ~40 ms slice is at the mercy of host noise,
+// so the sample is the median of three runs.
+struct FetchScalingSample {
+  double ratio = 0;
+  double first_slice_per_sec = 0;
+  int ok = 0;  // fetches that succeeded in the median run
+};
+
+FetchScalingSample run_http_fetch_slices() {
+  constexpr int kFetches = 8000;
+  constexpr int kSlice = 1000;
+  constexpr SimDuration kGap = milliseconds(10);
+  LinkParams lp;
+  lp.rate = Rate::gbps(1);
+  lp.latency = milliseconds(1);
+  Network net;
+  Host& client = net.add_node<Host>("client", Ipv4Addr(10, 0, 0, 2));
+  Host& server = net.add_node<Host>("server", Ipv4Addr(93, 184, 216, 34));
+  Router& router = net.add_node<Router>("router");
+  net.connect(client, router, lp);
+  net.connect(router, server, lp);
+  router.add_route(*Prefix::parse("10.0.0.0/8"), 0);
+  router.add_route(*Prefix::parse("0.0.0.0/0"), 1);
+  HttpServer http_server(server);
+  HttpClient http(client);
+
+  FetchScalingSample s;
+  int started = 0;
+  std::function<void()> start = [&] {
+    http.fetch(server.addr(), 80, "/bytes/20000",
+               [&s](const HttpResponse&, const FetchTiming& t) {
+                 s.ok += t.ok ? 1 : 0;
+               });
+    if (++started < kFetches) {
+      net.sim().schedule_after(kGap, SimCategory::kWorkload, start);
+    }
+  };
+  net.sim().schedule_at(0, SimCategory::kWorkload, start);
+  const auto slice = [&](SimTime until) {
+    const auto t0 = std::chrono::steady_clock::now();
+    net.sim().run_until(until);
+    return seconds_of(std::chrono::steady_clock::now() - t0);
+  };
+  const double first = slice(kGap * kSlice);
+  slice(kGap * (kFetches - kSlice));
+  const double last = slice(kGap * kFetches);
+  net.sim().run();
+  s.ratio = last > 0 ? first / last : 0.0;
+  s.first_slice_per_sec = first > 0 ? kSlice / first : 0.0;
+  return s;
+}
+
+FetchScalingSample measure_http_fetch_scaling() {
+  std::vector<FetchScalingSample> runs;
+  for (int i = 0; i < 3; ++i) runs.push_back(run_http_fetch_slices());
+  std::sort(runs.begin(), runs.end(),
+            [](const FetchScalingSample& a, const FetchScalingSample& b) {
+              return a.ratio < b.ratio;
+            });
+  return runs[1];
+}
+
 // Returns false on a determinism-gate failure (the caller exits nonzero).
 bool write_json_summary(const char* path, bool quick, std::size_t shards) {
   const int kSizes[] = {16, 256, 1024, 4096};
@@ -560,6 +631,7 @@ bool write_json_summary(const char* path, bool quick, std::size_t shards) {
   const double chain5 = measure_chain_packets_per_sec(5, quick);
   const double events = measure_sim_events_per_sec(quick);
   const double esp = measure_esp_roundtrips_per_sec(quick);
+  const FetchScalingSample fetch = measure_http_fetch_scaling();
 
   // Parallel scenario: 1 shard (the baseline + determinism reference), then
   // the requested shard count.
@@ -600,6 +672,9 @@ bool write_json_summary(const char* path, bool quick, std::size_t shards) {
   std::fprintf(f, "  \"chain5_packets_per_sec\": %.0f,\n", chain5);
   std::fprintf(f, "  \"sim_events_per_sec\": %.0f,\n", events);
   std::fprintf(f, "  \"esp_roundtrips_per_sec\": %.0f,\n", esp);
+  std::fprintf(f, "  \"http_fetch_scaling\": %.3f,\n", fetch.ratio);
+  std::fprintf(f, "  \"http_fetch_first_slice_per_sec\": %.0f,\n",
+               fetch.first_slice_per_sec);
   std::fprintf(f, "  \"parallel\": {\n");
   std::fprintf(f, "    \"hardware_concurrency\": %u,\n", hw);
   std::fprintf(f, "    \"burst_window_us\": 50,\n");
@@ -636,6 +711,9 @@ bool write_json_summary(const char* path, bool quick, std::size_t shards) {
   std::printf("chain (5 modules):     %12.0f packets/s\n", chain5);
   std::printf("simulator:             %12.0f events/s\n", events);
   std::printf("esp encap+decap:       %12.0f roundtrips/s\n", esp);
+  std::printf("http fetch scaling:    %12.3f (host time of fetches 1-1000 / "
+              "7001-8000; %d/8000 ok; first slice %.0f fetches/s)\n",
+              fetch.ratio, fetch.ok, fetch.first_slice_per_sec);
   for (const ParallelSample& s : par) {
     std::printf("parallel %zu shard(s):   %12.0f events/s  (%zu events, "
                 "%llu delivered, digest %016llx)\n",

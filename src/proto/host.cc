@@ -73,20 +73,22 @@ void Host::on_udp(const IpHeader& ip, const Bytes& l4) {
 }
 
 Port Host::alloc_ephemeral_port() {
-  // Linear probe; fine for simulation scale.
+  // Probe from the cursor, wrapping 65535 -> 49152, for a port no open
+  // connection holds.
   for (int i = 0; i < 16384; ++i) {
     const Port p = next_ephemeral_;
     next_ephemeral_ = next_ephemeral_ == 65535 ? 49152 : next_ephemeral_ + 1;
-    bool used = false;
-    for (const auto& [key, conn] : conns_) {
-      if (std::get<0>(key) == p && conn->state() != TcpConnection::State::kClosed) {
-        used = true;
-        break;
-      }
-    }
-    if (!used) return p;
+    if (!port_in_use(p)) return p;
   }
   return 0;
+}
+
+bool Host::port_in_use(Port port) const {
+  for (auto it = conns_.lower_bound(ConnKey{port, 0, 0});
+       it != conns_.end() && std::get<0>(it->first) == port; ++it) {
+    if (it->second->state() != TcpConnection::State::kClosed) return true;
+  }
+  return false;
 }
 
 TcpConnection& Host::tcp_connect(Ipv4Addr dst, Port dst_port, TcpConfig cfg) {
@@ -130,13 +132,13 @@ void Host::send_rst(const IpHeader& ip, const TcpHeader& hdr) {
 }
 
 void Host::on_tcp(const IpHeader& ip, const Bytes& l4) {
-  const auto seg = parse_tcp(l4);
+  auto seg = parse_tcp(l4);
   if (!seg) return;
   const ConnKey key{seg->hdr.dst_port, ip.src.v, seg->hdr.src_port};
   auto it = conns_.find(key);
   if (it != conns_.end() &&
       it->second->state() != TcpConnection::State::kClosed) {
-    it->second->on_segment(ip, *seg);
+    it->second->on_segment(ip, std::move(*seg));
     return;
   }
 

@@ -82,6 +82,9 @@ class Host : public Node {
   using ConnKey = std::tuple<Port, std::uint32_t, Port>;  // lport, raddr, rport
 
   Port alloc_ephemeral_port();
+  // Whether a connection that is not kClosed holds local `port`. conns_ is
+  // keyed by local port first, so this walks only that port's entries.
+  bool port_in_use(Port port) const;
   void on_tcp(const IpHeader& ip, const Bytes& l4);
   void on_udp(const IpHeader& ip, const Bytes& l4);
   void send_rst(const IpHeader& ip, const TcpHeader& hdr);

@@ -1,9 +1,14 @@
 #include "proto/http.h"
 
+#include <algorithm>
 #include <charconv>
+#include <cstring>
+#include <utility>
 
 namespace pvn {
 namespace {
+
+constexpr std::string_view kHeadEnd = "\r\n\r\n";
 
 const std::string* find_header(
     const std::vector<std::pair<std::string, std::string>>& headers,
@@ -30,6 +35,14 @@ void append_headers(
     out += "Content-Length: " + std::to_string(body_size) + "\r\n";
   }
   out += "\r\n";
+}
+
+Bytes head_and_body(const std::string& head, const Bytes& body) {
+  Bytes raw;
+  raw.reserve(head.size() + body.size());
+  raw.insert(raw.end(), head.begin(), head.end());
+  raw.insert(raw.end(), body.begin(), body.end());
+  return raw;
 }
 
 }  // namespace
@@ -65,114 +78,166 @@ void HttpResponse::set_header(const std::string& name,
 Bytes HttpRequest::serialize() const {
   std::string out = method + " " + path + " HTTP/1.1\r\n";
   append_headers(out, headers, body.size());
-  Bytes raw = to_bytes(out);
-  raw.insert(raw.end(), body.begin(), body.end());
-  return raw;
+  return head_and_body(out, body);
 }
 
 Bytes HttpResponse::serialize() const {
   std::string out =
       "HTTP/1.1 " + std::to_string(status) + " " + reason + "\r\n";
   append_headers(out, headers, body.size());
-  Bytes raw = to_bytes(out);
-  raw.insert(raw.end(), body.begin(), body.end());
-  return raw;
+  return head_and_body(out, body);
 }
 
 void HttpParser::feed(const Bytes& chunk) {
-  if (error_) return;
-  buf_.append(chunk.begin(), chunk.end());
-  while (try_parse_one()) {
+  const std::uint8_t* p = chunk.data();
+  std::size_t n = chunk.size();
+  while (!error_) {
+    if (in_body_) {
+      const std::size_t take = std::min(n, body_left_);
+      Bytes& b = body();
+      b.insert(b.end(), p, p + take);
+      p += take;
+      n -= take;
+      body_left_ -= take;
+      if (body_left_ > 0) return;
+      emit();
+      continue;
+    }
+    if (n == 0) return;
+    const std::string_view rest(reinterpret_cast<const char*>(p), n);
+    const std::size_t used = head_end_in(rest);
+    if (used == 0) {
+      head_.append(rest);
+      return;
+    }
+    if (head_.empty()) {
+      parse_head(rest.substr(0, used - kHeadEnd.size()));
+    } else {
+      head_.append(rest.substr(0, used));
+      parse_head(std::string_view(head_).substr(
+          0, head_.size() - kHeadEnd.size()));
+      std::string().swap(head_);
+    }
+    p += used;
+    n -= used;
   }
 }
 
-std::size_t HttpParser::partial_body_bytes() const {
-  const auto head_end = buf_.find("\r\n\r\n");
-  if (head_end == std::string::npos) return 0;
-  return buf_.size() - (head_end + 4);
+// Bytes of `chunk` up to and including the blank line that ends the head
+// being read, or 0 if the head does not end in `chunk`. head_ never holds a
+// whole "\r\n\r\n", so the search resumes in its last three bytes.
+std::size_t HttpParser::head_end_in(std::string_view chunk) const {
+  const std::string_view held(head_);
+  for (std::size_t k = std::min<std::size_t>(3, held.size()); k > 0; --k) {
+    if (held.ends_with(kHeadEnd.substr(0, k)) &&
+        chunk.starts_with(kHeadEnd.substr(k))) {
+      return kHeadEnd.size() - k;
+    }
+  }
+  const std::size_t at = chunk.find(kHeadEnd);
+  return at == std::string_view::npos ? 0 : at + kHeadEnd.size();
 }
 
-bool HttpParser::try_parse_one() {
-  const auto head_end = buf_.find("\r\n\r\n");
-  if (head_end == std::string::npos) return false;
-  const std::string head = buf_.substr(0, head_end);
-
-  // Parse status/request line + headers.
+// Parses a head (without its closing blank line) into req_ or resp_ and
+// starts its body, or sets error_.
+void HttpParser::parse_head(std::string_view head) {
+  const std::size_t line_end = head.find("\r\n");
+  const std::string first_line(head.substr(0, line_end));
   std::vector<std::pair<std::string, std::string>> headers;
-  std::size_t line_start = head.find("\r\n");
-  std::string first_line =
-      head.substr(0, line_start == std::string::npos ? head.size() : line_start);
-  std::size_t content_length = 0;
-  if (line_start != std::string::npos) {
-    std::size_t pos = line_start + 2;
+  if (line_end != std::string_view::npos) {
+    std::size_t pos = line_end + 2;
     while (pos < head.size()) {
       std::size_t eol = head.find("\r\n", pos);
-      if (eol == std::string::npos) eol = head.size();
-      const std::string line = head.substr(pos, eol - pos);
+      if (eol == std::string_view::npos) eol = head.size();
+      const std::string_view line = head.substr(pos, eol - pos);
       const auto colon = line.find(": ");
-      if (colon == std::string::npos) {
+      if (colon == std::string_view::npos) {
         error_ = true;
-        return false;
+        return;
       }
       headers.emplace_back(line.substr(0, colon), line.substr(colon + 2));
       pos = eol + 2;
     }
   }
+  std::size_t content_length = 0;
   if (const std::string* cl = find_header(headers, "Content-Length")) {
-    std::size_t v = 0;
-    const auto [p, ec] = std::from_chars(cl->data(), cl->data() + cl->size(), v);
+    const auto [p, ec] =
+        std::from_chars(cl->data(), cl->data() + cl->size(), content_length);
     if (ec != std::errc() || p != cl->data() + cl->size()) {
       error_ = true;
-      return false;
+      return;
     }
-    content_length = v;
   }
 
-  const std::size_t total = head_end + 4 + content_length;
-  if (buf_.size() < total) return false;
-  Bytes body(buf_.begin() + static_cast<std::ptrdiff_t>(head_end + 4),
-             buf_.begin() + static_cast<std::ptrdiff_t>(total));
-  buf_.erase(0, total);
-
   if (kind_ == Kind::kRequest) {
-    HttpRequest req;
     const auto sp1 = first_line.find(' ');
     const auto sp2 = first_line.find(' ', sp1 + 1);
     if (sp1 == std::string::npos || sp2 == std::string::npos) {
       error_ = true;
-      return false;
+      return;
     }
-    req.method = first_line.substr(0, sp1);
-    req.path = first_line.substr(sp1 + 1, sp2 - sp1 - 1);
-    req.headers = std::move(headers);
-    req.body = std::move(body);
-    if (on_request_) on_request_(std::move(req));
+    req_.method = first_line.substr(0, sp1);
+    req_.path = first_line.substr(sp1 + 1, sp2 - sp1 - 1);
+    req_.headers = std::move(headers);
   } else {
-    HttpResponse resp;
     const auto sp1 = first_line.find(' ');
     if (sp1 == std::string::npos) {
       error_ = true;
-      return false;
+      return;
     }
     const auto sp2 = first_line.find(' ', sp1 + 1);
-    resp.status = std::atoi(first_line.c_str() + sp1 + 1);
-    resp.reason = sp2 == std::string::npos ? "" : first_line.substr(sp2 + 1);
-    resp.headers = std::move(headers);
-    resp.body = std::move(body);
+    resp_.status = std::atoi(first_line.c_str() + sp1 + 1);
+    resp_.reason = sp2 == std::string::npos ? "" : first_line.substr(sp2 + 1);
+    resp_.headers = std::move(headers);
+  }
+  in_body_ = true;
+  body_left_ = content_length;
+}
+
+void HttpParser::emit() {
+  in_body_ = false;
+  if (kind_ == Kind::kRequest) {
+    HttpRequest req = std::exchange(req_, HttpRequest{});
+    if (on_request_) on_request_(std::move(req));
+  } else {
+    HttpResponse resp = std::exchange(resp_, HttpResponse{});
     if (on_response_) on_response_(std::move(resp));
   }
-  return true;
+}
+
+Bytes periodic_body(std::size_t n, std::uint8_t first, std::size_t period) {
+  Bytes body(n);
+  const std::size_t once = std::min(n, period);
+  for (std::size_t i = 0; i < once; ++i) {
+    body[i] = static_cast<std::uint8_t>(first + i);
+  }
+  // body[0, filled) is whole periods, so copying a prefix of it to `filled`
+  // continues the pattern.
+  for (std::size_t filled = once; filled < n;) {
+    const std::size_t len = std::min(filled, n - filled);
+    std::memcpy(body.data() + filled, body.data(), len);
+    filled += len;
+  }
+  return body;
 }
 
 HttpResponse synthesize_response(const HttpRequest& req) {
   HttpResponse resp;
-  if (req.path.rfind("/bytes/", 0) == 0) {
-    const std::size_t n =
-        static_cast<std::size_t>(std::atoll(req.path.c_str() + 7));
-    resp.body.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      resp.body[i] = static_cast<std::uint8_t>('a' + (i % 23));
+  if (req.path.starts_with("/bytes/")) {
+    const std::string_view arg = std::string_view(req.path).substr(7);
+    std::size_t n = 0;
+    const auto [end, ec] =
+        std::from_chars(arg.data(), arg.data() + arg.size(), n);
+    if (ec != std::errc() || end != arg.data() + arg.size() ||
+        n > TcpConfig{}.max_send_buffer) {
+      resp.status = 400;
+      resp.reason = "Bad Request";
+      resp.body = to_bytes("/bytes/N needs a decimal N of at most " +
+                           std::to_string(TcpConfig{}.max_send_buffer));
+      resp.set_header("Content-Type", "text/plain");
+      return resp;
     }
+    resp.body = periodic_body(n, 'a', 23);
     resp.set_header("Content-Type", "application/octet-stream");
   } else {
     const std::string text = "hello from pvn http-lite: " + req.path;

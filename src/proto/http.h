@@ -10,6 +10,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "proto/host.h"
@@ -40,6 +41,13 @@ struct HttpResponse {
 
 // Incremental parser for one direction of an HTTP-lite stream.
 // Emits complete messages via the callback. Handles pipelined messages.
+//
+// Each head is parsed once: the search for the blank line that ends it
+// resumes where the previous feed stopped, and only the bytes of a head
+// that spans feeds are buffered. Body bytes are appended straight onto the
+// message under construction, which is moved out to the callback. Storage
+// grows only with the bytes that have arrived, never with the declared
+// Content-Length.
 class HttpParser {
  public:
   enum class Kind { kRequest, kResponse };
@@ -53,17 +61,21 @@ class HttpParser {
 
   void feed(const Bytes& chunk);
   bool error() const { return error_; }
-  // Body bytes received so far for the in-flight message (for TTFB-style
-  // progress measurements).
-  std::size_t partial_body_bytes() const;
 
  private:
-  bool try_parse_one();
+  std::size_t head_end_in(std::string_view chunk) const;
+  void parse_head(std::string_view head);
+  Bytes& body() { return kind_ == Kind::kRequest ? req_.body : resp_.body; }
+  void emit();
 
   Kind kind_;
   RequestHandler on_request_;
   ResponseHandler on_response_;
-  std::string buf_;
+  std::string head_;          // a head that has not ended yet
+  bool in_body_ = false;      // head parsed; req_/resp_ awaits its body
+  std::size_t body_left_ = 0;
+  HttpRequest req_;
+  HttpResponse resp_;
   bool error_ = false;
 };
 
@@ -92,8 +104,14 @@ class HttpServer {
   std::vector<std::unique_ptr<ConnState>> conns_;
 };
 
-// Default content generator used by HttpServer for /bytes/N paths.
+// Default content generator used by HttpServer. /bytes/N answers 400 unless
+// N is a decimal no larger than the default TcpConfig::max_send_buffer
+// (64 MiB); a larger body could never be sent.
 HttpResponse synthesize_response(const HttpRequest& req);
+
+// n bytes of `first + i % period` (period > 0): one period written byte by
+// byte, then doubled with memcpy. Serves /bytes/N and the video segments.
+Bytes periodic_body(std::size_t n, std::uint8_t first, std::size_t period);
 
 // Timing observed by an HttpClient fetch.
 struct FetchTiming {

@@ -63,7 +63,13 @@ std::uint32_t TcpConnection::effective_window() const {
 bool TcpConnection::send(const Bytes& data) {
   if (state_ == State::kClosed || fin_pending_ || fin_sent_) return false;
   if (state_ == State::kFinWait || state_ == State::kLastAck) return false;
-  if (send_buf_.size() + data.size() > cfg_.max_send_buffer) return false;
+  if (unsent_bytes() + data.size() > cfg_.max_send_buffer) return false;
+  if (send_off_ > 0 && send_off_ >= unsent_bytes()) {
+    // The sent prefix dominates: compact it away before appending.
+    send_buf_.erase(send_buf_.begin(),
+                    send_buf_.begin() + static_cast<std::ptrdiff_t>(send_off_));
+    send_off_ = 0;
+  }
   send_buf_.insert(send_buf_.end(), data.begin(), data.end());
   stats_.bytes_sent += data.size();
   try_send();
@@ -88,7 +94,7 @@ void TcpConnection::abort() {
 }
 
 void TcpConnection::maybe_send_fin() {
-  if (!fin_pending_ || fin_sent_ || !send_buf_.empty()) return;
+  if (!fin_pending_ || fin_sent_ || unsent_bytes() > 0) return;
   if (state_ != State::kEstablished && state_ != State::kCloseWait &&
       state_ != State::kSynSent && state_ != State::kSynRcvd) {
     return;
@@ -113,27 +119,40 @@ void TcpConnection::try_send() {
     recovery_send();
     return;
   }
-  while (!send_buf_.empty()) {
+  while (unsent_bytes() > 0) {
     const std::uint32_t window = effective_window();
     if (window == 0) break;
-    const std::uint32_t len = std::min<std::uint32_t>(
-        {cfg_.mss, window, static_cast<std::uint32_t>(send_buf_.size())});
-    Bytes payload(send_buf_.begin(),
-                  send_buf_.begin() + static_cast<std::ptrdiff_t>(len));
-    send_buf_.erase(send_buf_.begin(),
-                    send_buf_.begin() + static_cast<std::ptrdiff_t>(len));
+    const auto len = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>({cfg_.mss, window, unsent_bytes()}));
+    Bytes payload = take_unsent(len);
     const std::uint32_t seq = snd_nxt_;
     snd_nxt_ += len;
-    inflight_[seq] = payload;
     if (!timed_valid_) {
       timed_valid_ = true;
       timed_seq_ = seq;
       timed_sent_at_ = host_->sim().now();
     }
     send_segment(kTcpAck, seq, payload, false);
+    inflight_[seq] = std::move(payload);
   }
   if (flight_size() > 0 && rto_event_ == kInvalidEventId) arm_rto();
   maybe_send_fin();
+}
+
+Bytes TcpConnection::take_unsent(std::size_t len) {
+  const auto first =
+      send_buf_.begin() + static_cast<std::ptrdiff_t>(send_off_);
+  Bytes payload(first, first + static_cast<std::ptrdiff_t>(len));
+  consume_unsent(len);
+  return payload;
+}
+
+void TcpConnection::consume_unsent(std::size_t n) {
+  send_off_ += n;
+  if (send_off_ == send_buf_.size()) {
+    Bytes().swap(send_buf_);  // drained: free the storage
+    send_off_ = 0;
+  }
 }
 
 std::vector<std::pair<std::uint32_t, std::uint32_t>>
@@ -220,10 +239,17 @@ void TcpConnection::on_rto() {
   sacked_.clear();
   rtx_times_.clear();
 
-  // Requeue every unacked payload in front of the send buffer.
-  for (auto it = inflight_.rbegin(); it != inflight_.rend(); ++it) {
-    send_buf_.insert(send_buf_.begin(), it->second.begin(), it->second.end());
+  // Requeue every unacked payload, in sequence order, in front of the
+  // unsent bytes.
+  Bytes requeued;
+  for (const auto& [seq, payload] : inflight_) {
+    requeued.insert(requeued.end(), payload.begin(), payload.end());
   }
+  requeued.insert(requeued.end(),
+                  send_buf_.begin() + static_cast<std::ptrdiff_t>(send_off_),
+                  send_buf_.end());
+  send_buf_ = std::move(requeued);
+  send_off_ = 0;
   inflight_.clear();
   const bool had_fin = fin_sent_;
   snd_nxt_ = snd_una_;
@@ -330,18 +356,15 @@ void TcpConnection::recovery_send() {
     }
   }
   // New data, clocked by the same pipe bound.
-  while (!send_buf_.empty() &&
+  while (unsent_bytes() > 0 &&
          pipe + cfg_.mss <= static_cast<std::uint64_t>(cwnd_)) {
-    const std::uint32_t len = std::min<std::uint32_t>(
-        {cfg_.mss, static_cast<std::uint32_t>(send_buf_.size())});
-    Bytes payload(send_buf_.begin(),
-                  send_buf_.begin() + static_cast<std::ptrdiff_t>(len));
-    send_buf_.erase(send_buf_.begin(),
-                    send_buf_.begin() + static_cast<std::ptrdiff_t>(len));
+    const auto len = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(cfg_.mss, unsent_bytes()));
+    Bytes payload = take_unsent(len);
     const std::uint32_t seq = snd_nxt_;
     snd_nxt_ += len;
-    inflight_[seq] = payload;
     send_segment(kTcpAck, seq, payload, false);
+    inflight_[seq] = std::move(payload);
     pipe += len;
   }
 }
@@ -358,10 +381,7 @@ void TcpConnection::handle_ack(const TcpHeader& hdr) {
     // duplicates the peer already has: drop them and fast-forward.
     if (seq_lt(snd_nxt_, ack)) {
       const std::uint32_t dup = ack - snd_nxt_;
-      const std::size_t drop =
-          std::min<std::size_t>(dup, send_buf_.size());
-      send_buf_.erase(send_buf_.begin(),
-                      send_buf_.begin() + static_cast<std::ptrdiff_t>(drop));
+      consume_unsent(std::min<std::uint64_t>(dup, unsent_bytes()));
       snd_nxt_ = ack;
     }
     // New data acknowledged.
@@ -470,9 +490,10 @@ void TcpConnection::deliver_in_order() {
   }
 }
 
-void TcpConnection::on_segment(const IpHeader& ip, const TcpSegment& seg) {
+void TcpConnection::on_segment(const IpHeader& ip, TcpSegment seg) {
   (void)ip;
   const TcpHeader& hdr = seg.hdr;
+  const auto payload_len = static_cast<std::uint32_t>(seg.payload.size());
 
   if (hdr.rst()) {
     enter_closed();
@@ -523,17 +544,15 @@ void TcpConnection::on_segment(const IpHeader& ip, const TcpSegment& seg) {
   if (hdr.ack_flag()) handle_ack(hdr);
   if (state_ == State::kClosed) return;
 
-  if (!seg.payload.empty()) {
+  if (payload_len > 0) {
     const std::uint32_t seq = seg.hdr.seq;
-    const std::uint32_t end =
-        seq + static_cast<std::uint32_t>(seg.payload.size());
+    const std::uint32_t end = seq + payload_len;
     if (seq_le(end, rcv_nxt_)) {
       // Entirely old data: re-ACK so the sender can advance.
       send_ack();
     } else {
-      if (!reorder_.contains(seq)) {
-        reorder_bytes_ += seg.payload.size();
-        reorder_[seq] = seg.payload;
+      if (reorder_.try_emplace(seq, std::move(seg.payload)).second) {
+        reorder_bytes_ += payload_len;
       }
       deliver_in_order();
       send_ack();
@@ -541,8 +560,7 @@ void TcpConnection::on_segment(const IpHeader& ip, const TcpSegment& seg) {
   }
 
   if (hdr.fin()) {
-    const std::uint32_t fin_at =
-        hdr.seq + static_cast<std::uint32_t>(seg.payload.size());
+    const std::uint32_t fin_at = hdr.seq + payload_len;
     peer_fin_seen_ = true;
     peer_fin_seq_ = fin_at;
     deliver_in_order();
@@ -557,7 +575,8 @@ void TcpConnection::enter_closed() {
   if (state_ == State::kClosed) return;
   state_ = State::kClosed;
   cancel_rto();
-  send_buf_.clear();
+  Bytes().swap(send_buf_);
+  send_off_ = 0;
   inflight_.clear();
   reorder_.clear();
   reorder_bytes_ = 0;

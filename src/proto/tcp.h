@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -94,7 +93,9 @@ class TcpConnection {
   // Abortive close: emits RST and tears down immediately.
   void abort();
 
-  std::uint64_t unsent_bytes() const { return send_buf_.size(); }
+  // Bytes waiting in the send buffer: accepted by send() and not yet sent,
+  // plus in-flight bytes a retransmission timeout put back in front.
+  std::uint64_t unsent_bytes() const { return send_buf_.size() - send_off_; }
 
  private:
   friend class Host;
@@ -104,8 +105,10 @@ class TcpConnection {
 
   void start_connect();
   void start_accept(const TcpHeader& syn);
-  void on_segment(const IpHeader& ip, const TcpSegment& seg);
+  void on_segment(const IpHeader& ip, TcpSegment seg);
   void try_send();
+  Bytes take_unsent(std::size_t len);
+  void consume_unsent(std::size_t n);
   void send_segment(std::uint8_t flags, std::uint32_t seq, const Bytes& payload,
                     bool count_retransmit);
   void send_ack();
@@ -138,7 +141,11 @@ class TcpConnection {
   std::uint32_t snd_una_ = 0;  // oldest unacknowledged
   std::uint32_t snd_nxt_ = 0;  // next to send
   std::uint32_t iss_ = 0;
-  std::deque<std::uint8_t> send_buf_;   // bytes not yet sent
+  // Unsent bytes are send_buf_[send_off_, size()): one contiguous buffer
+  // read from the front. It is freed when it drains, and send() compacts
+  // the sent prefix away once that prefix is at least as long as the rest.
+  Bytes send_buf_;
+  std::size_t send_off_ = 0;
   std::map<std::uint32_t, Bytes> inflight_;  // seq -> payload (for retransmit)
   bool fin_pending_ = false;   // app called close()
   bool fin_sent_ = false;

@@ -103,10 +103,7 @@ void install_video_server(HttpServer& server, std::size_t segment_bytes) {
   server.set_handler([segment_bytes](const HttpRequest& req) {
     if (req.path.rfind("/video/", 0) == 0) {
       HttpResponse resp;
-      resp.body.resize(segment_bytes);
-      for (std::size_t i = 0; i < segment_bytes; ++i) {
-        resp.body[i] = static_cast<std::uint8_t>('v' + (i % 17));
-      }
+      resp.body = periodic_body(segment_bytes, 'v', 17);
       resp.set_header("Content-Type", "video/mp4");
       return resp;
     }

@@ -8,6 +8,7 @@
 #include "proto/dns.h"
 #include "proto/http.h"
 #include "proto/tls.h"
+#include "util/rng.h"
 
 namespace pvn {
 namespace {
@@ -421,6 +422,258 @@ TEST(HttpCodec, MalformedHeaderSetsError) {
   HttpParser parser(HttpParser::Kind::kRequest, nullptr, nullptr);
   parser.feed(to_bytes("GET / HTTP/1.1\r\nBadHeaderNoColon\r\n\r\n"));
   EXPECT_TRUE(parser.error());
+}
+
+// Seeded streams of 1-4 pipelined requests or responses (bodies of 0-300
+// KB, random extra headers), fed whole and then split: one byte per feed,
+// at random points, and inside every head's closing "\r\n\r\n". Every split
+// must emit exactly what the whole-buffer feed emits. A stream whose k-th
+// message has a header line without ": " or a non-numeric Content-Length
+// emits the messages before it and sets error() at every split.
+class HttpParserProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+struct ParseResult {
+  std::vector<Bytes> messages;  // each emitted message, re-serialized
+  bool error = false;
+};
+
+ParseResult parse_in_feeds(HttpParser::Kind kind, const Bytes& wire,
+                           std::vector<std::size_t> cuts) {
+  ParseResult out;
+  HttpParser parser(
+      kind, [&](HttpRequest r) { out.messages.push_back(r.serialize()); },
+      [&](HttpResponse r) { out.messages.push_back(r.serialize()); });
+  std::sort(cuts.begin(), cuts.end());
+  cuts.push_back(wire.size());
+  std::size_t from = 0;
+  for (const std::size_t cut : cuts) {
+    if (cut < from) continue;
+    parser.feed(Bytes(wire.begin() + static_cast<std::ptrdiff_t>(from),
+                      wire.begin() + static_cast<std::ptrdiff_t>(cut)));
+    from = cut;
+  }
+  out.error = parser.error();
+  return out;
+}
+
+std::string random_token(Rng& rng, int min_len, int max_len) {
+  static constexpr char kChars[] =
+      "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_";
+  std::string s(static_cast<std::size_t>(rng.uniform_int(min_len, max_len)),
+                'x');
+  for (char& c : s) c = kChars[rng.uniform_int(0, sizeof(kChars) - 2)];
+  return s;
+}
+
+Bytes random_body(Rng& rng) {
+  const int shape = static_cast<int>(rng.uniform_int(0, 2));
+  const std::int64_t n = shape == 0   ? 0
+                         : shape == 1 ? rng.uniform_int(1, 2000)
+                                      : rng.uniform_int(0, 300000);
+  Bytes body(static_cast<std::size_t>(n));
+  for (std::uint8_t& b : body) b = static_cast<std::uint8_t>(rng.next_u64());
+  return body;
+}
+
+template <typename Message>
+void add_random_headers(Rng& rng, Message& m) {
+  const int n = static_cast<int>(rng.uniform_int(0, 4));
+  for (int i = 0; i < n; ++i) {
+    m.set_header("X-" + random_token(rng, 1, 12),
+                 random_token(rng, 0, 40) + ": " + random_token(rng, 0, 8));
+  }
+}
+
+enum class Defect { kNone, kHeaderWithoutColon, kNonNumericLength };
+
+// Serializes one random message; `defect` breaks its head.
+Bytes random_message(Rng& rng, HttpParser::Kind kind, Defect defect) {
+  Bytes wire;
+  if (kind == HttpParser::Kind::kRequest) {
+    HttpRequest req;
+    req.method = rng.bernoulli(0.5) ? "GET" : "POST";
+    req.path = "/" + random_token(rng, 0, 30);
+    add_random_headers(rng, req);
+    req.body = random_body(rng);
+    if (defect == Defect::kNonNumericLength) {
+      req.set_header("Content-Length", "12x");
+    }
+    wire = req.serialize();
+  } else {
+    HttpResponse resp;
+    resp.status = static_cast<int>(rng.uniform_int(100, 599));
+    resp.reason = random_token(rng, 0, 10) + " " + random_token(rng, 0, 10);
+    add_random_headers(rng, resp);
+    resp.body = random_body(rng);
+    if (defect == Defect::kNonNumericLength) {
+      resp.set_header("Content-Length", "abc");
+    }
+    wire = resp.serialize();
+  }
+  if (defect == Defect::kHeaderWithoutColon) {
+    const std::string bad = "Broken-Header-Line\r\n";
+    const auto first_eol = std::search(wire.begin(), wire.end(), bad.end() - 2,
+                                       bad.end());
+    wire.insert(first_eol + 2, bad.begin(), bad.end());
+  }
+  return wire;
+}
+
+std::vector<std::size_t> head_ends(const Bytes& wire) {
+  static const std::string kEnd = "\r\n\r\n";
+  std::vector<std::size_t> at;
+  for (auto it = wire.begin();
+       (it = std::search(it, wire.end(), kEnd.begin(), kEnd.end())) !=
+       wire.end();
+       ++it) {
+    at.push_back(static_cast<std::size_t>(it - wire.begin()));
+  }
+  return at;
+}
+
+TEST_P(HttpParserProperty, EverySplitEmitsTheWholeBufferMessages) {
+  Rng rng(GetParam());
+  for (int round = 0; round < 6; ++round) {
+    const auto kind = rng.bernoulli(0.5) ? HttpParser::Kind::kRequest
+                                         : HttpParser::Kind::kResponse;
+    const int count = static_cast<int>(rng.uniform_int(1, 4));
+    // Rounds 0-3 are well formed; 4 and 5 break one message's head.
+    const Defect defect = round < 4    ? Defect::kNone
+                          : round == 4 ? Defect::kHeaderWithoutColon
+                                       : Defect::kNonNumericLength;
+    const int broken =
+        defect == Defect::kNone
+            ? count
+            : static_cast<int>(rng.uniform_int(0, count - 1));
+    Bytes wire;
+    std::vector<Bytes> expected;
+    for (int i = 0; i < count; ++i) {
+      const Bytes m =
+          random_message(rng, kind, i == broken ? defect : Defect::kNone);
+      if (i < broken) expected.push_back(m);
+      wire.insert(wire.end(), m.begin(), m.end());
+    }
+
+    const ParseResult whole = parse_in_feeds(kind, wire, {});
+    EXPECT_EQ(whole.messages, expected) << "round " << round;
+    EXPECT_EQ(whole.error, defect != Defect::kNone) << "round " << round;
+
+    std::vector<std::vector<std::size_t>> splits;
+    std::vector<std::size_t> every_byte(wire.size());
+    for (std::size_t i = 0; i < wire.size(); ++i) every_byte[i] = i;
+    splits.push_back(std::move(every_byte));
+    std::vector<std::size_t> random_cuts;
+    for (std::size_t at = 0; at < wire.size();) {
+      at += static_cast<std::size_t>(rng.uniform_int(1, 4096));
+      random_cuts.push_back(std::min(at, wire.size()));
+    }
+    splits.push_back(std::move(random_cuts));
+    const std::vector<std::size_t> ends = head_ends(wire);
+    for (std::size_t k = 1; k <= 3; ++k) {
+      std::vector<std::size_t> inside;
+      for (const std::size_t e : ends) inside.push_back(e + k);
+      splits.push_back(std::move(inside));
+    }
+    for (std::size_t i = 0; i < splits.size(); ++i) {
+      const ParseResult split = parse_in_feeds(kind, wire, splits[i]);
+      EXPECT_EQ(split.messages, whole.messages)
+          << "round " << round << " split " << i;
+      EXPECT_EQ(split.error, whole.error)
+          << "round " << round << " split " << i;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, HttpParserProperty,
+                         ::testing::Values(1, 2, 3, 4, 5));
+
+// The peer controls Content-Length: a huge declared body with 1 KB behind
+// it must wait for more bytes, not reserve the declared size (which would
+// throw bad_alloc) or report an error.
+TEST(HttpCodec, HugeContentLengthWaitsWithoutReserving) {
+  Bytes wire = to_bytes(
+      "HTTP/1.1 200 OK\r\nContent-Length: 4611686018427387904\r\n\r\n");
+  wire.resize(wire.size() + 1000, 'z');
+  for (const std::size_t step : {wire.size(), std::size_t{1}, std::size_t{7}}) {
+    std::vector<std::size_t> cuts;
+    for (std::size_t at = step; at < wire.size(); at += step) cuts.push_back(at);
+    ParseResult out;
+    EXPECT_NO_THROW(out = parse_in_feeds(HttpParser::Kind::kResponse, wire,
+                                         cuts));
+    EXPECT_TRUE(out.messages.empty()) << "step " << step;
+    EXPECT_FALSE(out.error) << "step " << step;
+  }
+}
+
+// Every body byte of the period-doubling fill equals the modulo fill.
+TEST(HttpBody, PeriodicBodyMatchesModuloFill) {
+  for (const std::size_t period : {1, 17, 23}) {
+    for (const std::size_t n : {0, 1, 16, 17, 22, 23, 24, 46, 47, 1000,
+                                250000}) {
+      const std::uint8_t first = period == 17 ? 'v' : 'a';
+      Bytes want(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        want[i] = static_cast<std::uint8_t>(first + (i % period));
+      }
+      EXPECT_EQ(periodic_body(n, first, period), want)
+          << "n=" << n << " period=" << period;
+    }
+  }
+}
+
+HttpResponse synthesize(const std::string& path) {
+  HttpRequest req;
+  req.path = path;
+  return synthesize_response(req);
+}
+
+void expect_bad_request(const HttpResponse& resp) {
+  EXPECT_EQ(resp.status, 400);
+  ASSERT_NE(resp.header("Content-Type"), nullptr);
+  EXPECT_EQ(*resp.header("Content-Type"), "text/plain");
+  EXPECT_FALSE(resp.body.empty());
+  EXPECT_LT(resp.body.size(), 100u);
+}
+
+// These used to throw std::length_error / std::bad_alloc from inside the
+// server's receive callback, or silently serve 12 or 0 bytes.
+TEST(HttpBytesPath, NegativeLengthIsBadRequest) {
+  expect_bad_request(synthesize("/bytes/-1"));
+}
+TEST(HttpBytesPath, HugeLengthIsBadRequest) {
+  expect_bad_request(synthesize("/bytes/99999999999999"));
+}
+TEST(HttpBytesPath, TrailingJunkIsBadRequest) {
+  expect_bad_request(synthesize("/bytes/12x"));
+}
+TEST(HttpBytesPath, NonNumericLengthIsBadRequest) {
+  expect_bad_request(synthesize("/bytes/abc"));
+}
+
+TEST(HttpBytesPath, LengthsUpToTheSendBufferAreServed) {
+  const std::size_t limit = TcpConfig{}.max_send_buffer;
+  EXPECT_EQ(synthesize("/bytes/0").status, 200);
+  EXPECT_TRUE(synthesize("/bytes/0").body.empty());
+  const HttpResponse small = synthesize("/bytes/50");
+  EXPECT_EQ(small.status, 200);
+  EXPECT_EQ(small.body, periodic_body(50, 'a', 23));
+  EXPECT_EQ(synthesize("/bytes/" + std::to_string(limit)).body.size(), limit);
+  expect_bad_request(synthesize("/bytes/" + std::to_string(limit + 1)));
+  expect_bad_request(synthesize("/bytes/"));
+}
+
+TEST(Http, BadBytesPathIsAnsweredOverTheWire) {
+  DumbbellTopo topo(quick(), quick());
+  HttpServer server(*topo.server);
+  HttpClient client(*topo.client);
+  int status = 0;
+  client.fetch(topo.server->addr(), 80, "/bytes/-1",
+               [&](const HttpResponse& r, const FetchTiming&) {
+                 status = r.status;
+               });
+  topo.net.sim().run();
+  EXPECT_EQ(status, 400);
+  EXPECT_EQ(server.requests_served(), 1u);
 }
 
 TEST(Http, EndToEndFetch) {

@@ -2,7 +2,11 @@
 // congestion control behaviour, flow control, and RST handling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
 #include "fixtures.h"
+#include "util/rng.h"
 
 namespace pvn {
 namespace {
@@ -331,6 +335,151 @@ TEST(Tcp, GivesUpAfterMaxSynRetries) {
   EXPECT_EQ(conn.state(), TcpConnection::State::kClosed);
 }
 
+// The ephemeral port rule: the next port from the cursor, wrapping
+// 65535 -> 49152, skipping ports held by a connection that is not kClosed.
+// A seeded run of connects that close by FIN, by RST from an unbound port,
+// or by giving up on SYN retries (holding their port ~127 s meanwhile) goes
+// past one wrap while a long-lived connection holds the first port. Every
+// pick must equal this replica's, which scans the live connections.
+TEST(Tcp, EphemeralPortPickMatchesCursorRule) {
+  DumbbellTopo topo(fast_link(), fast_link());
+  topo.server->tcp_listen(80, [](TcpConnection& c) {
+    c.on_eof = [&c] { c.close(); };
+  });
+  topo.server->tcp_listen(90, [](TcpConnection&) {});  // never closes
+  const Ipv4Addr silent(93, 184, 216, 99);  // routed, but nobody answers
+
+  std::vector<TcpConnection*> live;
+  Port cursor = 49152;
+  int long_lived_skips = 0;
+  int other_skips = 0;
+  TcpConnection& long_lived = topo.client->tcp_connect(topo.server->addr(), 90);
+  const auto replica_pick = [&] {
+    std::erase_if(live, [](const TcpConnection* c) {
+      return c->state() == TcpConnection::State::kClosed;
+    });
+    for (int i = 0; i < 16384; ++i) {
+      const Port p = cursor;
+      cursor = cursor == 65535 ? 49152 : cursor + 1;
+      const bool held = std::any_of(
+          live.begin(), live.end(),
+          [p](const TcpConnection* c) { return c->local_port() == p; });
+      if (!held) return p;
+      if (p == long_lived.local_port()) {
+        ++long_lived_skips;
+      } else {
+        ++other_skips;
+      }
+    }
+    return Port{0};
+  };
+  EXPECT_EQ(long_lived.local_port(), replica_pick());
+  live.push_back(&long_lived);
+
+  constexpr int kConnects = 17000;  // past one wrap of the 16384 ports
+  Rng rng(17);
+  int connects = 0;
+  int kinds[3] = {};
+  std::function<void()> connect = [&] {
+    const double u = rng.uniform();
+    const int kind = u < 0.9 ? 0 : (u < 0.97 ? 1 : 2);
+    ++kinds[kind];
+    const Port want = replica_pick();
+    TcpConnection& c =
+        kind == 0   ? topo.client->tcp_connect(topo.server->addr(), 80)
+        : kind == 1 ? topo.client->tcp_connect(topo.server->addr(), 81)
+                    : topo.client->tcp_connect(silent, 80);
+    EXPECT_EQ(c.local_port(), want) << "connect " << connects;
+    if (kind == 0) c.on_connected = [&c] { c.close(); };
+    live.push_back(&c);
+    if (++connects < kConnects) {
+      topo.net.sim().schedule_after(milliseconds(rng.uniform_int(1, 8)),
+                                    connect);
+    }
+  };
+  topo.net.sim().schedule_after(milliseconds(1), connect);
+  topo.net.sim().run();
+
+  EXPECT_EQ(connects, kConnects);
+  EXPECT_GT(kinds[0], 100);
+  EXPECT_GT(kinds[1], 100);
+  EXPECT_GT(kinds[2], 100);
+  EXPECT_GE(topo.server->rsts_sent(), static_cast<std::uint64_t>(kinds[1]));
+  EXPECT_EQ(long_lived_skips, 1);  // the wrap came back to its port once
+  EXPECT_GT(other_skips, 0);       // retrying connects were skipped too
+  EXPECT_TRUE(long_lived.established());
+  std::erase_if(live, [](const TcpConnection* c) {
+    return c->state() == TcpConnection::State::kClosed;
+  });
+  EXPECT_EQ(live, std::vector<TcpConnection*>{&long_lived});
+}
+
+// unsent_bytes() is the bytes send() accepted minus the bytes that have
+// left as segments, checked at every outbound segment and after every send,
+// for sends made before and after the handshake. On a 2 Mbit/s access link
+// the buffer drains at the ACK clock; each later send lands while fewer than
+// 5000 of at least 20000 buffered bytes are unsent, so send() first compacts
+// away the sent prefix.
+TEST(Tcp, UnsentBytesIsAcceptedMinusSent) {
+  LinkParams slow = fast_link();
+  slow.rate = Rate::mbps(2);
+  DumbbellTopo topo(slow, fast_link());
+  StreamSink sink;
+  topo.server->tcp_listen(80, [&](TcpConnection& c) { sink.attach(c); });
+  TcpConfig cfg;
+  cfg.initial_cwnd_segments = 2;
+  TcpConnection& conn =
+      topo.client->tcp_connect(topo.server->addr(), 80, cfg);
+
+  std::uint64_t accepted = 0;
+  std::uint64_t sent = 0;  // payload bytes on the wire (the link is lossless)
+  int segments = 0;
+  topo.client->set_outbound_transform([&](Packet pkt) {
+    const auto seg = parse_tcp(pkt.l4);
+    if (seg && !seg->payload.empty()) {
+      sent += seg->payload.size();
+      ++segments;
+      EXPECT_EQ(conn.unsent_bytes(), accepted - sent);
+    }
+    return pkt;
+  });
+  Bytes expected;
+  const auto send = [&](std::size_t n, std::uint8_t phase) {
+    const Bytes data = pattern_bytes(n, phase);
+    expected.insert(expected.end(), data.begin(), data.end());
+    accepted += n;
+    EXPECT_TRUE(conn.send(data));
+    EXPECT_EQ(conn.unsent_bytes(), accepted - sent);
+  };
+
+  send(3000, 1);  // before the handshake: nothing can leave yet
+  EXPECT_EQ(conn.unsent_bytes(), 3000u);
+  conn.on_connected = [&] { send(20000, 2); };
+  int later_sends = 0;
+  std::function<void()> probe = [&] {
+    if (conn.unsent_bytes() > 0 && conn.unsent_bytes() < 5000) {
+      ++later_sends;
+      send(20000 + 777 * static_cast<std::size_t>(later_sends),
+           static_cast<std::uint8_t>(later_sends + 2));
+    }
+    if (later_sends < 6 && topo.net.sim().now() < seconds(10)) {
+      topo.net.sim().schedule_after(milliseconds(1), probe);
+    } else {
+      conn.close();
+    }
+  };
+  topo.net.sim().schedule_after(milliseconds(1), probe);
+  topo.net.sim().run();
+
+  EXPECT_EQ(later_sends, 6);
+  EXPECT_EQ(conn.stats().retransmits, 0u);
+  EXPECT_GT(segments, 100);
+  EXPECT_EQ(sent, accepted);
+  EXPECT_EQ(conn.unsent_bytes(), 0u);
+  EXPECT_EQ(sink.data, expected);
+  EXPECT_TRUE(sink.closed);
+}
+
 // Property sweep: exactly-once in-order delivery across an RTT x loss grid.
 // gtest names each case by its raw bytes, so every field is 8 bytes wide: a
 // padded struct would put indeterminate padding bytes into the test names.
@@ -360,10 +509,28 @@ TEST_P(TcpDeliveryProperty, ExactlyOnceInOrderDelivery) {
     conn.send(payload);
     conn.close();
   };
+  // Whether a retransmission timeout fired while bytes were still unsent:
+  // the segment before the timeout left unsent bytes behind.
+  bool rto_with_unsent = false;
+  std::uint64_t timeouts_before = 0;
+  std::uint64_t unsent_before = 0;
+  topo.client->set_outbound_transform([&](Packet pkt) {
+    if (conn.stats().timeouts > timeouts_before && unsent_before > 0) {
+      rto_with_unsent = true;
+    }
+    timeouts_before = conn.stats().timeouts;
+    unsent_before = conn.unsent_bytes();
+    return pkt;
+  });
   topo.net.sim().run_until(seconds(1200));
   EXPECT_EQ(sink.data, payload)
       << "latency=" << c.latency_ms << "ms loss=" << c.loss;
   EXPECT_TRUE(sink.closed);
+  EXPECT_EQ(conn.unsent_bytes(), 0u);
+  // The 2000 KB case exists to drive go-back-N with bytes still unsent.
+  if (c.kilobytes >= 2000) {
+    EXPECT_TRUE(rto_with_unsent);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -374,7 +541,8 @@ INSTANTIATE_TEST_SUITE_P(
                       TcpGridCase{60, 0.01, 150, 5},
                       TcpGridCase{100, 0.08, 50, 6},
                       TcpGridCase{5, 0.12, 30, 7},
-                      TcpGridCase{40, 0.0, 500, 8}));
+                      TcpGridCase{40, 0.0, 500, 8},
+                      TcpGridCase{10, 0.10, 2000, 9}));
 
 }  // namespace
 }  // namespace pvn
