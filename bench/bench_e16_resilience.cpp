@@ -201,23 +201,34 @@ int main(int argc, char** argv) {
   }
 
   // --- machine-readable summary -----------------------------------------
-  std::printf("\nJSON: {\"experiment\":\"e16_resilience\",\"loss_sweep\":[");
-  for (std::size_t i = 0; i < losses.size(); ++i) {
-    const LossPoint& p = losses[i];
-    std::printf("%s{\"loss\":%.2f,\"ok\":%d,\"runs\":%d,"
-                "\"mean_messages\":%.1f,\"mean_ms\":%.1f}",
-                i ? "," : "", p.loss, p.succeeded, p.runs, p.mean_messages,
-                p.mean_elapsed_ms);
+  bench::JsonWriter json(/*pretty=*/false);
+  json.begin_object()
+      .field("experiment", "e16_resilience")
+      .begin_array("loss_sweep");
+  for (const LossPoint& p : losses) {
+    json.begin_object()
+        .field("loss", p.loss, 2)
+        .field("ok", p.succeeded)
+        .field("runs", p.runs)
+        .field("mean_messages", p.mean_messages, 1)
+        .field("mean_ms", p.mean_elapsed_ms, 1)
+        .end_object();
   }
-  std::printf("],\"failover\":{\"failover_ms\":%.1f,\"recovery_ms\":%.1f,"
-              "\"tunnel_goodput_kbps\":%.1f,\"tunneled\":%llu},",
-              fo.failover_ms, fo.recovery_ms, fo.fallback_goodput_kbps,
-              static_cast<unsigned long long>(fo.tunneled));
-  std::printf("\"lease_reclaim\":[");
-  for (std::size_t i = 0; i < reclaims.size(); ++i) {
-    std::printf("%s{\"lease_s\":%.1f,\"reclaim_ms\":%.1f}", i ? "," : "",
-                reclaims[i].lease_s, reclaims[i].reclaim_ms);
+  json.end_array()
+      .begin_object("failover")
+      .field("failover_ms", fo.failover_ms, 1)
+      .field("recovery_ms", fo.recovery_ms, 1)
+      .field("tunnel_goodput_kbps", fo.fallback_goodput_kbps, 1)
+      .field("tunneled", fo.tunneled)
+      .end_object()
+      .begin_array("lease_reclaim");
+  for (const ReclaimResult& r : reclaims) {
+    json.begin_object()
+        .field("lease_s", r.lease_s, 1)
+        .field("reclaim_ms", r.reclaim_ms, 1)
+        .end_object();
   }
-  std::printf("]}\n");
+  json.end_array().end_object();
+  std::printf("\nJSON: %s\n", json.str().c_str());
   return 0;
 }

@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
@@ -38,10 +37,10 @@ double now_sec() {
       .count();
 }
 
-// Runs `n` self-chaining simulator events, each performing `per_event`, and
-// returns the measured events/s (best of one run; callers repeat).
+// Runs `n` self-chaining simulator events, each performing `per_event`,
+// timed on the thread's CPU clock.
 template <typename Fn>
-double run_ticks(std::uint64_t n, Fn&& per_event) {
+bench::AbSample run_ticks(std::uint64_t n, Fn&& per_event) {
   Simulator sim;
   std::uint64_t remaining = n;
   std::function<void()> tick = [&] {
@@ -49,19 +48,12 @@ double run_ticks(std::uint64_t n, Fn&& per_event) {
     if (--remaining > 0) sim.schedule_after(1, SimCategory::kLink, tick);
   };
   sim.schedule_after(1, SimCategory::kLink, tick);
-  const double t0 = now_sec();
+  const double t0 = bench::thread_cpu_seconds();
   sim.run();
-  const double t1 = now_sec();
-  return static_cast<double>(n) / (t1 - t0);
+  return {static_cast<double>(n), bench::thread_cpu_seconds() - t0};
 }
 
-struct OverheadResult {
-  double base_events_per_sec = 0.0;
-  double instrumented_events_per_sec = 0.0;
-  double overhead_pct = 0.0;
-};
-
-OverheadResult measure_overhead(std::uint64_t n, int reps) {
+bench::AbResult measure_overhead(std::uint64_t n) {
   // The same shape of background work a delivery callback does, plus the
   // exact mutations the link hot path gained: two counter increments and a
   // gauge store against pre-registered cells.
@@ -82,26 +74,11 @@ OverheadResult measure_overhead(std::uint64_t n, int reps) {
     bytes.inc(1500);
     queued.set(static_cast<std::int64_t>(x & 0xFFFF));
   };
-  // Warm-up pass of each variant: primes caches, branch predictors, and
-  // the CPU governor before anything is measured.
-  run_ticks(n, work);
-  run_ticks(n, instrumented);
-  // Paired, interleaved runs so frequency drift and co-tenant noise hit
-  // both variants alike; the median (not the max) of the reps decides, so
-  // one outlier run cannot flip the gate.
-  std::vector<double> base_rates;
-  std::vector<double> inst_rates;
-  for (int i = 0; i < reps; ++i) {
-    base_rates.push_back(run_ticks(n, work));
-    inst_rates.push_back(run_ticks(n, instrumented));
-  }
+  const bench::AbResult r =
+      bench::ab_compare([&] { return run_ticks(n, work); },
+                        [&] { return run_ticks(n, instrumented); },
+                        bench::kAbPairs);
   if (x == 0) std::printf("(unreachable)\n");  // keep `work` observable
-  OverheadResult r;
-  r.base_events_per_sec = bench::median(base_rates);
-  r.instrumented_events_per_sec = bench::median(inst_rates);
-  r.overhead_pct = 100.0 *
-                   (r.base_events_per_sec - r.instrumented_events_per_sec) /
-                   r.base_events_per_sec;
   return r;
 }
 
@@ -195,18 +172,11 @@ SimProfile run_scenario() {
   return tb.net.sim().profile();
 }
 
-std::string json_bool(bool b) { return b ? "true" : "false"; }
-
 }  // namespace
 
 int main(int argc, char** argv) {
   pvn::bench::TelemetryScope telemetry(argc, argv);
-  bool quick = false;
-  const char* env_quick = std::getenv("PVN_BENCH_QUICK");
-  if (env_quick != nullptr && std::strcmp(env_quick, "0") != 0) quick = true;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
+  const bool quick = bench::quick_mode(argc, argv);
 
   bench::title("E17 telemetry overhead + coverage",
                "the observability layer is cheap enough to leave on: "
@@ -214,14 +184,14 @@ int main(int argc, char** argv) {
                "and one scenario populates metrics/spans in every layer");
 
   const std::uint64_t tick_n = quick ? 200'000 : 2'000'000;
-  const int reps = quick ? 3 : 5;
-  const OverheadResult oh = measure_overhead(tick_n, reps);
+  const bench::AbResult oh = measure_overhead(tick_n);
   const OpCosts ops = measure_op_costs(quick ? 1'000'000 : 10'000'000);
 
   bench::header({"metric", "value"});
-  bench::row("events/s (base)", oh.base_events_per_sec);
-  bench::row("events/s (instrumented)", oh.instrumented_events_per_sec);
-  bench::row("overhead (%)", oh.overhead_pct);
+  bench::row("events/s (base)", oh.base_rate);
+  bench::row("events/s (instrumented)", oh.variant_rate);
+  bench::row("overhead (%)", oh.overhead_pct());
+  bench::row("overhead IQR (%)", oh.ratio_iqr * 100.0);
   bench::row("counter inc (ns)", ops.counter_inc_ns);
   bench::row("gauge set (ns)", ops.gauge_set_ns);
   bench::row("histogram observe (ns)", ops.histogram_observe_ns);
@@ -269,59 +239,42 @@ int main(int argc, char** argv) {
                static_cast<double>(e.wall_ns) / 1e6);
   }
 
-  if (telemetry.enabled()) {
-    telemetry::export_telemetry(telemetry.dir(),
-                                telemetry::MetricsRegistry::global(),
-                                telemetry::SpanRecorder::global(), &profile);
-  }
+  telemetry.set_profile(profile);
 
-  const bool within = oh.overhead_pct <= 3.0;
-  const char* json_path = std::getenv("PVN_BENCH_JSON");
-  if (json_path == nullptr) json_path = "BENCH_telemetry.json";
-  FILE* f = std::fopen(json_path, "w");
-  if (f != nullptr) {
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"bench\": \"e17_telemetry\",\n");
-    std::fprintf(f, "  \"quick\": %s,\n", json_bool(quick).c_str());
-    std::fprintf(f, "  \"events_per_sec_uninstrumented\": %.0f,\n",
-                 oh.base_events_per_sec);
-    std::fprintf(f, "  \"events_per_sec_instrumented\": %.0f,\n",
-                 oh.instrumented_events_per_sec);
-    std::fprintf(f, "  \"overhead_pct\": %.3f,\n", oh.overhead_pct);
-    std::fprintf(f, "  \"overhead_within_3pct\": %s,\n",
-                 json_bool(within).c_str());
-    std::fprintf(f, "  \"counter_inc_ns\": %.3f,\n", ops.counter_inc_ns);
-    std::fprintf(f, "  \"gauge_set_ns\": %.3f,\n", ops.gauge_set_ns);
-    std::fprintf(f, "  \"histogram_observe_ns\": %.3f,\n",
-                 ops.histogram_observe_ns);
-    std::fprintf(f, "  \"span_pair_ns\": %.3f,\n", ops.span_pair_ns);
-    std::fprintf(f, "  \"instant_ns\": %.3f,\n", ops.instant_ns);
-    std::fprintf(f, "  \"metrics_registered\": %zu,\n",
-                 telemetry::MetricsRegistry::global().size());
-    std::fprintf(f, "  \"spans_recorded\": %llu,\n",
-                 static_cast<unsigned long long>(
-                     telemetry::SpanRecorder::global().total_recorded()));
-    std::fprintf(f, "  \"all_layers_covered\": %s,\n",
-                 json_bool(all_layers).c_str());
-    std::fprintf(f, "  \"audit_findings\": %zu,\n", findings.size());
-    std::fprintf(f, "  \"profile\": {");
-    bool first = true;
-    for (std::size_t c = 0; c < kSimCategoryCount; ++c) {
-      const auto& e = profile.by_category[c];
-      if (e.events == 0) continue;
-      std::fprintf(f, "%s\n    \"%s\": {\"events\": %llu, \"wall_ns\": %llu}",
-                   first ? "" : ",", to_string(static_cast<SimCategory>(c)),
-                   static_cast<unsigned long long>(e.events),
-                   static_cast<unsigned long long>(e.wall_ns));
-      first = false;
-    }
-    std::fprintf(f, "\n  }\n}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", json_path);
+  const bool within = oh.overhead_pct() <= 3.0;
+  bench::JsonWriter json;
+  json.begin_object()
+      .field("bench", "e17_telemetry")
+      .field("quick", quick)
+      .field("events_per_sec_uninstrumented", oh.base_rate, 0)
+      .field("events_per_sec_instrumented", oh.variant_rate, 0)
+      .field("overhead_pct", oh.overhead_pct(), 3)
+      .field("overhead_iqr_pct", oh.ratio_iqr * 100.0, 3)
+      .field("overhead_within_3pct", within)
+      .field("counter_inc_ns", ops.counter_inc_ns, 3)
+      .field("gauge_set_ns", ops.gauge_set_ns, 3)
+      .field("histogram_observe_ns", ops.histogram_observe_ns, 3)
+      .field("span_pair_ns", ops.span_pair_ns, 3)
+      .field("instant_ns", ops.instant_ns, 3)
+      .field("metrics_registered", telemetry::MetricsRegistry::global().size())
+      .field("spans_recorded",
+             telemetry::SpanRecorder::global().total_recorded())
+      .field("all_layers_covered", all_layers)
+      .field("audit_findings", findings.size())
+      .begin_object("profile");
+  for (std::size_t c = 0; c < kSimCategoryCount; ++c) {
+    const auto& e = profile.by_category[c];
+    if (e.events == 0) continue;
+    json.begin_object(to_string(static_cast<SimCategory>(c)))
+        .field("events", e.events)
+        .field("wall_ns", e.wall_ns)
+        .end_object();
   }
+  json.end_object().end_object();
+  const bool wrote = bench::write_json(json, "BENCH_telemetry.json");
 
   std::printf("\noverhead within 3%%: %s; layers covered: %s\n",
               within ? "yes" : "NO", all_layers ? "yes" : "NO");
   // Acceptance gates: fail loudly so CI catches a regression.
-  return (within && all_layers && findings.empty()) ? 0 : 1;
+  return (wrote && within && all_layers && findings.empty()) ? 0 : 1;
 }

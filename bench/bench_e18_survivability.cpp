@@ -19,8 +19,6 @@
 // Writes BENCH_survivability.json (override with PVN_BENCH_JSON) and prints
 // a trailing JSON: line; PVN_BENCH_QUICK=1 / --quick shrinks the sweep.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <string>
 #include <vector>
@@ -50,8 +48,6 @@ Classifier* find_classifier(Chain* chain) {
   }
   return nullptr;
 }
-
-std::string json_bool(bool b) { return b ? "true" : "false"; }
 
 // --- Scenario 1: primary crash, standby vs tunnel failover -------------------
 
@@ -257,34 +253,27 @@ void print_crash_row(const CrashResult& r) {
              r.session_stayed_active ? "yes" : "NO");
 }
 
-void crash_json(FILE* f, const CrashResult& r, const char* indent) {
-  std::fprintf(
-      f,
-      "%s{\"standby\": %s, \"blackout_ms\": %.3f, \"service_gap_ms\": %.3f, "
-      "\"probes_sent\": %d, "
-      "\"probes_lost\": %d, \"promotions\": %llu, \"failovers\": %llu, "
-      "\"dropped_rule_delta\": %llu, \"checkpoints_applied\": %llu, "
-      "\"session_stayed_active\": %s, \"state_continuous\": %s}",
-      indent, json_bool(r.standby).c_str(), r.blackout_ms, r.service_gap_ms,
-      r.probes_sent,
-      r.probes_lost, static_cast<unsigned long long>(r.promotions),
-      static_cast<unsigned long long>(r.failovers),
-      static_cast<unsigned long long>(r.dropped_rule_delta),
-      static_cast<unsigned long long>(r.checkpoints_applied),
-      json_bool(r.session_stayed_active).c_str(),
-      json_bool(r.state_continuous).c_str());
+void crash_json(bench::JsonWriter& json, const CrashResult& r) {
+  json.begin_object()
+      .field("standby", r.standby)
+      .field("blackout_ms", r.blackout_ms, 3)
+      .field("service_gap_ms", r.service_gap_ms, 3)
+      .field("probes_sent", r.probes_sent)
+      .field("probes_lost", r.probes_lost)
+      .field("promotions", r.promotions)
+      .field("failovers", r.failovers)
+      .field("dropped_rule_delta", r.dropped_rule_delta)
+      .field("checkpoints_applied", r.checkpoints_applied)
+      .field("session_stayed_active", r.session_stayed_active)
+      .field("state_continuous", r.state_continuous)
+      .end_object();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   pvn::bench::TelemetryScope telemetry(argc, argv);
-  bool quick = false;
-  const char* env_quick = std::getenv("PVN_BENCH_QUICK");
-  if (env_quick != nullptr && std::strcmp(env_quick, "0") != 0) quick = true;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
+  const bool quick = bench::quick_mode(argc, argv);
 
   bench::title("E18 survivability: standby promotion + live migration",
                "a deployed PVN survives a middlebox host crash within one "
@@ -345,49 +334,47 @@ int main(int argc, char** argv) {
                             mig.probes_lost <= 5 &&
                             mig.longest_gap_ms <= 200.0;
 
-  const char* json_path = std::getenv("PVN_BENCH_JSON");
-  if (json_path == nullptr) json_path = "BENCH_survivability.json";
-  FILE* f = std::fopen(json_path, "w");
-  if (f != nullptr) {
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"bench\": \"e18_survivability\",\n");
-    std::fprintf(f, "  \"quick\": %s,\n", json_bool(quick).c_str());
-    std::fprintf(f, "  \"crash\": [\n");
-    for (std::size_t i = 0; i < with_standby.size(); ++i) {
-      crash_json(f, with_standby[i], "    ");
-      std::fprintf(f, ",\n");
-      crash_json(f, without_standby[i], "    ");
-      std::fprintf(f, i + 1 < with_standby.size() ? ",\n" : "\n");
-    }
-    std::fprintf(f, "  ],\n");
-    std::fprintf(f,
-                 "  \"migration\": {\"probes_sent\": %d, \"probes_lost\": %d, "
-                 "\"longest_gap_ms\": %.3f, \"handoffs\": %llu, "
-                 "\"state_requests\": %llu, \"state_continuous\": %s, "
-                 "\"old_session_gone\": %s, \"deterministic\": %s},\n",
-                 mig.probes_sent, mig.probes_lost, mig.longest_gap_ms,
-                 static_cast<unsigned long long>(mig.handoffs),
-                 static_cast<unsigned long long>(mig.state_requests),
-                 json_bool(mig.state_continuous).c_str(),
-                 json_bool(mig.old_session_gone).c_str(),
-                 json_bool(deterministic).c_str());
-    std::fprintf(f, "  \"standby_ok\": %s,\n", json_bool(standby_ok).c_str());
-    std::fprintf(f, "  \"standby_faster_5x\": %s,\n", json_bool(faster).c_str());
-    std::fprintf(f, "  \"migration_ok\": %s\n", json_bool(migration_ok).c_str());
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s\n", json_path);
+  bench::JsonWriter json;
+  json.begin_object()
+      .field("bench", "e18_survivability")
+      .field("quick", quick)
+      .begin_array("crash");
+  for (std::size_t i = 0; i < with_standby.size(); ++i) {
+    crash_json(json, with_standby[i]);
+    crash_json(json, without_standby[i]);
   }
+  json.end_array()
+      .begin_object("migration")
+      .field("probes_sent", mig.probes_sent)
+      .field("probes_lost", mig.probes_lost)
+      .field("longest_gap_ms", mig.longest_gap_ms, 3)
+      .field("handoffs", mig.handoffs)
+      .field("state_requests", mig.state_requests)
+      .field("state_continuous", mig.state_continuous)
+      .field("old_session_gone", mig.old_session_gone)
+      .field("deterministic", deterministic)
+      .end_object()
+      .field("standby_ok", standby_ok)
+      .field("standby_faster_5x", faster)
+      .field("migration_ok", migration_ok)
+      .end_object();
+  const bool wrote = bench::write_json(json, "BENCH_survivability.json");
 
-  std::printf("\nJSON: {\"experiment\":\"e18_survivability\","
-              "\"standby_blackout_ms\":%.3f,\"failover_blackout_ms\":%.3f,"
-              "\"migration_gap_ms\":%.3f,\"migration_lost\":%d,"
-              "\"standby_ok\":%s,\"migration_ok\":%s,\"deterministic\":%s}\n",
-              worst_standby_blackout, best_failover_blackout,
-              mig.longest_gap_ms, mig.probes_lost,
-              json_bool(standby_ok).c_str(), json_bool(migration_ok).c_str(),
-              json_bool(deterministic).c_str());
+  bench::JsonWriter line(/*pretty=*/false);
+  line.begin_object()
+      .field("experiment", "e18_survivability")
+      .field("standby_blackout_ms", worst_standby_blackout, 3)
+      .field("failover_blackout_ms", best_failover_blackout, 3)
+      .field("migration_gap_ms", mig.longest_gap_ms, 3)
+      .field("migration_lost", mig.probes_lost)
+      .field("standby_ok", standby_ok)
+      .field("migration_ok", migration_ok)
+      .field("deterministic", deterministic)
+      .end_object();
+  std::printf("\nJSON: %s\n", line.str().c_str());
 
   // Acceptance gates: fail loudly so CI catches a survivability regression.
-  return (standby_ok && faster && migration_ok && deterministic) ? 0 : 1;
+  return (wrote && standby_ok && faster && migration_ok && deterministic)
+             ? 0
+             : 1;
 }

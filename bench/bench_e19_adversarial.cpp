@@ -26,8 +26,6 @@
 // trailing JSON: line; PVN_BENCH_QUICK=1 / --quick shrinks the population.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -38,8 +36,6 @@
 using namespace pvn;
 
 namespace {
-
-std::string json_bool(bool b) { return b ? "true" : "false"; }
 
 // --- Scenario 1: flash-crowd deploy storm ------------------------------------
 
@@ -237,40 +233,35 @@ ByzantineResult run_byzantine_standby(std::uint64_t seed) {
 
 // --- output helpers ----------------------------------------------------------
 
-void storm_json(FILE* f, const StormResult& r, const char* indent) {
-  std::fprintf(f,
-               "%s{\"defended\": %s, \"clients\": %d, \"active\": %d, "
-               "\"stranded\": %d, \"time_to_all_active_s\": %.3f, "
-               "\"sheds\": %llu, \"busy_nacks\": %llu, "
-               "\"max_pending_observed\": %llu}",
-               indent, json_bool(r.defended).c_str(), r.clients, r.active,
-               r.stranded, r.time_to_all_active_s,
-               static_cast<unsigned long long>(r.sheds),
-               static_cast<unsigned long long>(r.busy_nacks),
-               static_cast<unsigned long long>(r.max_pending_observed));
+void storm_json(bench::JsonWriter& json, const StormResult& r) {
+  json.begin_object()
+      .field("defended", r.defended)
+      .field("clients", r.clients)
+      .field("active", r.active)
+      .field("stranded", r.stranded)
+      .field("time_to_all_active_s", r.time_to_all_active_s, 3)
+      .field("sheds", r.sheds)
+      .field("busy_nacks", r.busy_nacks)
+      .field("max_pending_observed", r.max_pending_observed)
+      .end_object();
 }
 
-void rogue_json(FILE* f, const RogueResult& r, const char* indent) {
-  std::fprintf(f,
-               "%s{\"defended\": %s, \"clients\": %d, \"active_honest\": %d, "
-               "\"victims\": %llu, \"offers_rejected\": %llu, "
-               "\"rogue_quarantined\": %s}",
-               indent, json_bool(r.defended).c_str(), r.clients,
-               r.active_honest, static_cast<unsigned long long>(r.victims),
-               static_cast<unsigned long long>(r.offers_rejected),
-               json_bool(r.rogue_quarantined).c_str());
+void rogue_json(bench::JsonWriter& json, const RogueResult& r) {
+  json.begin_object()
+      .field("defended", r.defended)
+      .field("clients", r.clients)
+      .field("active_honest", r.active_honest)
+      .field("victims", r.victims)
+      .field("offers_rejected", r.offers_rejected)
+      .field("rogue_quarantined", r.rogue_quarantined)
+      .end_object();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   pvn::bench::TelemetryScope telemetry(argc, argv);
-  bool quick = false;
-  const char* env_quick = std::getenv("PVN_BENCH_QUICK");
-  if (env_quick != nullptr && std::strcmp(env_quick, "0") != 0) quick = true;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
+  const bool quick = bench::quick_mode(argc, argv);
 
   bench::title("E19 adversarial robustness: storms + untrusted hosts",
                "admission control sheds flash crowds without stranding "
@@ -363,70 +354,61 @@ int main(int argc, char** argv) {
                       byz.remirrored >= 1 && byz.promotions == 1 &&
                       byz.survived_crash && byz.chains_lost == 0;
 
-  const char* json_path = std::getenv("PVN_BENCH_JSON");
-  if (json_path == nullptr) json_path = "BENCH_adversarial.json";
-  FILE* f = std::fopen(json_path, "w");
-  if (f != nullptr) {
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"bench\": \"e19_adversarial\",\n");
-    std::fprintf(f, "  \"quick\": %s,\n", json_bool(quick).c_str());
-    std::fprintf(f, "  \"storm\": [\n");
-    storm_json(f, storm_def, "    ");
-    std::fprintf(f, ",\n");
-    storm_json(f, storm_undef, "    ");
-    std::fprintf(f, "\n  ],\n");
-    std::fprintf(f,
-                 "  \"mass_expiry\": {\"clients\": %d, \"expired\": %llu, "
-                 "\"sweep_ticks\": %llu, \"max_swept_per_tick\": %llu, "
-                 "\"cap\": %llu, \"memory_left\": %lld},\n",
-                 exp_def.clients,
-                 static_cast<unsigned long long>(exp_def.expired),
-                 static_cast<unsigned long long>(exp_def.sweep_ticks),
-                 static_cast<unsigned long long>(exp_def.max_swept_per_tick),
-                 static_cast<unsigned long long>(expiry_cap),
-                 static_cast<long long>(exp_def.memory_left));
-    std::fprintf(f, "  \"rogue\": [\n");
-    rogue_json(f, rog_def, "    ");
-    std::fprintf(f, ",\n");
-    rogue_json(f, rog_undef, "    ");
-    std::fprintf(f, "\n  ],\n");
-    std::fprintf(f,
-                 "  \"byzantine\": {\"bad_state_acks\": %llu, \"demoted\": "
-                 "%llu, \"remirrored\": %llu, \"promotions\": %llu, "
-                 "\"survived_crash\": %s, \"chains_lost\": %llu},\n",
-                 static_cast<unsigned long long>(byz.bad_state_acks),
-                 static_cast<unsigned long long>(byz.demoted),
-                 static_cast<unsigned long long>(byz.remirrored),
-                 static_cast<unsigned long long>(byz.promotions),
-                 json_bool(byz.survived_crash).c_str(),
-                 static_cast<unsigned long long>(byz.chains_lost));
-    std::fprintf(f, "  \"storm_ok\": %s,\n", json_bool(storm_ok).c_str());
-    std::fprintf(f, "  \"expiry_ok\": %s,\n", json_bool(expiry_ok).c_str());
-    std::fprintf(f, "  \"rogue_ok\": %s,\n", json_bool(rogue_ok).c_str());
-    std::fprintf(f, "  \"byzantine_ok\": %s,\n", json_bool(byz_ok).c_str());
-    std::fprintf(f, "  \"deterministic\": %s\n",
-                 json_bool(deterministic).c_str());
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s\n", json_path);
-  }
+  bench::JsonWriter json;
+  json.begin_object()
+      .field("bench", "e19_adversarial")
+      .field("quick", quick)
+      .begin_array("storm");
+  storm_json(json, storm_def);
+  storm_json(json, storm_undef);
+  json.end_array()
+      .begin_object("mass_expiry")
+      .field("clients", exp_def.clients)
+      .field("expired", exp_def.expired)
+      .field("sweep_ticks", exp_def.sweep_ticks)
+      .field("max_swept_per_tick", exp_def.max_swept_per_tick)
+      .field("cap", expiry_cap)
+      .field("memory_left", exp_def.memory_left)
+      .end_object()
+      .begin_array("rogue");
+  rogue_json(json, rog_def);
+  rogue_json(json, rog_undef);
+  json.end_array()
+      .begin_object("byzantine")
+      .field("bad_state_acks", byz.bad_state_acks)
+      .field("demoted", byz.demoted)
+      .field("remirrored", byz.remirrored)
+      .field("promotions", byz.promotions)
+      .field("survived_crash", byz.survived_crash)
+      .field("chains_lost", byz.chains_lost)
+      .end_object()
+      .field("storm_ok", storm_ok)
+      .field("expiry_ok", expiry_ok)
+      .field("rogue_ok", rogue_ok)
+      .field("byzantine_ok", byz_ok)
+      .field("deterministic", deterministic)
+      .end_object();
+  const bool wrote = bench::write_json(json, "BENCH_adversarial.json");
 
-  std::printf("\nJSON: {\"experiment\":\"e19_adversarial\","
-              "\"storm_time_to_active_s\":%.3f,\"storm_sheds\":%llu,"
-              "\"expiry_max_batch\":%llu,\"rogue_victims_defended\":%llu,"
-              "\"rogue_victims_undefended\":%llu,\"storm_ok\":%s,"
-              "\"expiry_ok\":%s,\"rogue_ok\":%s,\"byzantine_ok\":%s,"
-              "\"deterministic\":%s}\n",
-              storm_def.time_to_all_active_s,
-              static_cast<unsigned long long>(storm_def.sheds),
-              static_cast<unsigned long long>(exp_def.max_swept_per_tick),
-              static_cast<unsigned long long>(rog_def.victims),
-              static_cast<unsigned long long>(rog_undef.victims),
-              json_bool(storm_ok).c_str(), json_bool(expiry_ok).c_str(),
-              json_bool(rogue_ok).c_str(), json_bool(byz_ok).c_str(),
-              json_bool(deterministic).c_str());
+  bench::JsonWriter line(/*pretty=*/false);
+  line.begin_object()
+      .field("experiment", "e19_adversarial")
+      .field("storm_time_to_active_s", storm_def.time_to_all_active_s, 3)
+      .field("storm_sheds", storm_def.sheds)
+      .field("expiry_max_batch", exp_def.max_swept_per_tick)
+      .field("rogue_victims_defended", rog_def.victims)
+      .field("rogue_victims_undefended", rog_undef.victims)
+      .field("storm_ok", storm_ok)
+      .field("expiry_ok", expiry_ok)
+      .field("rogue_ok", rogue_ok)
+      .field("byzantine_ok", byz_ok)
+      .field("deterministic", deterministic)
+      .end_object();
+  std::printf("\nJSON: %s\n", line.str().c_str());
 
   // Acceptance gates: fail loudly so CI catches a robustness regression.
-  return (storm_ok && expiry_ok && rogue_ok && byz_ok && deterministic) ? 0
-                                                                        : 1;
+  return (wrote && storm_ok && expiry_ok && rogue_ok && byz_ok &&
+          deterministic)
+             ? 0
+             : 1;
 }

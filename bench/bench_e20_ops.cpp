@@ -3,10 +3,10 @@
 //
 // Three gates, each a hard exit-code failure:
 //   1. Flight-recorder overhead: the per-link packet sampler attached to
-//      the e15-style sharded dataplane workload must cost < 5% in
-//      events/sec (warm-up + median of paired reps — e17's recorded
-//      5.04% flake is exactly what the median guards against), and must be
-//      passive (identical delivery digest with and without it).
+//      the shared sharded dataplane workload (dataplane.h) must cost < 5% in
+//      events per thread-CPU second (bench::ab_compare: the median of
+//      paired ratios), and must be passive (identical delivery digest with
+//      and without it).
 //   2. Snapshot shard-consistency: an OpsEndpoint metrics snapshot cut at
 //      a ShardGroup time barrier must report byte-identical per-link
 //      deltas on a 4-shard run and a 1-shard run of the same topology at
@@ -18,9 +18,6 @@
 // Prints BENCH_ops.json (override with PVN_BENCH_JSON). Quick mode
 // (PVN_BENCH_QUICK=1 or --quick) shrinks the workload; all gates still run.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <ctime>
 #include <map>
 #include <memory>
 #include <optional>
@@ -29,260 +26,49 @@
 
 #include "audit/reputation.h"
 #include "common.h"
-#include "mbox/host.h"
-#include "mbox/inline_modules.h"
-#include "netsim/router.h"
+#include "dataplane.h"
 #include "ops/client.h"
 #include "ops/endpoint.h"
 #include "ops/flight_recorder.h"
 #include "proto/ops.h"
-#include "sdn/switch.h"
 #include "testbed/testbed.h"
 
 using namespace pvn;
 
 namespace {
 
-std::string json_bool(bool b) { return b ? "true" : "false"; }
-
-// CPU time of the calling thread. The overhead gate compares two ~30 ms
-// single-shard runs; wall clock at that scale is dominated by whatever else
-// the machine is doing (±5% observed on a loaded box), while thread CPU
-// time isolates the work actually executed.
-double thread_cpu_seconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-// --- the e15 dataplane workload ----------------------------------------------
-// K access networks (source -> SdnSwitch+chain -> sink), one per shard,
-// joined by a shard-0 core router; 10% of flows cross the core. Send times
-// are globally unique so the delivery digest is shard-count-invariant.
-
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFF;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-class BenchSink : public Node {
- public:
-  BenchSink(Network& net, std::string name) : Node(net, std::move(name)) {}
-  void handle_packet(Packet pkt, int) override {
-    const int flow = pkt.l4[0] | (pkt.l4[1] << 8);
-    const int seq = pkt.l4[2] | (pkt.l4[3] << 8);
-    per_flow[flow].push_back(seq);
-    ++delivered;
-  }
-  std::map<int, std::vector<int>> per_flow;
-  std::uint64_t delivered = 0;
-};
-
-class BenchSource : public Node {
- public:
-  BenchSource(Network& net, std::string name) : Node(net, std::move(name)) {}
-  void handle_packet(Packet, int) override {}
-
-  void start_flow(Network& net, int flow, int total_flows, int packets,
-                  Ipv4Addr src, Ipv4Addr dst) {
-    const SimDuration spacing = total_flows * microseconds(2);
-    const SimTime first = milliseconds(1) + flow * microseconds(2);
-    schedule_send(net, flow, 0, packets, src, dst, first, spacing);
-  }
-
- private:
-  void schedule_send(Network& net, int flow, int seq, int total, Ipv4Addr src,
-                     Ipv4Addr dst, SimTime at, SimDuration spacing) {
-    sim().schedule_at(at, SimCategory::kWorkload, [=, &net, this] {
-      Bytes payload(256, 0x5A);
-      payload[0] = static_cast<std::uint8_t>(flow & 0xFF);
-      payload[1] = static_cast<std::uint8_t>(flow >> 8);
-      payload[2] = static_cast<std::uint8_t>(seq & 0xFF);
-      payload[3] = static_cast<std::uint8_t>(seq >> 8);
-      send(0, net.make_packet(src, dst, IpProto::kUdp, std::move(payload)));
-      if (seq + 1 < total) {
-        schedule_send(net, flow, seq + 1, total, src, dst, at + spacing,
-                      spacing);
-      }
-    });
-  }
-};
-
-struct OpsScenario {
-  static constexpr int kNetworks = 4;
-
-  OpsScenario(std::size_t shards, int flows, int packets_per_flow,
-              bool with_admin)
-      : net(/*seed=*/7, shards, /*lookahead=*/milliseconds(1)) {
-    net.set_burst_window(microseconds(50));
-    net.set_build_shard(0);
-    core = &net.add_node<Router>("core");
-
-    if (with_admin) {
-      // Management plane on shard 0: the ops endpoint host and the admin
-      // host, directly linked (deterministic request arrival time, so the
-      // snapshot barrier lands at the same instant for every shard count).
-      ops_host = &net.add_node<Host>("ops", Ipv4Addr(10, 99, 0, 1));
-      admin_host = &net.add_node<Host>("admin", Ipv4Addr(10, 99, 0, 2));
-      LinkParams mgmt;
-      mgmt.rate = Rate::gbps(1);
-      mgmt.latency = microseconds(100);
-      net.connect(*admin_host, *ops_host, mgmt);
-      endpoint = std::make_unique<OpsEndpoint>(*ops_host);
-      client = std::make_unique<OpsClient>(*admin_host, Ipv4Addr(10, 99, 0, 1));
-    }
-
-    LinkParams access;
-    access.rate = Rate::gbps(10);
-    access.latency = microseconds(10);
-    LinkParams backbone;
-    backbone.rate = Rate::gbps(10);
-    backbone.latency = milliseconds(1);
-
-    for (int k = 0; k < kNetworks; ++k) {
-      net.set_build_shard(static_cast<std::size_t>(k) % net.shard_count());
-      const std::string id = std::to_string(k);
-      auto& src = net.add_node<BenchSource>("src-" + id);
-      auto& sw = net.add_node<SdnSwitch>("sw-" + id, 1);
-      auto& sink = net.add_node<BenchSink>("sink-" + id);
-      net.connect(src, sw, access);
-      net.connect(sw, sink, access);
-      net.connect(sw, *core, backbone);
-
-      auto host = std::make_unique<MboxHost>(
-          net.shards().shard(static_cast<std::size_t>(k) % net.shard_count()));
-      Chain& chain = host->create_chain("chain-" + id);
-      for (int m = 0; m < 5; ++m) {
-        modules.push_back(std::make_unique<PiiDetector>(
-            std::vector<std::string>{"imei=", "password=", "lat="},
-            PiiAction::kMonitor));
-        chain.append(modules.back().get());
-      }
-      sw.register_processor("chain-" + id, &chain);
-      hosts.push_back(std::move(host));
-
-      FlowRule local;
-      local.priority = 100;
-      local.match.dst =
-          Prefix{Ipv4Addr(10, static_cast<std::uint8_t>(k), 0, 0), 16};
-      local.actions.push_back(ActMbox{"chain-" + id});
-      local.actions.push_back(ActOutput{1});
-      sw.table(0).add(local);
-      FlowRule remote;
-      remote.priority = 1;
-      remote.actions.push_back(ActOutput{2});
-      sw.table(0).add(remote);
-      core->add_route(
-          Prefix{Ipv4Addr(10, static_cast<std::uint8_t>(k), 0, 0), 16}, k);
-
-      sources.push_back(&src);
-      sinks.push_back(&sink);
-    }
-
-    for (int f = 0; f < flows; ++f) {
-      const int k = f % kNetworks;
-      const Ipv4Addr from(10, static_cast<std::uint8_t>(k), 0, 2);
-      const int dst_net = (f % 10 == 0) ? (k + 1) % kNetworks : k;
-      const Ipv4Addr to(10, static_cast<std::uint8_t>(dst_net), 0, 50);
-      sources[static_cast<std::size_t>(k)]->start_flow(net, f, flows,
-                                                       packets_per_flow, from,
-                                                       to);
-    }
-  }
-
-  std::uint64_t digest() const {
-    std::uint64_t h = 1469598103934665603ull;
-    for (const BenchSink* sink : sinks) {
-      for (const auto& [flow, seqs] : sink->per_flow) {
-        h = fnv1a(h, static_cast<std::uint64_t>(flow));
-        for (const int s : seqs) h = fnv1a(h, static_cast<std::uint64_t>(s));
-      }
-    }
-    std::uint64_t n = 0;
-    for (const BenchSink* sink : sinks) n += sink->delivered;
-    return fnv1a(h, n);
-  }
-
-  Network net;
-  Router* core = nullptr;
-  Host* ops_host = nullptr;
-  Host* admin_host = nullptr;
-  std::unique_ptr<OpsEndpoint> endpoint;
-  std::unique_ptr<OpsClient> client;
-  std::vector<BenchSource*> sources;
-  std::vector<BenchSink*> sinks;
-  std::vector<std::unique_ptr<MboxHost>> hosts;
-  std::vector<std::unique_ptr<Middlebox>> modules;
-};
-
 // --- gate 1: flight-recorder overhead ----------------------------------------
 
 struct OverheadResult {
-  double base_events_per_sec = 0;
-  double recorder_events_per_sec = 0;
-  double overhead_pct = 0;
-  bool passive = false;  // delivery digest unchanged by the recorder
+  bench::AbResult ab;    // events/s with the recorder (B) over without (A)
+  bool passive = true;   // every run's delivery digest matched the first's
   std::uint64_t samples_captured = 0;
 };
 
-struct DataplaneRun {
-  double events_per_sec = 0;
-  std::uint64_t digest = 0;
-  std::uint64_t samples = 0;
-};
-
-DataplaneRun run_dataplane(bool with_recorder, int flows, int packets) {
-  OpsScenario sc(/*shards=*/1, flows, packets, /*with_admin=*/false);
-  FlightRecorder rec;  // default config: every 16th burst
-  if (with_recorder) rec.attach(sc.net);
-  const double t0 = thread_cpu_seconds();
-  const std::size_t events = sc.net.run_parallel();
-  const double t1 = thread_cpu_seconds();
-  DataplaneRun r;
-  const double wall = t1 - t0;
-  r.events_per_sec = wall > 0 ? static_cast<double>(events) / wall : 0.0;
-  r.digest = sc.digest();
-  r.samples = with_recorder ? rec.samples().size() : 0;
-  return r;
-}
-
-OverheadResult measure_overhead(bool quick) {
-  // The overhead gate always runs the full-size workload: a single run is
-  // only ~30 ms, and anything smaller is dominated by wall-clock noise
-  // (quick-mode 150-packet runs measured anywhere from -7% to +34% on a
-  // loaded machine). `quick` only trims the rep count.
+OverheadResult measure_overhead() {
+  // The overhead gate always runs the full-size workload: quick-mode
+  // 150-packet runs are a few ms and measured anywhere from -7% to +34% on
+  // a loaded machine.
   const int flows = 32;
   const int packets = 1000;
-  // Warm-up pass of both variants (first-touch allocation, cache warming),
-  // then interleaved paired reps. The gate statistic is the median of the
-  // per-pair rate ratios: base and recorder runs of one pair are adjacent
-  // in time, so machine-load noise hits both sides of a ratio roughly
-  // equally and cancels, where independent per-side medians would not.
-  (void)run_dataplane(false, flows, packets);
-  (void)run_dataplane(true, flows, packets);
-  const int reps = quick ? 5 : 7;
-  std::vector<double> base_rates, rec_rates, ratios;
   OverheadResult r;
-  for (int i = 0; i < reps; ++i) {
-    const DataplaneRun base = run_dataplane(false, flows, packets);
-    const DataplaneRun rec = run_dataplane(true, flows, packets);
-    base_rates.push_back(base.events_per_sec);
-    rec_rates.push_back(rec.events_per_sec);
-    if (base.events_per_sec > 0) {
-      ratios.push_back(rec.events_per_sec / base.events_per_sec);
-    }
-    r.passive = (i == 0) ? base.digest == rec.digest
-                         : (r.passive && base.digest == rec.digest);
-    r.samples_captured = rec.samples;
-  }
-  r.base_events_per_sec = bench::median(base_rates);
-  r.recorder_events_per_sec = bench::median(rec_rates);
-  r.overhead_pct =
-      ratios.empty() ? 0.0 : (1.0 - bench::median(ratios)) * 100.0;
+  std::optional<std::uint64_t> reference;
+  const auto run = [&](bool with_recorder) {
+    bench::DataplaneScenario sc(/*shards=*/1, flows, packets,
+                                /*with_admin=*/false);
+    FlightRecorder rec;  // default config: every 16th burst
+    if (with_recorder) rec.attach(sc.net);
+    const double t0 = bench::thread_cpu_seconds();
+    const std::size_t events = sc.net.run_parallel();
+    const double cpu = bench::thread_cpu_seconds() - t0;
+    const std::uint64_t digest = sc.digest();
+    if (!reference.has_value()) reference = digest;
+    r.passive = r.passive && digest == *reference;
+    if (with_recorder) r.samples_captured = rec.samples().size();
+    return bench::AbSample{static_cast<double>(events), cpu};
+  };
+  r.ab = bench::ab_compare([&] { return run(false); },
+                           [&] { return run(true); }, bench::kAbPairs);
   return r;
 }
 
@@ -302,7 +88,7 @@ struct SnapshotRun {
 };
 
 SnapshotRun run_snapshot(std::size_t shards, int flows, int packets) {
-  OpsScenario sc(shards, flows, packets, /*with_admin=*/true);
+  bench::DataplaneScenario sc(shards, flows, packets, /*with_admin=*/true);
   sc.net.shards().enable_time_barriers();
 
   static constexpr const char* kPrefix = "netsim.link.";
@@ -483,24 +269,20 @@ VerbsResult run_verbs() {
 
 int main(int argc, char** argv) {
   bench::TelemetryScope telemetry(argc, argv);
-  bool quick = false;
-  const char* env_quick = std::getenv("PVN_BENCH_QUICK");
-  if (env_quick != nullptr && std::strcmp(env_quick, "0") != 0) quick = true;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
+  const bool quick = bench::quick_mode(argc, argv);
 
   bench::title("E20 — operations plane",
                "admin introspection must not perturb the dataplane, and "
                "must report identically at every shard count");
 
   // Gate 1: flight-recorder overhead on the dataplane workload.
-  const OverheadResult oh = measure_overhead(quick);
-  const bool overhead_ok = oh.overhead_pct < 5.0 && oh.passive;
-  bench::header({"recorder", "events/s", "overhead %", "passive"});
-  bench::row("off", oh.base_events_per_sec, 0.0, "-");
-  bench::row("every 16th burst", oh.recorder_events_per_sec, oh.overhead_pct,
-             oh.passive ? "yes" : "NO");
+  const OverheadResult oh = measure_overhead();
+  const bool overhead_within = oh.ab.overhead_pct() < 5.0;
+  const bool overhead_ok = overhead_within && oh.passive;
+  bench::header({"recorder", "events/s", "overhead %", "IQR %", "passive"});
+  bench::row("off", oh.ab.base_rate, 0.0, "-", "-");
+  bench::row("every 16th burst", oh.ab.variant_rate, oh.ab.overhead_pct(),
+             oh.ab.ratio_iqr * 100.0, oh.passive ? "yes" : "NO");
 
   // Gate 2: barrier snapshots agree across shard counts.
   const int flows = 32;
@@ -536,58 +318,37 @@ int main(int argc, char** argv) {
   bench::row("retransmit (idempotent)", verbs.idempotent ? "ok" : "FAIL");
   bench::row("visible in snapshot", verbs.visible ? "ok" : "FAIL");
 
-  if (telemetry.enabled()) telemetry::export_telemetry(telemetry.dir());
+  bench::JsonWriter json;
+  json.begin_object()
+      .field("bench", "e20_ops")
+      .field("quick", quick)
+      .field("events_per_sec_base", oh.ab.base_rate, 0)
+      .field("events_per_sec_recorder", oh.ab.variant_rate, 0)
+      .field("recorder_overhead_pct", oh.ab.overhead_pct(), 3)
+      .field("recorder_overhead_iqr_pct", oh.ab.ratio_iqr * 100.0, 3)
+      .field("recorder_overhead_within_5pct", overhead_within)
+      .field("recorder_passive", oh.passive)
+      .field("recorder_samples", oh.samples_captured)
+      .field("snapshot_barrier_us",
+             static_cast<double>(snap1.barrier_time) / 1000.0, 3)
+      .field("snapshot_samples", snap1.sample_count)
+      .field("snapshot_delta_digest_1shard", snap1.delta_digest)
+      .field("snapshot_delta_digest_4shard", snap4.delta_digest)
+      .field("snapshot_shard_consistent", consistent)
+      .begin_object("verbs")
+      .field("inject_rule", verbs.inject_ok)
+      .field("wipe_cache", verbs.wipe_ok)
+      .field("promote_standby", verbs.promote_ok)
+      .field("quarantine_override", verbs.quarantine_ok)
+      .field("set_sampling_rate", verbs.sampling_ok)
+      .field("idempotent_under_retransmit", verbs.idempotent)
+      .field("visible_in_snapshot", verbs.visible)
+      .end_object()
+      .field("verbs_ok", verbs.all())
+      .end_object();
+  const bool wrote = bench::write_json(json, "BENCH_ops.json");
 
-  const char* json_path = std::getenv("PVN_BENCH_JSON");
-  if (json_path == nullptr) json_path = "BENCH_ops.json";
-  FILE* f = std::fopen(json_path, "w");
-  if (f != nullptr) {
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"bench\": \"e20_ops\",\n");
-    std::fprintf(f, "  \"quick\": %s,\n", json_bool(quick).c_str());
-    std::fprintf(f, "  \"events_per_sec_base\": %.0f,\n",
-                 oh.base_events_per_sec);
-    std::fprintf(f, "  \"events_per_sec_recorder\": %.0f,\n",
-                 oh.recorder_events_per_sec);
-    std::fprintf(f, "  \"recorder_overhead_pct\": %.3f,\n", oh.overhead_pct);
-    std::fprintf(f, "  \"recorder_overhead_within_5pct\": %s,\n",
-                 json_bool(oh.overhead_pct < 5.0).c_str());
-    std::fprintf(f, "  \"recorder_passive\": %s,\n",
-                 json_bool(oh.passive).c_str());
-    std::fprintf(f, "  \"recorder_samples\": %llu,\n",
-                 static_cast<unsigned long long>(oh.samples_captured));
-    std::fprintf(f, "  \"snapshot_barrier_us\": %.3f,\n",
-                 static_cast<double>(snap1.barrier_time) / 1000.0);
-    std::fprintf(f, "  \"snapshot_samples\": %zu,\n", snap1.sample_count);
-    std::fprintf(f, "  \"snapshot_delta_digest_1shard\": %llu,\n",
-                 static_cast<unsigned long long>(snap1.delta_digest));
-    std::fprintf(f, "  \"snapshot_delta_digest_4shard\": %llu,\n",
-                 static_cast<unsigned long long>(snap4.delta_digest));
-    std::fprintf(f, "  \"snapshot_shard_consistent\": %s,\n",
-                 json_bool(consistent).c_str());
-    std::fprintf(f, "  \"verbs\": {\n");
-    std::fprintf(f, "    \"inject_rule\": %s,\n",
-                 json_bool(verbs.inject_ok).c_str());
-    std::fprintf(f, "    \"wipe_cache\": %s,\n",
-                 json_bool(verbs.wipe_ok).c_str());
-    std::fprintf(f, "    \"promote_standby\": %s,\n",
-                 json_bool(verbs.promote_ok).c_str());
-    std::fprintf(f, "    \"quarantine_override\": %s,\n",
-                 json_bool(verbs.quarantine_ok).c_str());
-    std::fprintf(f, "    \"set_sampling_rate\": %s,\n",
-                 json_bool(verbs.sampling_ok).c_str());
-    std::fprintf(f, "    \"idempotent_under_retransmit\": %s,\n",
-                 json_bool(verbs.idempotent).c_str());
-    std::fprintf(f, "    \"visible_in_snapshot\": %s\n",
-                 json_bool(verbs.visible).c_str());
-    std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"verbs_ok\": %s\n", json_bool(verbs.all()).c_str());
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s\n", json_path);
-  }
-
-  const bool pass = overhead_ok && consistent && verbs.all();
+  const bool pass = wrote && overhead_ok && consistent && verbs.all();
   std::printf("gates: overhead %s, consistency %s, verbs %s -> %s\n",
               overhead_ok ? "pass" : "FAIL", consistent ? "pass" : "FAIL",
               verbs.all() ? "pass" : "FAIL", pass ? "PASS" : "FAIL");

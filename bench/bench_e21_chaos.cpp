@@ -34,8 +34,6 @@ using namespace pvn;
 
 namespace {
 
-std::string json_bool(bool b) { return b ? "true" : "false"; }
-
 struct PlantedGate {
   PlantedBug bug;
   std::string invariant;       // class the auditor must flag it as
@@ -127,11 +125,8 @@ int replay_mode(const std::string& path) {
 
 int main(int argc, char** argv) {
   bench::TelemetryScope telemetry(argc, argv);
-  bool quick = false;
-  const char* env_quick = std::getenv("PVN_BENCH_QUICK");
-  if (env_quick != nullptr && std::strcmp(env_quick, "0") != 0) quick = true;
+  const bool quick = bench::quick_mode(argc, argv);
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
     constexpr const char kReplay[] = "--replay=";
     if (std::strncmp(argv[i], kReplay, sizeof(kReplay) - 1) == 0) {
       return replay_mode(argv[i] + (sizeof(kReplay) - 1));
@@ -235,47 +230,30 @@ int main(int argc, char** argv) {
     planted.push_back(g);
   }
 
-  if (telemetry.enabled()) telemetry::export_telemetry(telemetry.dir());
-
-  const char* json_path = std::getenv("PVN_BENCH_JSON");
-  if (json_path == nullptr) json_path = "BENCH_chaos.json";
-  FILE* f = std::fopen(json_path, "w");
-  if (f != nullptr) {
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"bench\": \"e21_chaos\",\n");
-    std::fprintf(f, "  \"quick\": %s,\n", json_bool(quick).c_str());
-    std::fprintf(f, "  \"seeds\": %d,\n", seeds);
-    std::fprintf(f, "  \"schedule_events_total\": %zu,\n", events_total);
-    std::fprintf(f, "  \"failed_seeds\": %d,\n", campaign.failed_seeds);
-    std::fprintf(f, "  \"violations_total\": %d,\n",
-                 campaign.violations_total);
-    std::fprintf(f, "  \"campaign_clean\": %s,\n",
-                 json_bool(campaign_clean).c_str());
-    std::fprintf(f, "  \"rerun_bit_identical\": %s,\n",
-                 json_bool(deterministic).c_str());
-    if (!repro_path.empty()) {
-      std::fprintf(f, "  \"repro_file\": \"%s\",\n", repro_path.c_str());
-    }
-    std::fprintf(f, "  \"planted\": {\n");
-    for (std::size_t i = 0; i < planted.size(); ++i) {
-      const PlantedGate& g = planted[i];
-      std::fprintf(f,
-                   "    \"%s\": {\"detected\": %s, \"shrunk_events\": %zu, "
-                   "\"oracle_runs\": %d, \"replay_ok\": %s}%s\n",
-                   to_string(g.bug), json_bool(g.detected).c_str(),
-                   g.shrunk_events, g.oracle_runs,
-                   json_bool(g.replay_same_class && g.replay_deterministic)
-                       .c_str(),
-                   i + 1 < planted.size() ? "," : "");
-    }
-    std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"planted_ok\": %s\n", json_bool(planted_ok).c_str());
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s\n", json_path);
+  bench::JsonWriter json;
+  json.begin_object()
+      .field("bench", "e21_chaos")
+      .field("quick", quick)
+      .field("seeds", seeds)
+      .field("schedule_events_total", events_total)
+      .field("failed_seeds", campaign.failed_seeds)
+      .field("violations_total", campaign.violations_total)
+      .field("campaign_clean", campaign_clean)
+      .field("rerun_bit_identical", deterministic);
+  if (!repro_path.empty()) json.field("repro_file", repro_path);
+  json.begin_object("planted");
+  for (const PlantedGate& g : planted) {
+    json.begin_object(to_string(g.bug))
+        .field("detected", g.detected)
+        .field("shrunk_events", g.shrunk_events)
+        .field("oracle_runs", g.oracle_runs)
+        .field("replay_ok", g.replay_same_class && g.replay_deterministic)
+        .end_object();
   }
+  json.end_object().field("planted_ok", planted_ok).end_object();
+  const bool wrote = bench::write_json(json, "BENCH_chaos.json");
 
-  const bool pass = campaign_clean && deterministic && planted_ok;
+  const bool pass = wrote && campaign_clean && deterministic && planted_ok;
   std::printf("gates: campaign %s, determinism %s, planted %s -> %s\n",
               campaign_clean ? "pass" : "FAIL",
               deterministic ? "pass" : "FAIL", planted_ok ? "pass" : "FAIL",

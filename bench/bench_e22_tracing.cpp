@@ -5,9 +5,10 @@
 // Three gates, each a hard exit-code failure:
 //   1. Overhead: the full observability stack — flight recorder, windowed
 //      HealthMonitor evaluation at time barriers, span recording, and trace
-//      assembly — attached to the e15-style dataplane workload must cost
-//      < 5% in events/sec (warm-up + best-of-N interleaved reps) and must
-//      be passive (identical delivery digest with and without it).
+//      assembly — attached to the shared dataplane workload (dataplane.h)
+//      must cost < 5% in events per thread-CPU second (bench::ab_compare:
+//      the median of paired ratios) and must be passive (identical delivery
+//      digest with and without it).
 //   2. Critical path vs wall: the assembled deploy-cycle and migration
 //      traces must account for the independently measured end-to-end times.
 //      critical_total() == trace interval holds by construction (the
@@ -21,28 +22,21 @@
 //      payload.
 //
 // Prints BENCH_tracing.json (override with PVN_BENCH_JSON). Quick mode
-// (PVN_BENCH_QUICK=1 or --quick) shrinks rep counts; all gates still run.
-#include <algorithm>
+// (PVN_BENCH_QUICK=1 or --quick) is only recorded in the summary: every
+// gate already runs at a size CI can afford.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <ctime>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common.h"
-#include "mbox/host.h"
-#include "mbox/inline_modules.h"
-#include "netsim/router.h"
+#include "dataplane.h"
 #include "ops/client.h"
 #include "ops/endpoint.h"
 #include "ops/flight_recorder.h"
 #include "ops/health.h"
 #include "proto/ops.h"
-#include "sdn/switch.h"
 #include "telemetry/assembler.h"
 #include "telemetry/span.h"
 #include "testbed/roaming.h"
@@ -52,270 +46,65 @@ using namespace pvn;
 
 namespace {
 
-std::string json_bool(bool b) { return b ? "true" : "false"; }
-
-double thread_cpu_seconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xFF;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-// --- the e15 dataplane workload (as in bench_e20_ops) ------------------------
-
-class BenchSink : public Node {
- public:
-  BenchSink(Network& net, std::string name) : Node(net, std::move(name)) {}
-  void handle_packet(Packet pkt, int) override {
-    const int flow = pkt.l4[0] | (pkt.l4[1] << 8);
-    const int seq = pkt.l4[2] | (pkt.l4[3] << 8);
-    per_flow[flow].push_back(seq);
-    ++delivered;
-  }
-  std::map<int, std::vector<int>> per_flow;
-  std::uint64_t delivered = 0;
-};
-
-class BenchSource : public Node {
- public:
-  BenchSource(Network& net, std::string name) : Node(net, std::move(name)) {}
-  void handle_packet(Packet, int) override {}
-
-  void start_flow(Network& net, int flow, int total_flows, int packets,
-                  Ipv4Addr src, Ipv4Addr dst) {
-    const SimDuration spacing = total_flows * microseconds(2);
-    const SimTime first = milliseconds(1) + flow * microseconds(2);
-    schedule_send(net, flow, 0, packets, src, dst, first, spacing);
-  }
-
- private:
-  void schedule_send(Network& net, int flow, int seq, int total, Ipv4Addr src,
-                     Ipv4Addr dst, SimTime at, SimDuration spacing) {
-    sim().schedule_at(at, SimCategory::kWorkload, [=, &net, this] {
-      Bytes payload(256, 0x5A);
-      payload[0] = static_cast<std::uint8_t>(flow & 0xFF);
-      payload[1] = static_cast<std::uint8_t>(flow >> 8);
-      payload[2] = static_cast<std::uint8_t>(seq & 0xFF);
-      payload[3] = static_cast<std::uint8_t>(seq >> 8);
-      send(0, net.make_packet(src, dst, IpProto::kUdp, std::move(payload)));
-      if (seq + 1 < total) {
-        schedule_send(net, flow, seq + 1, total, src, dst, at + spacing,
-                      spacing);
-      }
-    });
-  }
-};
-
-struct DataplaneScenario {
-  static constexpr int kNetworks = 4;
-
-  DataplaneScenario(std::size_t shards, int flows, int packets_per_flow,
-                    bool with_admin)
-      : net(/*seed=*/7, shards, /*lookahead=*/milliseconds(1)) {
-    net.set_burst_window(microseconds(50));
-    net.set_build_shard(0);
-    core = &net.add_node<Router>("core");
-
-    if (with_admin) {
-      ops_host = &net.add_node<Host>("ops", Ipv4Addr(10, 99, 0, 1));
-      admin_host = &net.add_node<Host>("admin", Ipv4Addr(10, 99, 0, 2));
-      LinkParams mgmt;
-      mgmt.rate = Rate::gbps(1);
-      mgmt.latency = microseconds(100);
-      net.connect(*admin_host, *ops_host, mgmt);
-      endpoint = std::make_unique<OpsEndpoint>(*ops_host);
-      client = std::make_unique<OpsClient>(*admin_host, Ipv4Addr(10, 99, 0, 1));
-    }
-
-    LinkParams access;
-    access.rate = Rate::gbps(10);
-    access.latency = microseconds(10);
-    LinkParams backbone;
-    backbone.rate = Rate::gbps(10);
-    backbone.latency = milliseconds(1);
-
-    for (int k = 0; k < kNetworks; ++k) {
-      net.set_build_shard(static_cast<std::size_t>(k) % net.shard_count());
-      const std::string id = std::to_string(k);
-      auto& src = net.add_node<BenchSource>("src-" + id);
-      auto& sw = net.add_node<SdnSwitch>("sw-" + id, 1);
-      auto& sink = net.add_node<BenchSink>("sink-" + id);
-      net.connect(src, sw, access);
-      net.connect(sw, sink, access);
-      net.connect(sw, *core, backbone);
-
-      auto host = std::make_unique<MboxHost>(
-          net.shards().shard(static_cast<std::size_t>(k) % net.shard_count()));
-      Chain& chain = host->create_chain("chain-" + id);
-      for (int m = 0; m < 5; ++m) {
-        modules.push_back(std::make_unique<PiiDetector>(
-            std::vector<std::string>{"imei=", "password=", "lat="},
-            PiiAction::kMonitor));
-        chain.append(modules.back().get());
-      }
-      sw.register_processor("chain-" + id, &chain);
-      hosts.push_back(std::move(host));
-
-      FlowRule local;
-      local.priority = 100;
-      local.match.dst =
-          Prefix{Ipv4Addr(10, static_cast<std::uint8_t>(k), 0, 0), 16};
-      local.actions.push_back(ActMbox{"chain-" + id});
-      local.actions.push_back(ActOutput{1});
-      sw.table(0).add(local);
-      FlowRule remote;
-      remote.priority = 1;
-      remote.actions.push_back(ActOutput{2});
-      sw.table(0).add(remote);
-      core->add_route(
-          Prefix{Ipv4Addr(10, static_cast<std::uint8_t>(k), 0, 0), 16}, k);
-
-      sources.push_back(&src);
-      sinks.push_back(&sink);
-    }
-
-    for (int f = 0; f < flows; ++f) {
-      const int k = f % kNetworks;
-      const Ipv4Addr from(10, static_cast<std::uint8_t>(k), 0, 2);
-      const int dst_net = (f % 10 == 0) ? (k + 1) % kNetworks : k;
-      const Ipv4Addr to(10, static_cast<std::uint8_t>(dst_net), 0, 50);
-      sources[static_cast<std::size_t>(k)]->start_flow(net, f, flows,
-                                                       packets_per_flow, from,
-                                                       to);
-    }
-  }
-
-  std::uint64_t digest() const {
-    std::uint64_t h = 1469598103934665603ull;
-    for (const BenchSink* sink : sinks) {
-      for (const auto& [flow, seqs] : sink->per_flow) {
-        h = fnv1a(h, static_cast<std::uint64_t>(flow));
-        for (const int s : seqs) h = fnv1a(h, static_cast<std::uint64_t>(s));
-      }
-    }
-    std::uint64_t n = 0;
-    for (const BenchSink* sink : sinks) n += sink->delivered;
-    return fnv1a(h, n);
-  }
-
-  Network net;
-  Router* core = nullptr;
-  Host* ops_host = nullptr;
-  Host* admin_host = nullptr;
-  std::unique_ptr<OpsEndpoint> endpoint;
-  std::unique_ptr<OpsClient> client;
-  std::vector<BenchSource*> sources;
-  std::vector<BenchSink*> sinks;
-  std::vector<std::unique_ptr<MboxHost>> hosts;
-  std::vector<std::unique_ptr<Middlebox>> modules;
-};
-
 // --- gate 1: observability overhead ------------------------------------------
 
 struct OverheadResult {
-  double base_events_per_sec = 0;
-  double traced_events_per_sec = 0;
-  double overhead_pct = 0;
-  bool passive = false;  // delivery digest unchanged by the stack
+  bench::AbResult ab;   // events/s with the stack (B) over without (A)
+  bool passive = true;  // every run's delivery digest matched the first's
   std::size_t windows_closed = 0;
   std::size_t chrome_bytes = 0;
 };
 
-struct DataplaneRun {
-  double events_per_sec = 0;
-  std::uint64_t digest = 0;
-  std::size_t windows_closed = 0;
-  std::size_t chrome_bytes = 0;
-};
-
-DataplaneRun run_dataplane(bool observability, int flows, int packets) {
-  DataplaneScenario sc(/*shards=*/1, flows, packets, /*with_admin=*/false);
-  sc.net.shards().enable_time_barriers();
-  FlightRecorder rec;
-  HealthMonitorConfig hcfg;
-  hcfg.window = milliseconds(5);
-  HealthMonitor health(hcfg);
-  for (HealthRule& rule : HealthMonitor::default_rules()) {
-    health.add_rule(std::move(rule));
-  }
-  telemetry::SpanRecorder& spans = telemetry::SpanRecorder::global();
-  spans.clear();  // isolate reps: assembly cost must not grow across runs
-  spans.set_clock(&sc.net.sim());
-  if (observability) rec.attach(sc.net);
-  // Both variants register the identical barrier schedule so the paired
-  // comparison isolates the observability work, not the barrier plumbing.
-  for (SimTime t = milliseconds(5); t <= milliseconds(80);
-       t += milliseconds(5)) {
-    sc.net.shards().at_time_barrier(t, [&spans, &health, t, observability] {
-      if (!observability) return;
-      telemetry::Span tick = spans.start("health_tick", "ops", "",
-                                         spans.new_trace(), "monitor");
-      health.evaluate(t);
-      tick.finish();
-    });
-  }
-  const double t0 = thread_cpu_seconds();
-  const std::size_t events = sc.net.run_parallel();
-  DataplaneRun r;
-  if (observability) {
-    // Assembly is part of what an operator pays for: include it in the
-    // measured interval.
-    const telemetry::TraceAssembler assembler(spans);
-    r.chrome_bytes = telemetry::TraceAssembler::chrome_json(assembler.traces())
-                         .size();
-  }
-  const double t1 = thread_cpu_seconds();
-  const double wall = t1 - t0;
-  r.events_per_sec = wall > 0 ? static_cast<double>(events) / wall : 0.0;
-  r.digest = sc.digest();
-  r.windows_closed = health.windows_closed();
-  return r;
-}
-
-OverheadResult measure_overhead(bool quick) {
+OverheadResult measure_overhead() {
   const int flows = 32;
   const int packets = 1000;
-  (void)run_dataplane(false, flows, packets);
-  (void)run_dataplane(true, flows, packets);
-  const int reps = quick ? 7 : 9;
-  std::vector<double> base_rates, traced_rates;
   OverheadResult r;
-  bool first = true;
-  // Compare best-of-N rates rather than a median of paired ratios: scheduler
-  // and cache noise only ever slows a rep down, so the fastest rep of each
-  // variant is the closest estimate of its true cost, and a single noisy rep
-  // cannot flip the gate. A marginal first round (within 1% of the gate)
-  // earns one extra round — more reps can only sharpen the estimate.
-  for (int round = 0; round < 2; ++round) {
-    for (int i = 0; i < reps; ++i) {
-      const DataplaneRun base = run_dataplane(false, flows, packets);
-      const DataplaneRun traced = run_dataplane(true, flows, packets);
-      base_rates.push_back(base.events_per_sec);
-      traced_rates.push_back(traced.events_per_sec);
-      r.passive = first ? base.digest == traced.digest
-                        : (r.passive && base.digest == traced.digest);
-      first = false;
-      r.windows_closed = traced.windows_closed;
-      r.chrome_bytes = traced.chrome_bytes;
+  std::optional<std::uint64_t> reference;
+  const auto run = [&](bool observability) {
+    bench::DataplaneScenario sc(/*shards=*/1, flows, packets,
+                                /*with_admin=*/false);
+    sc.net.shards().enable_time_barriers();
+    FlightRecorder rec;
+    HealthMonitorConfig hcfg;
+    hcfg.window = milliseconds(5);
+    HealthMonitor health(hcfg);
+    for (HealthRule& rule : HealthMonitor::default_rules()) {
+      health.add_rule(std::move(rule));
     }
-    r.base_events_per_sec =
-        *std::max_element(base_rates.begin(), base_rates.end());
-    r.traced_events_per_sec =
-        *std::max_element(traced_rates.begin(), traced_rates.end());
-    r.overhead_pct =
-        r.base_events_per_sec > 0
-            ? (1.0 - r.traced_events_per_sec / r.base_events_per_sec) * 100.0
-            : 0.0;
-    if (r.overhead_pct < 4.0) break;
-  }
+    telemetry::SpanRecorder& spans = telemetry::SpanRecorder::global();
+    spans.clear();  // isolate runs: assembly cost must not grow across runs
+    spans.set_clock(&sc.net.sim());
+    if (observability) rec.attach(sc.net);
+    // Both variants register the identical barrier schedule so the paired
+    // comparison isolates the observability work, not the barrier plumbing.
+    for (SimTime t = milliseconds(5); t <= milliseconds(80);
+         t += milliseconds(5)) {
+      sc.net.shards().at_time_barrier(t, [&spans, &health, t, observability] {
+        if (!observability) return;
+        telemetry::Span tick = spans.start("health_tick", "ops", "",
+                                           spans.new_trace(), "monitor");
+        health.evaluate(t);
+        tick.finish();
+      });
+    }
+    const double t0 = bench::thread_cpu_seconds();
+    const std::size_t events = sc.net.run_parallel();
+    if (observability) {
+      // Assembly is part of what an operator pays for: include it in the
+      // measured interval.
+      const telemetry::TraceAssembler assembler(spans);
+      r.chrome_bytes =
+          telemetry::TraceAssembler::chrome_json(assembler.traces()).size();
+      r.windows_closed = health.windows_closed();
+    }
+    const double cpu = bench::thread_cpu_seconds() - t0;
+    const std::uint64_t digest = sc.digest();
+    if (!reference.has_value()) reference = digest;
+    r.passive = r.passive && digest == *reference;
+    return bench::AbSample{static_cast<double>(events), cpu};
+  };
+  r.ab = bench::ab_compare([&] { return run(false); },
+                           [&] { return run(true); }, bench::kAbPairs);
   return r;
 }
 
@@ -460,7 +249,7 @@ struct HealthScenario {
     }
   }
 
-  DataplaneScenario inner;
+  bench::DataplaneScenario inner;
   std::unique_ptr<HealthMonitor> health;
   telemetry::Span cycle, server_span;
 };
@@ -517,25 +306,23 @@ ConsistencyRun run_consistency(std::size_t shards) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::TelemetryScope telemetry_scope(argc, argv);
-  bool quick = false;
-  const char* env_quick = std::getenv("PVN_BENCH_QUICK");
-  if (env_quick != nullptr && std::strcmp(env_quick, "0") != 0) quick = true;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-  }
+  bench::TelemetryScope telemetry(argc, argv);
+  const bool quick = bench::quick_mode(argc, argv);
 
   bench::title("E22 — causal tracing + health plane",
                "observability must cost < 5%, explain the latencies it "
                "reports, and tell one story at every shard count");
 
   // Gate 1: overhead of the full observability stack on the dataplane.
-  const OverheadResult oh = measure_overhead(quick);
-  const bool overhead_ok = oh.overhead_pct < 5.0 && oh.passive;
-  bench::header({"observability", "events/s", "overhead %", "passive"});
-  bench::row("off", oh.base_events_per_sec, 0.0, "-");
-  bench::row("spans+health+recorder", oh.traced_events_per_sec,
-             oh.overhead_pct, oh.passive ? "yes" : "NO");
+  const OverheadResult oh = measure_overhead();
+  const bool overhead_within = oh.ab.overhead_pct() < 5.0;
+  const bool overhead_ok = overhead_within && oh.passive;
+  bench::header({"observability", "events/s", "overhead %", "IQR %",
+                 "passive"});
+  bench::row("off", oh.ab.base_rate, 0.0, "-", "-");
+  bench::row("spans+health+recorder", oh.ab.variant_rate,
+             oh.ab.overhead_pct(), oh.ab.ratio_iqr * 100.0,
+             oh.passive ? "yes" : "NO");
   std::printf("health windows closed per run: %zu, chrome trace bytes: %zu\n",
               oh.windows_closed, oh.chrome_bytes);
 
@@ -585,56 +372,37 @@ int main(int argc, char** argv) {
   std::printf("get-alerts/get-trace shard-consistency: %s\n",
               consistent ? "consistent" : "MISMATCH");
 
-  if (telemetry_scope.enabled()) {
-    telemetry::export_telemetry(telemetry_scope.dir());
-  }
+  bench::JsonWriter json;
+  json.begin_object()
+      .field("bench", "e22_tracing")
+      .field("quick", quick)
+      .field("events_per_sec_base", oh.ab.base_rate, 0)
+      .field("events_per_sec_observed", oh.ab.variant_rate, 0)
+      .field("observability_overhead_pct", oh.ab.overhead_pct(), 3)
+      .field("observability_overhead_iqr_pct", oh.ab.ratio_iqr * 100.0, 3)
+      .field("observability_within_5pct", overhead_within)
+      .field("observability_passive", oh.passive)
+      .field("deploy_wall_ms", deploy.wall_ms, 3)
+      .field("deploy_critical_ms", deploy.trace_ms, 3)
+      .field("deploy_delta_pct", deploy.delta_pct, 3)
+      .field("deploy_path_ok", deploy_ok)
+      .field("migration_wall_ms", migration.wall_ms, 3)
+      .field("migration_critical_ms", migration.trace_ms, 3)
+      .field("migration_delta_pct", migration.delta_pct, 3)
+      .field("migration_path_ok", migration_ok)
+      .field("alerts", c1.alert_count)
+      .field("alerts_firing", c1.firing)
+      .field("alerts_digest_1shard", c1.alerts_digest)
+      .field("alerts_digest_4shard", c4.alerts_digest)
+      .field("trace_spans", c1.trace_spans)
+      .field("trace_digest_1shard", c1.trace_digest)
+      .field("trace_digest_4shard", c4.trace_digest)
+      .field("shard_consistent", consistent)
+      .end_object();
+  const bool wrote = bench::write_json(json, "BENCH_tracing.json");
 
-  const char* json_path = std::getenv("PVN_BENCH_JSON");
-  if (json_path == nullptr) json_path = "BENCH_tracing.json";
-  FILE* f = std::fopen(json_path, "w");
-  if (f != nullptr) {
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"bench\": \"e22_tracing\",\n");
-    std::fprintf(f, "  \"quick\": %s,\n", json_bool(quick).c_str());
-    std::fprintf(f, "  \"events_per_sec_base\": %.0f,\n",
-                 oh.base_events_per_sec);
-    std::fprintf(f, "  \"events_per_sec_observed\": %.0f,\n",
-                 oh.traced_events_per_sec);
-    std::fprintf(f, "  \"observability_overhead_pct\": %.3f,\n",
-                 oh.overhead_pct);
-    std::fprintf(f, "  \"observability_within_5pct\": %s,\n",
-                 json_bool(oh.overhead_pct < 5.0).c_str());
-    std::fprintf(f, "  \"observability_passive\": %s,\n",
-                 json_bool(oh.passive).c_str());
-    std::fprintf(f, "  \"deploy_wall_ms\": %.3f,\n", deploy.wall_ms);
-    std::fprintf(f, "  \"deploy_critical_ms\": %.3f,\n", deploy.trace_ms);
-    std::fprintf(f, "  \"deploy_delta_pct\": %.3f,\n", deploy.delta_pct);
-    std::fprintf(f, "  \"deploy_path_ok\": %s,\n",
-                 json_bool(deploy_ok).c_str());
-    std::fprintf(f, "  \"migration_wall_ms\": %.3f,\n", migration.wall_ms);
-    std::fprintf(f, "  \"migration_critical_ms\": %.3f,\n", migration.trace_ms);
-    std::fprintf(f, "  \"migration_delta_pct\": %.3f,\n", migration.delta_pct);
-    std::fprintf(f, "  \"migration_path_ok\": %s,\n",
-                 json_bool(migration_ok).c_str());
-    std::fprintf(f, "  \"alerts\": %zu,\n", c1.alert_count);
-    std::fprintf(f, "  \"alerts_firing\": %zu,\n", c1.firing);
-    std::fprintf(f, "  \"alerts_digest_1shard\": %llu,\n",
-                 static_cast<unsigned long long>(c1.alerts_digest));
-    std::fprintf(f, "  \"alerts_digest_4shard\": %llu,\n",
-                 static_cast<unsigned long long>(c4.alerts_digest));
-    std::fprintf(f, "  \"trace_spans\": %zu,\n", c1.trace_spans);
-    std::fprintf(f, "  \"trace_digest_1shard\": %llu,\n",
-                 static_cast<unsigned long long>(c1.trace_digest));
-    std::fprintf(f, "  \"trace_digest_4shard\": %llu,\n",
-                 static_cast<unsigned long long>(c4.trace_digest));
-    std::fprintf(f, "  \"shard_consistent\": %s\n",
-                 json_bool(consistent).c_str());
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("\nwrote %s\n", json_path);
-  }
-
-  const bool pass = overhead_ok && deploy_ok && migration_ok && consistent;
+  const bool pass =
+      wrote && overhead_ok && deploy_ok && migration_ok && consistent;
   std::printf("gates: overhead %s, critical-path %s, consistency %s -> %s\n",
               overhead_ok ? "pass" : "FAIL",
               deploy_ok && migration_ok ? "pass" : "FAIL",
