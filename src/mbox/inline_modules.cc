@@ -212,11 +212,16 @@ bool TlsValidator::restore_state(const Bytes& state, std::uint32_t version) {
 
 Middlebox::Verdict TlsValidator::process(Packet& pkt, MboxContext& ctx) {
   if (pkt.ip.proto != IpProto::kTcp) return Verdict::kForward;
-  const auto seg = parse_tcp(pkt.l4);
-  if (!seg) return Verdict::kForward;
-  if (seg->hdr.src_port != tls_port_ && seg->hdr.dst_port != tls_port_) {
+  // Check the ports before parse_tcp copies the payload; a packet too short
+  // for them is one parse_tcp rejects too.
+  Port src = 0;
+  Port dst = 0;
+  if (!peek_ports(static_cast<std::uint8_t>(pkt.ip.proto), pkt.l4, src, dst) ||
+      (src != tls_port_ && dst != tls_port_)) {
     return Verdict::kForward;
   }
+  const auto seg = parse_tcp(pkt.l4);
+  if (!seg) return Verdict::kForward;
   const FlowKey key = FlowKey::of(pkt);
   FlowState& st = state_for(key);
   if (st.gave_up) return Verdict::kForward;

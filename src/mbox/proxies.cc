@@ -33,7 +33,7 @@ void SplitTcpProxy::on_accept(TcpConnection& client) {
     b->upstream_ready = true;
     if (!b->pending_up.empty()) {
       bytes_up_ += b->pending_up.size();
-      b->upstream->send(b->pending_up);
+      b->upstream->send(std::move(b->pending_up));
       b->pending_up.clear();
     }
   };

@@ -29,7 +29,7 @@ IpHeader IpHeader::decode(ByteReader& r) {
   h.proto = static_cast<IpProto>(r.u8());
   h.ttl = r.u8();
   h.tos = r.u8();
-  r.raw(9);
+  r.skip(9);
   return h;
 }
 

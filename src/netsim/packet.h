@@ -54,9 +54,14 @@ struct HopTrace {
   std::vector<std::uint32_t> ids;
   const NameTable* names = nullptr;  // table the ids were interned against
 
+  // Room reserved on the first hop: a typical path, so a packet's trace
+  // allocates once instead of once per doubling.
+  static constexpr std::size_t kTypicalHops = 8;
+
   // Appends a hop, binding the trace to `table` on first use.
   void record(const NameTable& table, std::uint32_t id) {
     if (names == nullptr) names = &table;
+    if (ids.empty()) ids.reserve(kTypicalHops);
     ids.push_back(id);
   }
 

@@ -10,6 +10,11 @@ namespace {
 
 constexpr std::string_view kHeadEnd = "\r\n\r\n";
 
+// Most body bytes parse_head reserves from a declared Content-Length, which
+// the peer controls: a lying peer can make a parser hold at most this much
+// it never fills. A connection already advertises a 4 MiB receive window.
+constexpr std::size_t kMaxBodyReserve = std::size_t{1} << 20;
+
 const std::string* find_header(
     const std::vector<std::pair<std::string, std::string>>& headers,
     const std::string& name) {
@@ -192,6 +197,7 @@ void HttpParser::parse_head(std::string_view head) {
   }
   in_body_ = true;
   body_left_ = content_length;
+  body().reserve(std::min(content_length, kMaxBodyReserve));
 }
 
 void HttpParser::emit() {

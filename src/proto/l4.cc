@@ -1,5 +1,7 @@
 #include "proto/l4.h"
 
+#include <algorithm>
+
 #include "netsim/packet.h"
 
 namespace pvn {
@@ -73,6 +75,9 @@ std::optional<UdpDatagram> parse_udp(const Bytes& l4) {
 
 Bytes serialize_tcp(const TcpHeader& hdr, const Bytes& payload) {
   ByteWriter w;
+  const std::size_t sacks =
+      std::min(hdr.sacks.size(), TcpHeader::kMaxSackRanges);
+  w.reserve(TcpHeader::kWireSize + 8 * sacks + payload.size());
   hdr.encode(w);
   w.raw(payload);
   return std::move(w).take();
@@ -80,6 +85,7 @@ Bytes serialize_tcp(const TcpHeader& hdr, const Bytes& payload) {
 
 Bytes serialize_udp(const UdpHeader& hdr, const Bytes& payload) {
   ByteWriter w;
+  w.reserve(UdpHeader::kWireSize + payload.size());
   hdr.encode(w);
   w.raw(payload);
   return std::move(w).take();

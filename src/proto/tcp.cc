@@ -60,7 +60,7 @@ std::uint32_t TcpConnection::effective_window() const {
   return static_cast<std::uint32_t>(w) - flight;
 }
 
-bool TcpConnection::send(const Bytes& data) {
+bool TcpConnection::send(Bytes data) {
   if (state_ == State::kClosed || fin_pending_ || fin_sent_) return false;
   if (state_ == State::kFinWait || state_ == State::kLastAck) return false;
   if (unsent_bytes() + data.size() > cfg_.max_send_buffer) return false;
@@ -70,8 +70,12 @@ bool TcpConnection::send(const Bytes& data) {
                     send_buf_.begin() + static_cast<std::ptrdiff_t>(send_off_));
     send_off_ = 0;
   }
-  send_buf_.insert(send_buf_.end(), data.begin(), data.end());
   stats_.bytes_sent += data.size();
+  if (send_buf_.empty()) {
+    send_buf_ = std::move(data);  // nothing queued: adopt the caller's buffer
+  } else {
+    send_buf_.insert(send_buf_.end(), data.begin(), data.end());
+  }
   try_send();
   return true;
 }
@@ -454,6 +458,14 @@ void TcpConnection::handle_ack(const TcpHeader& hdr) {
   }
 }
 
+void TcpConnection::deliver(std::uint32_t seq, Bytes data) {
+  const std::size_t skip = rcv_nxt_ - seq;
+  if (skip > 0) data.erase(data.begin(), data.begin() + static_cast<std::ptrdiff_t>(skip));
+  rcv_nxt_ += static_cast<std::uint32_t>(data.size());
+  stats_.bytes_delivered += data.size();
+  if (on_data) on_data(data);
+}
+
 void TcpConnection::deliver_in_order() {
   bool delivered = true;
   while (delivered) {
@@ -466,11 +478,7 @@ void TcpConnection::deliver_in_order() {
       it = reorder_.erase(it);
       const std::uint32_t end = seq + static_cast<std::uint32_t>(data.size());
       if (seq_le(end, rcv_nxt_)) continue;  // fully duplicate
-      const std::size_t skip = rcv_nxt_ - seq;
-      if (skip > 0) data.erase(data.begin(), data.begin() + static_cast<std::ptrdiff_t>(skip));
-      rcv_nxt_ += static_cast<std::uint32_t>(data.size());
-      stats_.bytes_delivered += data.size();
-      if (on_data) on_data(data);
+      deliver(seq, std::move(data));
       delivered = true;
       break;  // reorder_ may have changed; restart scan
     }
@@ -551,7 +559,11 @@ void TcpConnection::on_segment(const IpHeader& ip, TcpSegment seg) {
       // Entirely old data: re-ACK so the sender can advance.
       send_ack();
     } else {
-      if (reorder_.try_emplace(seq, std::move(seg.payload)).second) {
+      if (reorder_.empty() && seq_le(seq, rcv_nxt_)) {
+        // In order with nothing held back: reorder_ keeps only data that
+        // arrived ahead of a hole.
+        deliver(seq, std::move(seg.payload));
+      } else if (reorder_.try_emplace(seq, std::move(seg.payload)).second) {
         reorder_bytes_ += payload_len;
       }
       deliver_in_order();

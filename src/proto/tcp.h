@@ -84,8 +84,10 @@ class TcpConnection {
   Port local_port() const { return local_port_; }
 
   // Appends bytes to the send buffer. Returns false (and accepts nothing)
-  // if the buffer is full or the connection cannot send.
-  bool send(const Bytes& data);
+  // if the buffer is full or the connection cannot send. An empty send
+  // buffer adopts `data` instead of copying it, so pass an rvalue to skip
+  // the copy.
+  bool send(Bytes data);
 
   // Graceful close: FIN is emitted once the send buffer drains.
   void close();
@@ -122,6 +124,9 @@ class TcpConnection {
   void recovery_send();
   std::uint64_t estimate_pipe() const;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> sack_ranges() const;
+  // Hands the bytes of [seq, seq + data.size()) past rcv_nxt_ to on_data
+  // (seq <= rcv_nxt_ < its end).
+  void deliver(std::uint32_t seq, Bytes data);
   void deliver_in_order();
   void update_rtt(SimDuration sample);
   void enter_closed();

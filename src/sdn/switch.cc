@@ -172,11 +172,16 @@ void SdnSwitch::execute(const ActionList& actions, std::size_t start,
         if (delay > 0) {
           // Copy the tail of the action list: the rule may be removed
           // before the deferred continuation runs.
-          sim().schedule_after(
-              delay, SimCategory::kMbox, [this, acts = actions, i, out = std::move(out),
-                      in_port]() mutable {
-                execute(acts, i + 1, std::move(out), in_port);
-              });
+          const auto rest =
+              actions.begin() + static_cast<std::ptrdiff_t>(i + 1);
+          auto resume = [this, tail = ActionList(rest, actions.end()),
+                         out = std::move(out), in_port]() mutable {
+            execute(tail, 0, std::move(out), in_port);
+          };
+          // One continuation per diverted packet: it must fit EventFn's
+          // inline buffer so the tail copy is its only allocation.
+          static_assert(sizeof(resume) <= EventFn::kInlineSize);
+          sim().schedule_after(delay, SimCategory::kMbox, std::move(resume));
         } else {
           execute(actions, i + 1, std::move(out), in_port);
         }

@@ -3,18 +3,24 @@
 namespace pvn {
 
 void ByteWriter::u16(std::uint16_t v) {
-  u8(static_cast<std::uint8_t>(v >> 8));
-  u8(static_cast<std::uint8_t>(v));
+  const std::uint8_t b[2] = {static_cast<std::uint8_t>(v >> 8),
+                             static_cast<std::uint8_t>(v)};
+  buf_.insert(buf_.end(), b, b + 2);
 }
 
 void ByteWriter::u32(std::uint32_t v) {
-  u16(static_cast<std::uint16_t>(v >> 16));
-  u16(static_cast<std::uint16_t>(v));
+  const std::uint8_t b[4] = {
+      static_cast<std::uint8_t>(v >> 24), static_cast<std::uint8_t>(v >> 16),
+      static_cast<std::uint8_t>(v >> 8), static_cast<std::uint8_t>(v)};
+  buf_.insert(buf_.end(), b, b + 4);
 }
 
 void ByteWriter::u64(std::uint64_t v) {
-  u32(static_cast<std::uint32_t>(v >> 32));
-  u32(static_cast<std::uint32_t>(v));
+  std::uint8_t b[8];
+  for (int i = 0; i < 8; ++i) {
+    b[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
+  }
+  buf_.insert(buf_.end(), b, b + 8);
 }
 
 void ByteWriter::f64(double v) {
@@ -86,6 +92,11 @@ Bytes ByteReader::raw(std::size_t n) {
   const std::uint8_t* p = nullptr;
   if (!take(n, &p)) return {};
   return Bytes(p, p + n);
+}
+
+void ByteReader::skip(std::size_t n) {
+  const std::uint8_t* p = nullptr;
+  take(n, &p);
 }
 
 Bytes ByteReader::blob() {

@@ -123,6 +123,8 @@ class ByteReader {
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   double f64();
   Bytes raw(std::size_t n);
+  // Advances past n bytes without copying them; overruns latch like raw().
+  void skip(std::size_t n);
   Bytes blob();
   std::string str();
 

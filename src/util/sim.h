@@ -97,7 +97,11 @@ struct SimProfile {
 // inline; larger ones fall back to a heap allocation.
 class EventFn {
  public:
-  static constexpr std::size_t kInlineSize = 120;
+  // The smallest size that holds the two per-packet callbacks, each
+  // static_assert'ed where it is built: link delivery (a Packet plus the
+  // link's pointers) and the switch's deferred middlebox continuation (a
+  // Packet, the action tail and the ingress port, 136 B on LP64).
+  static constexpr std::size_t kInlineSize = 136;
 
   EventFn() = default;
 

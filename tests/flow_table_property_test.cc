@@ -82,7 +82,10 @@ Ipv4Addr random_addr(Rng& rng) {
 FlowRule random_rule(Rng& rng, int index) {
   FlowRule rule;
   rule.priority = static_cast<int>(rng.next_below(4)) * 10;
-  rule.cookie = "r" + std::to_string(index);
+  // Appended, not "r" + std::to_string(...): GCC 12's -Wrestrict misfires
+  // on that temporary concatenation in Release builds.
+  rule.cookie = "r";
+  rule.cookie += std::to_string(index);
   FlowMatch& m = rule.match;
   if (rng.bernoulli(0.3)) m.in_port = static_cast<int>(rng.next_below(3));
   if (rng.bernoulli(0.5)) {

@@ -165,6 +165,42 @@ TEST(TrackerBlocker, DropsOnlyTrackerDestinations) {
   EXPECT_EQ(blocker.blocked(), 1u);
 }
 
+// --- TlsValidator -------------------------------------------------------------------
+
+// The validator reads the ports before it parses a segment. Every prefix of
+// a port-443 SYN too short to parse, and a whole segment on another port, is
+// forwarded and leaves the state a fresh validator has.
+TEST(TlsValidator, ShortOrOtherPortSegmentsLeaveNoState) {
+  Network net;
+  TrustStore trust;
+  TlsValidator validator(trust, EnforcementMode::kBlock);
+  const Bytes fresh = validator.serialize_state();
+  MboxContext ctx;
+  TcpHeader syn;
+  syn.src_port = 50000;
+  syn.dst_port = 443;
+  syn.flags = kTcpSyn;
+  const Bytes wire = serialize_tcp(syn, {});
+  const auto packet = [&](Bytes l4) {
+    return net.make_packet(Ipv4Addr(10, 0, 0, 2), Ipv4Addr(93, 184, 216, 34),
+                           IpProto::kTcp, std::move(l4));
+  };
+  for (std::size_t cut = 0; cut < wire.size(); ++cut) {
+    Packet pkt = packet(Bytes(wire.begin(),
+                              wire.begin() + static_cast<std::ptrdiff_t>(cut)));
+    EXPECT_EQ(validator.process(pkt, ctx), Middlebox::Verdict::kForward) << cut;
+    EXPECT_EQ(validator.serialize_state(), fresh) << cut;
+  }
+  Packet other = http_packet(net, Ipv4Addr(10, 0, 0, 2),
+                             Ipv4Addr(93, 184, 216, 34), "not tls", 50000, 8443);
+  EXPECT_EQ(validator.process(other, ctx), Middlebox::Verdict::kForward);
+  EXPECT_EQ(validator.serialize_state(), fresh);
+
+  Packet whole = packet(wire);  // the whole SYN starts tracking its flow
+  EXPECT_EQ(validator.process(whole, ctx), Middlebox::Verdict::kForward);
+  EXPECT_NE(validator.serialize_state(), fresh);
+}
+
 // --- MalwareDetector ----------------------------------------------------------------
 
 TEST(MalwareDetector, BlocksSignatureHit) {

@@ -363,6 +363,101 @@ TEST(SdnSwitch, MboxDelayIsCharged) {
   EXPECT_GE(arrival, microseconds(45));
 }
 
+// A TestProcessor that runs `on_enter` as each packet enters the chain and,
+// with `twice`, emits a second copy (tos 0x66) after the first.
+class HookedProcessor : public TestProcessor {
+ public:
+  std::vector<Packet> process(Packet pkt, SimTime now,
+                              SimDuration& delay) override {
+    if (on_enter) on_enter();
+    std::vector<Packet> out = TestProcessor::process(std::move(pkt), now, delay);
+    if (twice && !out.empty()) {
+      Packet copy = out.front();
+      copy.ip.tos = 0x66;
+      out.push_back(std::move(copy));
+    }
+    return out;
+  }
+  std::function<void()> on_enter;
+  bool twice = false;
+};
+
+// The chain holds each packet for TestProcessor's 45 us; these tests change
+// the diverting rule 10 us into that hold. The continuation must run the
+// actions of the rule the packet matched, not whatever the table holds now.
+struct DeferredTopo : SwitchTopo {
+  HookedProcessor proc;
+
+  DeferredTopo() {
+    sw->register_processor("c1", &proc);
+    FlowRule rule;
+    rule.cookie = "pvn:dev";
+    rule.actions.push_back(ActMbox{"c1"});
+    rule.actions.push_back(ActOutput{1});
+    sw->table(0).add(rule);
+  }
+
+  // Runs `change` 10 us after a packet enters the chain.
+  void change_rule_in_hold(std::function<void()> change) {
+    proc.on_enter = [this, change = std::move(change)] {
+      net.sim().schedule_after(microseconds(10), change);
+    };
+  }
+
+  void send_one() {
+    left->send(0, udp_packet(net, Ipv4Addr(1, 1, 1, 1), Ipv4Addr(2, 2, 2, 2),
+                             1, 2));
+  }
+};
+
+TEST(SdnSwitch, DeferredContinuationSurvivesRuleRemoval) {
+  DeferredTopo t;
+  t.change_rule_in_hold(
+      [&] { EXPECT_EQ(t.sw->table(0).remove_by_cookie("pvn:dev"), 1u); });
+  t.send_one();
+  t.net.sim().run();
+  EXPECT_EQ(t.sw->table(0).size(), 0u);
+  ASSERT_EQ(t.right->received.size(), 1u);  // out port 1, exactly once
+  EXPECT_EQ(t.right->received[0].ip.tos, 0x55);
+  EXPECT_TRUE(t.left->received.empty());
+  EXPECT_EQ(t.sw->stats().forwarded, 1u);
+}
+
+TEST(SdnSwitch, DeferredContinuationFollowsTheReplacedRule) {
+  DeferredTopo t;
+  t.change_rule_in_hold([&] {
+    t.sw->table(0).remove_by_cookie("pvn:dev");
+    FlowRule back;
+    back.cookie = "pvn:dev";
+    back.actions.push_back(ActOutput{0});
+    t.sw->table(0).add(back);
+  });
+  t.send_one();
+  t.net.sim().run();
+  ASSERT_EQ(t.right->received.size(), 1u);  // the old rule's port
+  EXPECT_TRUE(t.left->received.empty());
+
+  // A packet arriving after the swap follows the new rule.
+  t.send_one();
+  t.net.sim().run();
+  EXPECT_EQ(t.right->received.size(), 1u);
+  EXPECT_EQ(t.left->received.size(), 1u);
+  EXPECT_EQ(t.proc.calls, 1);
+}
+
+TEST(SdnSwitch, DeferredContinuationRunsForEveryEmittedPacketInOrder) {
+  DeferredTopo t;
+  t.proc.twice = true;
+  t.change_rule_in_hold([&] { t.sw->table(0).remove_by_cookie("pvn:dev"); });
+  t.send_one();
+  t.net.sim().run();
+  ASSERT_EQ(t.right->received.size(), 2u);
+  EXPECT_EQ(t.right->received[0].ip.tos, 0x55);
+  EXPECT_EQ(t.right->received[1].ip.tos, 0x66);
+  EXPECT_EQ(t.sw->stats().forwarded, 2u);
+  EXPECT_EQ(t.proc.calls, 1);
+}
+
 TEST(SdnSwitch, UnregisteredChainDrops) {
   SwitchTopo t;
   FlowRule rule;

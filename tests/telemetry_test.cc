@@ -169,7 +169,11 @@ TEST(Span, EvictedOpenListIsBoundedByCapacity) {
   SpanRecorder rec(2);
   std::vector<telemetry::Span> open;
   for (int i = 0; i < 6; ++i) {
-    open.push_back(rec.start("s" + std::to_string(i), "t", ""));
+    // Appended, not "s" + std::to_string(i): GCC 12's -Wrestrict misfires
+    // on that temporary concatenation in Release builds.
+    std::string name = "s";
+    name += std::to_string(i);
+    open.push_back(rec.start(name, "t", ""));
   }
   // 6 opens through a 2-slot ring: 4 evictions, side list capped at 2.
   EXPECT_EQ(rec.evicted_open(), 2u);

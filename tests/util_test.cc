@@ -343,6 +343,10 @@ TEST(Bytes, BigEndianLayout) {
   ASSERT_EQ(w.size(), 4u);
   EXPECT_EQ(w.bytes()[0], 0x01);
   EXPECT_EQ(w.bytes()[3], 0x04);
+  w.u16(0x0506);
+  w.u64(0x0708090A0B0C0D0Eull);
+  const Bytes want = {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14};
+  EXPECT_EQ(w.bytes(), want);
 }
 
 TEST(Bytes, RoundTripStringsAndBlobs) {
@@ -381,6 +385,24 @@ TEST(Bytes, EmptyReaderIsExhausted) {
   ByteReader r(Bytes{});
   EXPECT_TRUE(r.exhausted());
   EXPECT_EQ(r.remaining(), 0u);
+}
+
+TEST(Bytes, SkipAdvancesAndLatchesOverrun) {
+  ByteWriter w;
+  w.u32(0xDEADBEEF);
+  w.u16(0x0A0B);
+  ByteReader r(w.bytes());
+  r.skip(4);
+  EXPECT_TRUE(r.ok());
+  EXPECT_EQ(r.u16(), 0x0A0B);
+  EXPECT_TRUE(r.exhausted());
+
+  ByteReader past(w.bytes());
+  past.skip(7);  // one byte beyond the end
+  EXPECT_FALSE(past.ok());
+  EXPECT_EQ(past.remaining(), 0u);
+  EXPECT_EQ(past.u8(), 0u);  // still failed
+  EXPECT_FALSE(past.ok());
 }
 
 // --- Digest / HMAC / signatures ------------------------------------------------
