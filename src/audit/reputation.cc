@@ -69,13 +69,17 @@ double misbehavior_weight(Misbehavior m) {
 }
 
 HostScoreboard::HostScoreboard(HostScoreboardConfig cfg) : cfg_(cfg) {
-  auto& reg = telemetry::MetricsRegistry::global();
+  violations_.reserve(kMisbehaviorCount);
   for (std::size_t i = 0; i < kMisbehaviorCount; ++i) {
-    m_violations_[i] = &reg.counter("audit.reputation.violations",
-                                    to_string(static_cast<Misbehavior>(i)));
+    violations_.emplace_back("audit.reputation.violations",
+                             to_string(static_cast<Misbehavior>(i)));
   }
-  m_quarantine_enters_ = &reg.counter("audit.reputation.quarantine_enters");
-  m_quarantine_exits_ = &reg.counter("audit.reputation.quarantine_exits");
+}
+
+std::uint64_t HostScoreboard::violations() const {
+  std::uint64_t total = 0;
+  for (const telemetry::Tally& t : violations_) total += t.value();
+  return total;
 }
 
 double HostScoreboard::decayed_distrust(const Entry& e, SimTime now) const {
@@ -108,9 +112,7 @@ void HostScoreboard::report(const std::string& host, Misbehavior what,
   // zero trust asymptotically, and a severe class dominates a mild one.
   const double w = misbehavior_weight(what);
   e.distrust = 1.0 - (1.0 - e.distrust) * (1.0 - w);
-  ++violations_;
-  ++by_class_[static_cast<std::size_t>(what)];
-  m_violations_[static_cast<std::size_t>(what)]->inc();
+  violations_[static_cast<std::size_t>(what)].inc();
   telemetry::SpanRecorder::global().instant(
       std::string("violation_") + to_string(what), "reputation", host);
   // Latch quarantine at report time, not only when someone asks: between a
@@ -151,13 +153,11 @@ bool HostScoreboard::override_quarantine(const std::string& host,
   if (e.quarantined == quarantine) return false;  // idempotent
   e.quarantined = quarantine;
   if (quarantine) {
-    ++enters_;
-    m_quarantine_enters_->inc();
+    enters_.inc();
     telemetry::SpanRecorder::global().instant("quarantine_force_enter",
                                               "reputation", host);
   } else {
-    ++exits_;
-    m_quarantine_exits_->inc();
+    exits_.inc();
     telemetry::SpanRecorder::global().instant("quarantine_force_exit",
                                               "reputation", host);
   }
@@ -168,14 +168,12 @@ void HostScoreboard::update_latch(Entry& e, const std::string& host,
                                   double score) {
   if (!e.quarantined && score < cfg_.quarantine_enter) {
     e.quarantined = true;
-    ++enters_;
-    m_quarantine_enters_->inc();
+    enters_.inc();
     telemetry::SpanRecorder::global().instant("quarantine_enter", "reputation",
                                               host);
   } else if (e.quarantined && score > cfg_.quarantine_exit) {
     e.quarantined = false;
-    ++exits_;
-    m_quarantine_exits_->inc();
+    exits_.inc();
     telemetry::SpanRecorder::global().instant("quarantine_exit", "reputation",
                                               host);
   }

@@ -112,12 +112,12 @@ class HostScoreboard {
   // report" condition the reputation-monotonicity invariant must flag.
   void debug_add_distrust(const std::string& host, double amount, SimTime now);
 
-  std::uint64_t violations() const { return violations_; }
+  std::uint64_t violations() const;
   std::uint64_t violations(Misbehavior m) const {
-    return by_class_[static_cast<std::size_t>(m)];
+    return violations_[static_cast<std::size_t>(m)].value();
   }
-  std::uint64_t quarantine_enters() const { return enters_; }
-  std::uint64_t quarantine_exits() const { return exits_; }
+  std::uint64_t quarantine_enters() const { return enters_.value(); }
+  std::uint64_t quarantine_exits() const { return exits_.value(); }
 
  private:
   struct Entry {
@@ -135,13 +135,10 @@ class HostScoreboard {
 
   HostScoreboardConfig cfg_;
   std::map<std::string, Entry> entries_;
-  std::uint64_t violations_ = 0;
-  std::uint64_t by_class_[kMisbehaviorCount] = {};
-  std::uint64_t enters_ = 0;
-  std::uint64_t exits_ = 0;
-  telemetry::Counter* m_violations_[kMisbehaviorCount] = {};
-  telemetry::Counter* m_quarantine_enters_ = nullptr;
-  telemetry::Counter* m_quarantine_exits_ = nullptr;
+  // One per Misbehavior, indexed by class; instance label = class name.
+  std::vector<telemetry::Tally> violations_;
+  telemetry::Tally enters_{"audit.reputation.quarantine_enters"};
+  telemetry::Tally exits_{"audit.reputation.quarantine_exits"};
 };
 
 // --- circuit breaker -------------------------------------------------------

@@ -40,9 +40,10 @@ FlowKey read_flow_key(ByteReader& r) {
 }
 
 Chain::Chain(std::string id, SimDuration per_packet_delay)
-    : id_(std::move(id)), per_packet_delay_(per_packet_delay) {
+    : id_(std::move(id)),
+      per_packet_delay_(per_packet_delay),
+      packets_("mbox.chain.packets", id_) {
   auto& reg = telemetry::MetricsRegistry::global();
-  m_packets_ = &reg.counter("mbox.chain.packets", id_);
   m_dropped_ = &reg.counter("mbox.chain.dropped", id_);
   m_findings_ = &reg.counter("mbox.chain.findings", id_);
   m_latency_ns_ =
@@ -59,8 +60,7 @@ void Chain::append(Middlebox* mbox) {
 
 std::vector<Packet> Chain::process(Packet pkt, SimTime now,
                                    SimDuration& delay) {
-  ++packets_;
-  m_packets_->inc();
+  packets_.inc();
   delay = per_packet_delay_;
   std::vector<Packet> injected;
   MboxContext ctx;
@@ -98,6 +98,13 @@ MboxHost::MboxHost(Simulator& sim, MboxHostConfig cfg) : sim_(&sim), cfg_(cfg) {
   m_crashes_ = &reg.counter("mbox.host.crashes");
   m_memory_in_use_ = &reg.gauge("mbox.host.memory_in_use");
   m_instances_ = &reg.gauge("mbox.host.instances");
+}
+
+MboxHost::~MboxHost() { withdraw_gauges(); }
+
+void MboxHost::withdraw_gauges() {
+  m_memory_in_use_->add(-memory_in_use_);
+  m_instances_->add(-static_cast<std::int64_t>(owned_.size()));
 }
 
 void MboxHost::instantiate(std::unique_ptr<Middlebox> mbox,
@@ -138,8 +145,8 @@ void MboxHost::instantiate(std::unique_ptr<Middlebox> mbox,
   Middlebox* raw = mbox.get();
   owned_.push_back(std::move(mbox));
   m_instantiations_->inc();
-  m_memory_in_use_->set(memory_in_use_);
-  m_instances_->set(static_cast<std::int64_t>(owned_.size()));
+  m_memory_in_use_->add(cfg_.memory_per_instance);
+  m_instances_->add(1);
   // A crash between now and the readiness event frees the instance; deliver
   // nullptr instead of the dangling pointer in that case.
   const int gen = crashes_;
@@ -156,8 +163,8 @@ bool MboxHost::destroy(Middlebox* mbox) {
   if (it == owned_.end()) return false;
   owned_.erase(it);
   memory_in_use_ -= cfg_.memory_per_instance;
-  m_memory_in_use_->set(memory_in_use_);
-  m_instances_->set(static_cast<std::int64_t>(owned_.size()));
+  m_memory_in_use_->add(-cfg_.memory_per_instance);
+  m_instances_->add(-1);
   return true;
 }
 
@@ -181,12 +188,11 @@ void MboxHost::crash() {
   if (crashed_) return;
   crashed_ = true;
   ++crashes_;
+  withdraw_gauges();
   owned_.clear();
   chains_.clear();
   memory_in_use_ = 0;
   m_crashes_->inc();
-  m_memory_in_use_->set(0);
-  m_instances_->set(0);
   if (crash_listener_) crash_listener_();
 }
 

@@ -37,7 +37,7 @@ class Chain : public PacketProcessor {
                               SimDuration& delay) override;
 
   const std::vector<MboxFinding>& findings() const { return findings_; }
-  std::uint64_t packets() const { return packets_; }
+  std::uint64_t packets() const { return packets_.value(); }
 
  private:
   // Per-module telemetry cells, cached at append() time so process() never
@@ -52,8 +52,7 @@ class Chain : public PacketProcessor {
   std::vector<Middlebox*> modules_;
   std::vector<ModuleCells> module_cells_;
   std::vector<MboxFinding> findings_;
-  std::uint64_t packets_ = 0;
-  telemetry::Counter* m_packets_ = nullptr;
+  telemetry::Tally packets_;
   telemetry::Counter* m_dropped_ = nullptr;
   telemetry::Counter* m_findings_ = nullptr;
   telemetry::Histogram* m_latency_ns_ = nullptr;
@@ -62,6 +61,10 @@ class Chain : public PacketProcessor {
 class MboxHost {
  public:
   explicit MboxHost(Simulator& sim, MboxHostConfig cfg = {});
+  ~MboxHost();
+
+  MboxHost(const MboxHost&) = delete;
+  MboxHost& operator=(const MboxHost&) = delete;
 
   // Instantiates a middlebox (charging instantiation delay + memory).
   // `ready` fires with the instance pointer, or nullptr if the host is out
@@ -103,6 +106,9 @@ class MboxHost {
   const MboxHostConfig& config() const { return cfg_; }
 
  private:
+  // Takes this host's instances and memory out of the process-wide gauges.
+  void withdraw_gauges();
+
   Simulator* sim_;
   MboxHostConfig cfg_;
   std::vector<std::unique_ptr<Middlebox>> owned_;
@@ -111,7 +117,9 @@ class MboxHost {
   bool crashed_ = false;
   int crashes_ = 0;
   std::function<void()> crash_listener_;
-  // Aggregate telemetry (hosts carry no name; one pool per testbed).
+  // Aggregate telemetry; hosts carry no name, so there is no instance label.
+  // The gauges sum over live hosts: each host adds and subtracts its own
+  // deltas and withdraws what it still holds on crash and destruction.
   telemetry::Counter* m_instantiations_ = nullptr;
   telemetry::Counter* m_instantiation_failures_ = nullptr;
   telemetry::Counter* m_crashes_ = nullptr;

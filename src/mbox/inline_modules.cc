@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "proto/framing.h"
+
 namespace pvn {
 namespace {
 
@@ -249,18 +251,8 @@ Middlebox::Verdict TlsValidator::process(Packet& pkt, MboxContext& ctx) {
 
   // Reassemble complete length-prefixed frames, keeping any remainder
   // buffered for the next segment.
-  std::vector<Bytes> frames;
   st.buffer.insert(st.buffer.end(), seg->payload.begin(), seg->payload.end());
-  for (;;) {
-    if (st.buffer.size() < 4) break;
-    const std::uint32_t len = (std::uint32_t(st.buffer[0]) << 24) |
-                              (std::uint32_t(st.buffer[1]) << 16) |
-                              (std::uint32_t(st.buffer[2]) << 8) |
-                              std::uint32_t(st.buffer[3]);
-    if (st.buffer.size() < 4u + len) break;
-    frames.emplace_back(st.buffer.begin() + 4, st.buffer.begin() + 4 + len);
-    st.buffer.erase(st.buffer.begin(), st.buffer.begin() + 4 + len);
-  }
+  const std::vector<Bytes> frames = take_frames(st.buffer);
   Verdict verdict = Verdict::kForward;
   for (const Bytes& frame : frames) {
     const auto rec = TlsRecord::decode(frame);

@@ -36,13 +36,6 @@ OpsEndpoint::OpsEndpoint(Host& host, OpsEndpointConfig cfg)
                "Barrier-consistent health-alert queries served");
   reg.describe("ops.endpoint.causal_traces",
                "Stitched causal-trace queries served");
-  m_requests_ = &reg.counter("ops.endpoint.requests");
-  m_alerts_ = &reg.counter("ops.endpoint.alerts");
-  m_traces_ = &reg.counter("ops.endpoint.causal_traces");
-  m_snapshots_ = &reg.counter("ops.endpoint.snapshots");
-  m_applied_ = &reg.counter("ops.endpoint.reconfigs_applied");
-  m_duplicates_ = &reg.counter("ops.endpoint.duplicates");
-  m_malformed_ = &reg.counter("ops.endpoint.malformed");
   host_->bind_udp(cfg_.port, [this](Ipv4Addr src, Port sport, Port,
                                     const Bytes& payload) {
     on_datagram(src, sport, payload);
@@ -68,8 +61,7 @@ void OpsEndpoint::on_datagram(Ipv4Addr src, Port sport,
                               const Bytes& payload) {
   const auto msg = ops_unwrap(payload);
   if (!msg) {
-    ++malformed_;
-    m_malformed_->inc();
+    malformed_.inc();
     return;
   }
   const auto& [type, body] = *msg;
@@ -78,48 +70,42 @@ void OpsEndpoint::on_datagram(Ipv4Addr src, Port sport,
   switch (type) {
     case OpsMsgType::kSnapshotRequest:
       if (const auto q = OpsSnapshotRequest::decode(body)) {
-        ++requests_;
-        m_requests_->inc();
+        requests_.inc();
         handle_snapshot(src, sport, *q);
         return;
       }
       break;
     case OpsMsgType::kSessionQuery:
       if (const auto q = OpsSessionQuery::decode(body)) {
-        ++requests_;
-        m_requests_->inc();
+        requests_.inc();
         handle_session(src, sport, *q);
         return;
       }
       break;
     case OpsMsgType::kReconfigRequest:
       if (const auto q = OpsReconfigRequest::decode(body)) {
-        ++requests_;
-        m_requests_->inc();
+        requests_.inc();
         handle_reconfig(src, sport, *q);
         return;
       }
       break;
     case OpsMsgType::kTraceDumpRequest:
       if (const auto q = OpsTraceDumpRequest::decode(body)) {
-        ++requests_;
-        m_requests_->inc();
+        requests_.inc();
         handle_trace(src, sport, *q);
         return;
       }
       break;
     case OpsMsgType::kAlertsRequest:
       if (const auto q = OpsAlertsRequest::decode(body)) {
-        ++requests_;
-        m_requests_->inc();
+        requests_.inc();
         handle_alerts(src, sport, *q);
         return;
       }
       break;
     case OpsMsgType::kTraceRequest:
       if (const auto q = OpsTraceRequest::decode(body)) {
-        ++requests_;
-        m_requests_->inc();
+        requests_.inc();
         handle_causal_trace(src, sport, *q);
         return;
       }
@@ -127,8 +113,7 @@ void OpsEndpoint::on_datagram(Ipv4Addr src, Port sport,
     default:
       break;  // reply types arriving at the server: drop
   }
-  ++malformed_;
-  m_malformed_->inc();
+  malformed_.inc();
 }
 
 void OpsEndpoint::handle_snapshot(Ipv4Addr src, Port sport,
@@ -159,8 +144,7 @@ void OpsEndpoint::handle_snapshot(Ipv4Addr src, Port sport,
       reply.samples.push_back(std::move(m));
     }
     reply.digest = ops_snapshot_digest(reply.samples);
-    ++snapshots_;
-    m_snapshots_->inc();
+    snapshots_.inc();
     // Send from the cut instant, as an ordinary event on our shard (the
     // coordinator is between windows here, so this schedules directly).
     Bytes datagram = reply.encode();
@@ -220,10 +204,7 @@ void OpsEndpoint::finalize_reconfig(Ipv4Addr src, Port sport,
     it->second.done = true;
     it->second.reply = reply.encode();
   }
-  if (reply.applied) {
-    ++applied_;
-    m_applied_->inc();
-  }
+  if (reply.applied) applied_.inc();
   audit_.push_back(AuditEntry{host_->sim().now(), src, reply.seq, reply.verb,
                               reply.ok, reply.applied, detail, {}});
   while (audit_.size() > cfg_.audit_capacity) audit_.pop_front();
@@ -236,8 +217,7 @@ void OpsEndpoint::handle_reconfig(Ipv4Addr src, Port sport,
   const ReplyKey key{static_cast<std::uint64_t>(src.v), q.seq};
   const auto cached = reply_cache_.find(key);
   if (cached != reply_cache_.end()) {
-    ++duplicates_;
-    m_duplicates_->inc();
+    duplicates_.inc();
     if (cached->second.done) {
       // Retransmission of a completed verb: re-send the cached reply
       // verbatim, never re-apply.
@@ -372,8 +352,7 @@ void OpsEndpoint::handle_alerts(Ipv4Addr src, Port sport,
       reply.alerts = health_->alerts();
     }
     reply.digest = ops_alerts_digest(reply.alerts);
-    ++alerts_served_;
-    m_alerts_->inc();
+    alerts_served_.inc();
     std::size_t firing = 0;
     for (const OpsAlert& a : reply.alerts) firing += a.firing;
     Bytes datagram = reply.encode();
@@ -422,8 +401,7 @@ void OpsEndpoint::handle_causal_trace(Ipv4Addr src, Port sport,
     reply.digest =
         ops_trace_digest(reply.trace_id, reply.session, reply.start,
                          reply.end, reply.spans, reply.critical);
-    ++traces_served_;
-    m_traces_->inc();
+    traces_served_.inc();
     Bytes datagram = reply.encode();
     group.post(my_shard, cut, SimCategory::kPvnControl,
                [this, src, sport, q, found = reply.found,

@@ -96,13 +96,13 @@ class OpsEndpoint {
   };
   const std::deque<AuditEntry>& audit_log() const { return audit_; }
 
-  std::uint64_t requests_seen() const { return requests_; }
-  std::uint64_t snapshots_served() const { return snapshots_; }
-  std::uint64_t alerts_served() const { return alerts_served_; }
-  std::uint64_t traces_served() const { return traces_served_; }
-  std::uint64_t reconfigs_applied() const { return applied_; }
-  std::uint64_t duplicates_suppressed() const { return duplicates_; }
-  std::uint64_t malformed_dropped() const { return malformed_; }
+  std::uint64_t requests_seen() const { return requests_.value(); }
+  std::uint64_t snapshots_served() const { return snapshots_.value(); }
+  std::uint64_t alerts_served() const { return alerts_served_.value(); }
+  std::uint64_t traces_served() const { return traces_served_.value(); }
+  std::uint64_t reconfigs_applied() const { return applied_.value(); }
+  std::uint64_t duplicates_suppressed() const { return duplicates_.value(); }
+  std::uint64_t malformed_dropped() const { return malformed_.value(); }
 
  private:
   struct CachedReply {
@@ -141,20 +141,13 @@ class OpsEndpoint {
   std::deque<ReplyKey> reply_order_;  // FIFO eviction
   std::deque<AuditEntry> audit_;
 
-  std::uint64_t requests_ = 0;
-  std::uint64_t snapshots_ = 0;
-  std::uint64_t alerts_served_ = 0;
-  std::uint64_t traces_served_ = 0;
-  std::uint64_t applied_ = 0;
-  std::uint64_t duplicates_ = 0;
-  std::uint64_t malformed_ = 0;
-  telemetry::Counter* m_requests_ = nullptr;
-  telemetry::Counter* m_alerts_ = nullptr;
-  telemetry::Counter* m_traces_ = nullptr;
-  telemetry::Counter* m_snapshots_ = nullptr;
-  telemetry::Counter* m_applied_ = nullptr;
-  telemetry::Counter* m_duplicates_ = nullptr;
-  telemetry::Counter* m_malformed_ = nullptr;
+  telemetry::Tally requests_{"ops.endpoint.requests"};
+  telemetry::Tally snapshots_{"ops.endpoint.snapshots"};
+  telemetry::Tally alerts_served_{"ops.endpoint.alerts"};
+  telemetry::Tally traces_served_{"ops.endpoint.causal_traces"};
+  telemetry::Tally applied_{"ops.endpoint.reconfigs_applied"};
+  telemetry::Tally duplicates_{"ops.endpoint.duplicates"};
+  telemetry::Tally malformed_{"ops.endpoint.malformed"};
 };
 
 }  // namespace pvn

@@ -1,15 +1,39 @@
 // Length-prefixed message framing over a TCP byte stream.
 //
 // TLS records, HTTP-lite messages, and PVN control messages are framed as
-// u32-length-prefixed blobs. StreamFramer reassembles complete frames from
-// arbitrary stream chunk boundaries.
+// u32-length-prefixed blobs. take_frames() cuts complete frames off a
+// reassembly buffer; StreamFramer feeds it from arbitrary stream chunk
+// boundaries.
 #pragma once
 
+#include <cstddef>
 #include <functional>
+#include <vector>
 
 #include "util/bytes.h"
 
 namespace pvn {
+
+// Removes every complete frame from the front of `buf` and returns their
+// payloads in order; a trailing partial frame stays buffered. Lengths are
+// summed in size_t, so a prefix near 2^32 waits for its bytes instead of
+// wrapping into a short frame, and the consumed prefix is erased once.
+inline std::vector<Bytes> take_frames(Bytes& buf) {
+  std::vector<Bytes> frames;
+  std::size_t pos = 0;
+  while (buf.size() - pos >= 4) {
+    const std::size_t len = (std::size_t{buf[pos]} << 24) |
+                            (std::size_t{buf[pos + 1]} << 16) |
+                            (std::size_t{buf[pos + 2]} << 8) |
+                            std::size_t{buf[pos + 3]};
+    if (buf.size() - pos - 4 < len) break;
+    const auto body = buf.begin() + static_cast<std::ptrdiff_t>(pos + 4);
+    frames.emplace_back(body, body + static_cast<std::ptrdiff_t>(len));
+    pos += 4 + len;
+  }
+  buf.erase(buf.begin(), buf.begin() + static_cast<std::ptrdiff_t>(pos));
+  return frames;
+}
 
 class StreamFramer {
  public:
@@ -28,17 +52,7 @@ class StreamFramer {
   // Feeds received stream bytes; emits complete frames via the handler.
   void feed(const Bytes& chunk) {
     buf_.insert(buf_.end(), chunk.begin(), chunk.end());
-    for (;;) {
-      if (buf_.size() < 4) return;
-      const std::uint32_t len = (std::uint32_t(buf_[0]) << 24) |
-                                (std::uint32_t(buf_[1]) << 16) |
-                                (std::uint32_t(buf_[2]) << 8) |
-                                std::uint32_t(buf_[3]);
-      if (buf_.size() < 4u + len) return;
-      Bytes frame(buf_.begin() + 4, buf_.begin() + 4 + len);
-      buf_.erase(buf_.begin(), buf_.begin() + 4 + len);
-      on_frame_(std::move(frame));
-    }
+    for (Bytes& frame : take_frames(buf_)) on_frame_(std::move(frame));
   }
 
   std::size_t buffered() const { return buf_.size(); }

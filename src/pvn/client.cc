@@ -28,13 +28,7 @@ PvnClient::PvnClient(Host& host, Pvnc pvnc, ClientConfig cfg)
   m_offers_received_ = &reg.counter("pvn.client.offers_received");
   m_deploys_ok_ = &reg.counter("pvn.client.deploys_ok");
   m_deploys_failed_ = &reg.counter("pvn.client.deploys_failed");
-  m_retransmissions_ = &reg.counter("pvn.client.deploy_retransmissions");
   m_offer_expiries_ = &reg.counter("pvn.client.offer_expiries");
-  m_failovers_ = &reg.counter("pvn.client.failovers");
-  m_recoveries_ = &reg.counter("pvn.client.recoveries");
-  m_renews_sent_ = &reg.counter("pvn.client.renews_sent");
-  m_renews_acked_ = &reg.counter("pvn.client.renews_acked");
-  m_migrations_ = &reg.counter("pvn.client.migrations");
   m_deploy_latency_ = &reg.histogram("pvn.client.deploy_latency_ns",
                                      telemetry::latency_bounds_ns());
   m_blackout_ = &reg.histogram("pvn.client.blackout_ns",
@@ -366,8 +360,7 @@ void PvnClient::send_deploy_request() {
   ++deploy_attempt_;
   outcome_.deploy_attempts = deploy_attempt_;
   if (deploy_attempt_ > 1) {
-    ++retransmissions_;
-    m_retransmissions_->inc();
+    retransmissions_.inc();
     telemetry::SpanRecorder::global().instant(
         "retransmit", "pvn", pvnc_.name, phase_span_.context(), host_->name());
   }
@@ -523,8 +516,7 @@ void PvnClient::enter_active(const DeployOutcome& outcome) {
         migrate_drain_, SimCategory::kPvnControl, [this, old_server] {
           drain_timer_ = kInvalidEventId;
           teardown(old_server);
-          ++migrations_;
-          m_migrations_->inc();
+          migrations_.inc();
           telemetry::SpanRecorder::global().instant(
               "migration_switchover", "pvn", pvnc_.name,
               cycle_span_.context(), host_->name());
@@ -546,8 +538,7 @@ void PvnClient::enter_active(const DeployOutcome& outcome) {
     in_fallback_ = false;
     m_blackout_->observe(
         static_cast<std::uint64_t>(host_->sim().now() - blackout_started_));
-    ++recoveries_;
-    m_recoveries_->inc();
+    recoveries_.inc();
     telemetry::SpanRecorder::global().instant("recovery", "pvn", pvnc_.name,
                                               cycle_span_.context(),
                                               host_->name());
@@ -593,8 +584,7 @@ void PvnClient::enter_fallback() {
   if (!in_fallback_) {
     in_fallback_ = true;
     blackout_started_ = host_->sim().now();
-    ++failovers_;
-    m_failovers_->inc();
+    failovers_.inc();
     telemetry::SpanRecorder::global().instant("failover", "pvn", pvnc_.name,
                                               cycle_span_.context(),
                                               host_->name());
@@ -646,8 +636,7 @@ void PvnClient::send_renew() {
                   wrap(PvnMsgType::kLeaseRenew, renew.encode(),
                        lease_span_.context()),
                   0, lease_span_.context().trace_id);
-  ++renews_sent_;
-  m_renews_sent_->inc();
+  renews_sent_.inc();
   ++renew_misses_;  // cleared when the ack arrives
   renew_timer_ = host_->sim().schedule_after(
       renew_delay(), SimCategory::kPvnControl, [this] {
@@ -665,8 +654,7 @@ void PvnClient::on_lease_ack(const LeaseAck& ack) {
     return;
   }
   renew_misses_ = 0;
-  renews_acked_ += 1;
-  m_renews_acked_->inc();
+  renews_acked_.inc();
   if (ack.lease_duration > 0) lease_ = ack.lease_duration;
   degraded_modules_ = ack.degraded_modules;
 }

@@ -177,12 +177,12 @@ class PvnClient {
   const Pvnc& pvnc() const { return pvnc_; }
 
   // Resilience telemetry.
-  std::uint64_t retransmissions() const { return retransmissions_; }
-  std::uint64_t failovers() const { return failovers_; }
-  std::uint64_t recoveries() const { return recoveries_; }
-  std::uint64_t renews_sent() const { return renews_sent_; }
-  std::uint64_t renews_acked() const { return renews_acked_; }
-  std::uint64_t migrations() const { return migrations_; }
+  std::uint64_t retransmissions() const { return retransmissions_.value(); }
+  std::uint64_t failovers() const { return failovers_.value(); }
+  std::uint64_t recoveries() const { return recoveries_.value(); }
+  std::uint64_t renews_sent() const { return renews_sent_.value(); }
+  std::uint64_t renews_acked() const { return renews_acked_.value(); }
+  std::uint64_t migrations() const { return migrations_.value(); }
   // Robustness telemetry.
   std::uint64_t offers_rejected() const { return offers_rejected_; }
   std::uint64_t offers_quarantined() const { return offers_quarantined_; }
@@ -270,12 +270,13 @@ class PvnClient {
   SimDuration migrate_drain_ = 0;
   EventId drain_timer_ = kInvalidEventId;
 
-  std::uint64_t retransmissions_ = 0;
-  std::uint64_t failovers_ = 0;
-  std::uint64_t recoveries_ = 0;
-  std::uint64_t renews_sent_ = 0;
-  std::uint64_t renews_acked_ = 0;
-  std::uint64_t migrations_ = 0;
+  // Session event counts; each also feeds its pvn.client.* series.
+  telemetry::Tally retransmissions_{"pvn.client.deploy_retransmissions"};
+  telemetry::Tally failovers_{"pvn.client.failovers"};
+  telemetry::Tally recoveries_{"pvn.client.recoveries"};
+  telemetry::Tally renews_sent_{"pvn.client.renews_sent"};
+  telemetry::Tally renews_acked_{"pvn.client.renews_acked"};
+  telemetry::Tally migrations_{"pvn.client.migrations"};
 
   // Untrusted-host defense state.
   std::uint64_t offers_rejected_ = 0;     // failed vet_offer
@@ -291,13 +292,7 @@ class PvnClient {
   telemetry::Counter* m_offers_received_ = nullptr;
   telemetry::Counter* m_deploys_ok_ = nullptr;
   telemetry::Counter* m_deploys_failed_ = nullptr;
-  telemetry::Counter* m_retransmissions_ = nullptr;
   telemetry::Counter* m_offer_expiries_ = nullptr;
-  telemetry::Counter* m_failovers_ = nullptr;
-  telemetry::Counter* m_recoveries_ = nullptr;
-  telemetry::Counter* m_renews_sent_ = nullptr;
-  telemetry::Counter* m_renews_acked_ = nullptr;
-  telemetry::Counter* m_migrations_ = nullptr;
   // SLO inputs (ops/health.h): end-to-end deploy-cycle latency of successful
   // deploys, and data-plane blackout (failover -> recovery) durations.
   telemetry::Histogram* m_deploy_latency_ = nullptr;

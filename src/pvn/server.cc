@@ -17,28 +17,6 @@ DeploymentServer::DeploymentServer(Host& host, PvnStore& store,
       controller_(&controller),
       ledger_(&ledger),
       cfg_(std::move(cfg)) {
-  auto& reg = telemetry::MetricsRegistry::global();
-  m_discoveries_ = &reg.counter("pvn.server.discoveries");
-  m_offers_sent_ = &reg.counter("pvn.server.offers_sent");
-  m_deploys_ = &reg.counter("pvn.server.deploys");
-  m_nacks_ = &reg.counter("pvn.server.nacks");
-  m_duplicate_deploys_ = &reg.counter("pvn.server.duplicate_deploys");
-  m_leases_renewed_ = &reg.counter("pvn.server.leases_renewed");
-  m_leases_expired_ = &reg.counter("pvn.server.leases_expired");
-  m_degraded_ = &reg.counter("pvn.server.degraded");
-  m_chains_lost_ = &reg.counter("pvn.server.chains_lost");
-  m_standbys_ready_ = &reg.counter("pvn.server.standbys_ready");
-  m_standby_promotions_ = &reg.counter("pvn.server.standby_promotions");
-  m_standbys_lost_ = &reg.counter("pvn.server.standbys_lost");
-  m_checkpoints_streamed_ = &reg.counter("pvn.server.checkpoints_streamed");
-  m_checkpoint_bytes_ = &reg.counter("pvn.server.checkpoint_bytes");
-  m_state_requests_ = &reg.counter("pvn.server.state_requests");
-  m_handoffs_completed_ = &reg.counter("pvn.server.handoffs_completed");
-  m_handoff_timeouts_ = &reg.counter("pvn.server.handoff_timeouts");
-  m_sheds_ = &reg.counter("pvn.server.deploys_shed");
-  m_bad_state_acks_ = &reg.counter("pvn.server.bad_state_acks");
-  m_standbys_demoted_ = &reg.counter("pvn.server.standbys_demoted");
-  m_standbys_remirrored_ = &reg.counter("pvn.server.standbys_remirrored");
   telemetry::SpanRecorder::global().set_clock(&host_->sim());
   host_->bind_udp(kPvnPort, [this](Ipv4Addr src, Port sport, Port,
                                    const Bytes& payload) {
@@ -122,8 +100,7 @@ void DeploymentServer::on_packet(Ipv4Addr src, Port sport,
 void DeploymentServer::handle_discovery(Ipv4Addr src, Port sport,
                                         const DiscoveryMessage& dm,
                                         const telemetry::TraceContext& trace) {
-  ++discoveries_;
-  m_discoveries_->inc();
+  discoveries_.inc();
   // Standards must intersect.
   bool standards_ok = false;
   for (const std::string& s : dm.standards) {
@@ -166,8 +143,7 @@ void DeploymentServer::nack(Ipv4Addr dst, Port dport, std::uint32_t seq,
                             const std::string& reason, NackCode code,
                             SimDuration retry_after,
                             const telemetry::TraceContext& trace) {
-  ++nacks_;
-  m_nacks_->inc();
+  nacks_.inc();
   telemetry::MetricsRegistry::global()
       .counter("pvn.server.nacks_by_code", to_string(code))
       .inc();
@@ -239,15 +215,13 @@ void DeploymentServer::handle_deploy(Ipv4Addr src, Port sport,
       it != deployments_.end() && it->second.seq == req.seq &&
       it->second.request_bytes == req_bytes &&
       !it->second.ack_bytes.empty()) {
-    ++duplicates_;
-    m_duplicate_deploys_->inc();
+    duplicates_.inc();
     host_->send_udp(src, kPvnPort, sport, it->second.ack_bytes);
     return;
   }
   if (const auto p = pending_.find(req.device_id);
       p != pending_.end() && p->second == req_bytes) {
-    ++duplicates_;
-    m_duplicate_deploys_->inc();
+    duplicates_.inc();
     return;  // the in-flight deployment will answer
   }
   // Admission control (load shedding): a bounded in-flight queue. Excess
@@ -256,8 +230,7 @@ void DeploymentServer::handle_deploy(Ipv4Addr src, Port sport,
   if (cfg_.max_pending_deploys > 0 &&
       pending_.size() >= cfg_.max_pending_deploys &&
       !pending_.contains(req.device_id)) {
-    ++sheds_;
-    m_sheds_->inc();
+    sheds_.inc();
     telemetry::SpanRecorder::global().instant("deploy_shed", "pvn",
                                               req.device_id, trace,
                                               host_->name());
@@ -392,8 +365,7 @@ void DeploymentServer::handle_deploy(Ipv4Addr src, Port sport,
           wrap(PvnMsgType::kDeployAck, ack.encode(), deploy_span->context());
       deployments_[req.device_id] = *deployment;
       pending_.erase(req.device_id);
-      ++deploy_count_;
-      m_deploys_->inc();
+      deploy_count_.inc();
       if (price > 0.0) {
         ledger_->charge(host_->sim().now(), req.device_id, cfg_.network_name,
                         price, "pvn deployment " + deployment->chain_id);
@@ -557,8 +529,7 @@ void DeploymentServer::handle_renew(Ipv4Addr src, Port sport,
       dep.expires_at = host_->sim().now() + cfg_.lease_duration;
     }
     if (dep.degraded) ack.degraded_modules = dep.module_names;
-    ++renews_;
-    m_leases_renewed_->inc();
+    renews_.inc();
   }
   host_->send_udp(src, kPvnPort, sport,
                   wrap(PvnMsgType::kLeaseAck, ack.encode(), trace), 0,
@@ -621,8 +592,7 @@ bool DeploymentServer::force_promote(const std::string& device_id) {
   telemetry::Span promo = telemetry::SpanRecorder::global().start(
       "standby_promotion", "pvn", device_id, dep.trace, host_->name());
   controller_->promote_chain(cfg_.switch_name, dep.chain_id, standby);
-  ++standby_promotions_;
-  m_standby_promotions_->inc();
+  standby_promotions_.inc();
   telemetry::SpanRecorder::global().instant("standby_promoted", "pvn",
                                             device_id, promo.context(),
                                             host_->name());
@@ -654,8 +624,7 @@ void DeploymentServer::on_mbox_crash() {
         telemetry::Span promo = telemetry::SpanRecorder::global().start(
             "standby_promotion", "pvn", device_id, dep.trace, host_->name());
         controller_->promote_chain(cfg_.switch_name, dep.chain_id, standby);
-        ++standby_promotions_;
-        m_standby_promotions_->inc();
+        standby_promotions_.inc();
         telemetry::SpanRecorder::global().instant("standby_promoted", "pvn",
                                                   device_id, promo.context(),
                                                   host_->name());
@@ -668,8 +637,7 @@ void DeploymentServer::on_mbox_crash() {
     }
   }
   for (const std::string& device_id : to_teardown) {
-    ++chains_lost_;
-    m_chains_lost_->inc();
+    chains_lost_.inc();
     const auto dit = deployments_.find(device_id);
     telemetry::SpanRecorder::global().instant(
         "chain_lost", "pvn", device_id,
@@ -697,8 +665,7 @@ bool DeploymentServer::degrade_or_flag_teardown(const std::string& device_id,
   // flows past the dead chain; policies (drop/rate/mark) stay.
   dep.degraded = true;
   controller_->bypass_chain(dep.cookie, dep.chain_id);
-  ++degraded_;
-  m_degraded_->inc();
+  degraded_.inc();
   telemetry::SpanRecorder::global().instant("chain_degraded", "pvn",
                                             device_id, dep.trace,
                                             host_->name());
@@ -742,8 +709,7 @@ void DeploymentServer::sweep() {
   max_swept_per_tick_ = std::max<std::uint64_t>(max_swept_per_tick_,
                                                 expired.size());
   for (const std::string& device_id : expired) {
-    ++leases_expired_;
-    m_leases_expired_->inc();
+    leases_expired_.inc();
     const auto dit = deployments_.find(device_id);
     telemetry::SpanRecorder::global().instant(
         "lease_expired", "pvn", device_id,
@@ -797,8 +763,7 @@ void DeploymentServer::setup_standby(const std::string& device_id) {
   standby->create_chain(chain_id);
   if (instances.empty()) {
     dep.standby_ready = true;
-    ++standbys_ready_;
-    m_standbys_ready_->inc();
+    standbys_ready_.inc();
     arm_checkpoint(device_id);
     return;
   }
@@ -832,8 +797,7 @@ void DeploymentServer::setup_standby(const std::string& device_id) {
           for (Middlebox* m : *acc) chain->append(m);
           dit->second.standby_instances = *acc;
           dit->second.standby_ready = true;
-          ++standbys_ready_;
-          m_standbys_ready_->inc();
+          standbys_ready_.inc();
           telemetry::SpanRecorder::global().instant(
               "standby_ready", "pvn", device_id, dit->second.trace,
               host_->name());
@@ -879,10 +843,8 @@ void DeploymentServer::stream_checkpoint(const std::string& device_id) {
   // Remember what went out so the standby's kStateAck can be cross-checked.
   dep.last_sent_seq = xfer.seq;
   dep.last_sent_digest = digest_of(xfer.checkpoint);
-  ++checkpoints_streamed_;
-  m_checkpoints_streamed_->inc();
-  checkpoint_bytes_ += xfer.checkpoint.size();
-  m_checkpoint_bytes_->inc(xfer.checkpoint.size());
+  checkpoints_streamed_.inc();
+  checkpoint_bytes_.inc(xfer.checkpoint.size());
   host_->send_udp(pools_[dep.standby_pool].addr, kPvnPort, kPvnStandbyPort,
                   wrap(PvnMsgType::kStateTransfer, xfer.encode(), dep.trace),
                   0, dep.trace.trace_id);
@@ -906,8 +868,7 @@ void DeploymentServer::on_standby_crash(int pool) {
     dep.standby_ready = false;
     dep.standby_instances.clear();
     dep.standby_pool = -1;
-    ++standbys_lost_;
-    m_standbys_lost_->inc();
+    standbys_lost_.inc();
     if (!dep.promoted) {
       // Primary still serving: just lost the spare. Re-mirror onto another
       // healthy pool when one exists.
@@ -921,8 +882,7 @@ void DeploymentServer::on_standby_crash(int pool) {
     }
   }
   for (const std::string& device_id : to_teardown) {
-    ++chains_lost_;
-    m_chains_lost_->inc();
+    chains_lost_.inc();
     const auto dit = deployments_.find(device_id);
     telemetry::SpanRecorder::global().instant(
         "chain_lost", "pvn", device_id,
@@ -955,8 +915,7 @@ void DeploymentServer::begin_handoff(const DeployRequest& req,
         auto ack_fn = std::move(it->second.ack);
         it->second.timer = kInvalidEventId;
         pending_handoffs_.erase(it);
-        ++handoff_timeouts_;
-        m_handoff_timeouts_->inc();
+        handoff_timeouts_.inc();
         telemetry::SpanRecorder::global().instant("handoff_timeout", "pvn",
                                                   device_id, trace,
                                                   host_->name());
@@ -999,8 +958,7 @@ void DeploymentServer::handle_state_request(
           capture_chain(*chain, ++dep.ckpt_seq, host_->sim().now());
       xfer.ok = true;
       xfer.checkpoint = ckpt.encode();
-      ++state_requests_;
-      m_state_requests_->inc();
+      state_requests_.inc();
       telemetry::SpanRecorder::global().instant("state_transfer_out", "pvn",
                                                 sr.device_id, trace,
                                                 host_->name());
@@ -1030,8 +988,7 @@ void DeploymentServer::handle_state_transfer(
     }
   }
   if (restored) {
-    ++handoffs_completed_;
-    m_handoffs_completed_->inc();
+    handoffs_completed_.inc();
     // Prefer the reply frame's context (one causal hop deeper: it witnessed
     // the old server); a frame from an untraced peer falls back to the
     // pending deploy's own context.
@@ -1058,8 +1015,7 @@ void DeploymentServer::handle_state_ack(const StateAck& sa) {
   // The standby claims a state it cannot prove (or none at all). One bad
   // ack could be a duplicated datagram's replay rejection; a run of them
   // with no consistent ack in between is a lying or broken standby.
-  ++bad_state_acks_;
-  m_bad_state_acks_->inc();
+  bad_state_acks_.inc();
   if (++pool.bad_acks >= cfg_.byzantine_ack_threshold) {
     demote_pool(dep.standby_pool, "state acks contradict streamed state");
   }
@@ -1069,8 +1025,7 @@ void DeploymentServer::demote_pool(int pool, const std::string& why) {
   StandbyPool& p = pools_[pool];
   if (p.byzantine) return;
   p.byzantine = true;
-  ++standbys_demoted_;
-  m_standbys_demoted_->inc();
+  standbys_demoted_.inc();
   telemetry::SpanRecorder::global().instant("standby_demoted", "pvn", why);
   std::vector<std::string> to_remirror;
   for (auto& [device_id, dep] : deployments_) {
@@ -1098,8 +1053,7 @@ void DeploymentServer::demote_pool(int pool, const std::string& why) {
     setup_standby(device_id);
     const auto dit = deployments_.find(device_id);
     if (dit != deployments_.end() && dit->second.standby_pool >= 0) {
-      ++standbys_remirrored_;
-      m_standbys_remirrored_->inc();
+      standbys_remirrored_.inc();
       telemetry::SpanRecorder::global().instant(
           "standby_remirrored", "pvn", device_id, dit->second.trace,
           host_->name());

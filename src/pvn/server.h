@@ -119,33 +119,33 @@ class DeploymentServer {
                    Controller& controller, Ledger& ledger, ServerConfig cfg);
   ~DeploymentServer();
 
-  std::uint64_t discoveries_seen() const { return discoveries_; }
+  std::uint64_t discoveries_seen() const { return discoveries_.value(); }
   std::uint64_t deployments_active() const { return deployments_.size(); }
-  std::uint64_t deployments_total() const { return deploy_count_; }
-  std::uint64_t nacks_sent() const { return nacks_; }
+  std::uint64_t deployments_total() const { return deploy_count_.value(); }
+  std::uint64_t nacks_sent() const { return nacks_.value(); }
   // Resilience telemetry.
-  std::uint64_t duplicate_deploys() const { return duplicates_; }
-  std::uint64_t leases_renewed() const { return renews_; }
-  std::uint64_t leases_expired() const { return leases_expired_; }
-  std::uint64_t degraded_deployments() const { return degraded_; }
-  std::uint64_t chains_lost() const { return chains_lost_; }
+  std::uint64_t duplicate_deploys() const { return duplicates_.value(); }
+  std::uint64_t leases_renewed() const { return renews_.value(); }
+  std::uint64_t leases_expired() const { return leases_expired_.value(); }
+  std::uint64_t degraded_deployments() const { return degraded_.value(); }
+  std::uint64_t chains_lost() const { return chains_lost_.value(); }
   // Survivability telemetry.
-  std::uint64_t standbys_ready() const { return standbys_ready_; }
-  std::uint64_t standby_promotions() const { return standby_promotions_; }
-  std::uint64_t standbys_lost() const { return standbys_lost_; }
-  std::uint64_t checkpoints_streamed() const { return checkpoints_streamed_; }
-  std::uint64_t checkpoint_bytes() const { return checkpoint_bytes_; }
-  std::uint64_t state_requests_served() const { return state_requests_; }
-  std::uint64_t handoffs_completed() const { return handoffs_completed_; }
-  std::uint64_t handoff_timeouts() const { return handoff_timeouts_; }
+  std::uint64_t standbys_ready() const { return standbys_ready_.value(); }
+  std::uint64_t standby_promotions() const { return standby_promotions_.value(); }
+  std::uint64_t standbys_lost() const { return standbys_lost_.value(); }
+  std::uint64_t checkpoints_streamed() const { return checkpoints_streamed_.value(); }
+  std::uint64_t checkpoint_bytes() const { return checkpoint_bytes_.value(); }
+  std::uint64_t state_requests_served() const { return state_requests_.value(); }
+  std::uint64_t handoffs_completed() const { return handoffs_completed_.value(); }
+  std::uint64_t handoff_timeouts() const { return handoff_timeouts_.value(); }
   // Robustness telemetry.
-  std::uint64_t deploys_shed() const { return sheds_; }
+  std::uint64_t deploys_shed() const { return sheds_.value(); }
   std::size_t pending_deploys() const { return pending_.size(); }
   std::uint64_t sweep_ticks() const { return sweep_ticks_; }
   std::uint64_t max_swept_per_tick() const { return max_swept_per_tick_; }
-  std::uint64_t bad_state_acks() const { return bad_state_acks_; }
-  std::uint64_t standbys_demoted() const { return standbys_demoted_; }
-  std::uint64_t standbys_remirrored() const { return standbys_remirrored_; }
+  std::uint64_t bad_state_acks() const { return bad_state_acks_.value(); }
+  std::uint64_t standbys_demoted() const { return standbys_demoted_.value(); }
+  std::uint64_t standbys_remirrored() const { return standbys_remirrored_.value(); }
 
   // Test/experiment hook: makes the server a cheater that silently skips
   // instantiating the named module while still charging for it (§3.3
@@ -164,7 +164,7 @@ class DeploymentServer {
     sweep_paused_ = pause;
     if (!pause) arm_sweep();
   }
-  void debug_bump_duplicates(std::uint64_t n) { duplicates_ += n; }
+  void debug_bump_duplicates(std::uint64_t n) { duplicates_.inc(n); }
 
   // --- operations-plane introspection ------------------------------------
 
@@ -320,56 +320,37 @@ class DeploymentServer {
   std::map<std::string, Deployment> deployments_;  // by device id
   std::map<std::string, Bytes> pending_;  // in-flight deploys, encoded request
   std::map<std::string, PendingHandoff> pending_handoffs_;  // by device id
-  std::uint64_t discoveries_ = 0;
-  std::uint64_t deploy_count_ = 0;
-  std::uint64_t nacks_ = 0;
-  std::uint64_t duplicates_ = 0;
-  std::uint64_t renews_ = 0;
-  std::uint64_t leases_expired_ = 0;
-  std::uint64_t degraded_ = 0;
-  std::uint64_t chains_lost_ = 0;
-  std::uint64_t standbys_ready_ = 0;
-  std::uint64_t standby_promotions_ = 0;
-  std::uint64_t standbys_lost_ = 0;
-  std::uint64_t checkpoints_streamed_ = 0;
-  std::uint64_t checkpoint_bytes_ = 0;
-  std::uint64_t state_requests_ = 0;
-  std::uint64_t handoffs_completed_ = 0;
-  std::uint64_t handoff_timeouts_ = 0;
-  std::uint64_t sheds_ = 0;
-  std::uint64_t sweep_ticks_ = 0;
-  std::uint64_t max_swept_per_tick_ = 0;
-  std::uint64_t bad_state_acks_ = 0;
-  std::uint64_t standbys_demoted_ = 0;
-  std::uint64_t standbys_remirrored_ = 0;
   std::uint32_t state_seq_ = 0;  // StateRequest sequence numbers
   std::uint64_t chain_seq_ = 0;
   EventId sweep_timer_ = kInvalidEventId;
   std::string skip_module_;
   bool drop_deploys_ = false;
   bool sweep_paused_ = false;
-  // Telemetry: aggregate server-side control-plane counters.
-  telemetry::Counter* m_discoveries_ = nullptr;
-  telemetry::Counter* m_offers_sent_ = nullptr;
-  telemetry::Counter* m_deploys_ = nullptr;
-  telemetry::Counter* m_nacks_ = nullptr;
-  telemetry::Counter* m_duplicate_deploys_ = nullptr;
-  telemetry::Counter* m_leases_renewed_ = nullptr;
-  telemetry::Counter* m_leases_expired_ = nullptr;
-  telemetry::Counter* m_degraded_ = nullptr;
-  telemetry::Counter* m_chains_lost_ = nullptr;
-  telemetry::Counter* m_standbys_ready_ = nullptr;
-  telemetry::Counter* m_standby_promotions_ = nullptr;
-  telemetry::Counter* m_standbys_lost_ = nullptr;
-  telemetry::Counter* m_checkpoints_streamed_ = nullptr;
-  telemetry::Counter* m_checkpoint_bytes_ = nullptr;
-  telemetry::Counter* m_state_requests_ = nullptr;
-  telemetry::Counter* m_handoffs_completed_ = nullptr;
-  telemetry::Counter* m_handoff_timeouts_ = nullptr;
-  telemetry::Counter* m_sheds_ = nullptr;
-  telemetry::Counter* m_bad_state_acks_ = nullptr;
-  telemetry::Counter* m_standbys_demoted_ = nullptr;
-  telemetry::Counter* m_standbys_remirrored_ = nullptr;
+  std::uint64_t sweep_ticks_ = 0;
+  std::uint64_t max_swept_per_tick_ = 0;
+  // Control-plane event counts; each also feeds its pvn.server.* series.
+  telemetry::Tally discoveries_{"pvn.server.discoveries"};
+  telemetry::Tally deploy_count_{"pvn.server.deploys"};
+  telemetry::Tally nacks_{"pvn.server.nacks"};
+  telemetry::Tally duplicates_{"pvn.server.duplicate_deploys"};
+  telemetry::Tally renews_{"pvn.server.leases_renewed"};
+  telemetry::Tally leases_expired_{"pvn.server.leases_expired"};
+  telemetry::Tally degraded_{"pvn.server.degraded"};
+  telemetry::Tally chains_lost_{"pvn.server.chains_lost"};
+  telemetry::Tally standbys_ready_{"pvn.server.standbys_ready"};
+  telemetry::Tally standby_promotions_{"pvn.server.standby_promotions"};
+  telemetry::Tally standbys_lost_{"pvn.server.standbys_lost"};
+  telemetry::Tally checkpoints_streamed_{"pvn.server.checkpoints_streamed"};
+  telemetry::Tally checkpoint_bytes_{"pvn.server.checkpoint_bytes"};
+  telemetry::Tally state_requests_{"pvn.server.state_requests"};
+  telemetry::Tally handoffs_completed_{"pvn.server.handoffs_completed"};
+  telemetry::Tally handoff_timeouts_{"pvn.server.handoff_timeouts"};
+  telemetry::Tally sheds_{"pvn.server.deploys_shed"};
+  telemetry::Tally bad_state_acks_{"pvn.server.bad_state_acks"};
+  telemetry::Tally standbys_demoted_{"pvn.server.standbys_demoted"};
+  telemetry::Tally standbys_remirrored_{"pvn.server.standbys_remirrored"};
+  telemetry::Counter* m_offers_sent_ =
+      &telemetry::MetricsRegistry::global().counter("pvn.server.offers_sent");
   std::unique_ptr<class HttpClient> http_;  // for pvnc:// URI resolution
 };
 

@@ -7,10 +7,6 @@ namespace pvn {
 
 StandbyAgent::StandbyAgent(Host& host, MboxHost& standby)
     : host_(&host), standby_(&standby) {
-  auto& reg = telemetry::MetricsRegistry::global();
-  m_applied_ = &reg.counter("pvn.standby.checkpoints_applied");
-  m_rejected_ = &reg.counter("pvn.standby.checkpoints_rejected");
-  m_bytes_ = &reg.counter("pvn.standby.bytes_received");
   host_->bind_udp(kPvnStandbyPort,
                   [this](Ipv4Addr src, Port sport, Port, const Bytes& payload) {
                     on_packet(src, sport, payload);
@@ -39,8 +35,7 @@ void StandbyAgent::on_packet(Ipv4Addr src, Port sport, const Bytes& payload) {
   const telemetry::TraceContext& trace = frame->trace;
   const auto xfer = StateTransfer::decode(frame->body);
   if (!xfer || !xfer->ok) return;
-  bytes_ += xfer->checkpoint.size();
-  m_bytes_->inc(xfer->checkpoint.size());
+  bytes_.inc(xfer->checkpoint.size());
   if (byzantine_) {
     // Claim the state was applied while holding none of it. The digest is
     // computed over bytes the agent never applied — off by the trailing
@@ -56,16 +51,14 @@ void StandbyAgent::on_packet(Ipv4Addr src, Port sport, const Bytes& payload) {
   }
   const auto ckpt = ChainCheckpoint::decode(xfer->checkpoint);
   if (!ckpt || ckpt->chain_id != xfer->chain_id) {
-    ++rejected_;
-    m_rejected_->inc();
+    rejected_.inc();
     ack(src, sport, *xfer, false, {}, trace);
     return;
   }
   // Datagrams can be duplicated or reordered; never step a chain backwards.
   if (const auto it = last_seq_.find(ckpt->chain_id);
       it != last_seq_.end() && ckpt->seq <= it->second) {
-    ++rejected_;
-    m_rejected_->inc();
+    rejected_.inc();
     ack(src, sport, *xfer, false, {}, trace);
     return;
   }
@@ -73,8 +66,7 @@ void StandbyAgent::on_packet(Ipv4Addr src, Port sport, const Bytes& payload) {
   if (chain == nullptr) return;  // standby not (yet) instantiated
   restore_chain(*chain, *ckpt);
   last_seq_[ckpt->chain_id] = ckpt->seq;
-  ++applied_;
-  m_applied_->inc();
+  applied_.inc();
   // The apply shows up on the standby's own track inside the deploy trace,
   // so stitched traces witness the checkpoint stream crossing hosts.
   telemetry::SpanRecorder::global().instant("standby_apply", "pvn",

@@ -37,9 +37,9 @@ class StandbyAgent {
   StandbyAgent(const StandbyAgent&) = delete;
   StandbyAgent& operator=(const StandbyAgent&) = delete;
 
-  std::uint64_t checkpoints_applied() const { return applied_; }
-  std::uint64_t checkpoints_rejected() const { return rejected_; }
-  std::uint64_t bytes_received() const { return bytes_; }
+  std::uint64_t checkpoints_applied() const { return applied_.value(); }
+  std::uint64_t checkpoints_rejected() const { return rejected_.value(); }
+  std::uint64_t bytes_received() const { return bytes_.value(); }
 
   // Adversary hook: the agent stops applying checkpoints but keeps acking
   // them as applied — with the digest of state it does not hold. A server
@@ -55,13 +55,10 @@ class StandbyAgent {
   Host* host_;
   MboxHost* standby_;
   std::map<std::string, std::uint64_t> last_seq_;  // by chain id
-  std::uint64_t applied_ = 0;
-  std::uint64_t rejected_ = 0;
-  std::uint64_t bytes_ = 0;
   bool byzantine_ = false;
-  telemetry::Counter* m_applied_ = nullptr;
-  telemetry::Counter* m_rejected_ = nullptr;
-  telemetry::Counter* m_bytes_ = nullptr;
+  telemetry::Tally applied_{"pvn.standby.checkpoints_applied"};
+  telemetry::Tally rejected_{"pvn.standby.checkpoints_rejected"};
+  telemetry::Tally bytes_{"pvn.standby.bytes_received"};
 };
 
 }  // namespace pvn

@@ -75,10 +75,7 @@ void Controller::promote_chain(const std::string& switch_name,
                          }
                          sw->unregister_processor(chain_id);
                          sw->register_processor(chain_id, standby);
-                         ++promotions_;
-                         telemetry::MetricsRegistry::global()
-                             .counter("sdn.controller.promotions")
-                             .inc();
+                         promotions_.inc();
                          if (done) done(true);
                        });
 }

@@ -49,14 +49,14 @@ class Controller {
                  std::function<void(bool)> done = nullptr);
 
   std::uint64_t rules_installed() const { return rules_installed_; }
-  std::uint64_t promotions() const { return promotions_; }
+  std::uint64_t promotions() const { return promotions_.value(); }
 
  private:
   Simulator* sim_;
   SimDuration control_rtt_;
   std::map<std::string, SdnSwitch*> switches_;
   std::uint64_t rules_installed_ = 0;
-  std::uint64_t promotions_ = 0;
+  telemetry::Tally promotions_{"sdn.controller.promotions"};
 };
 
 }  // namespace pvn

@@ -16,11 +16,6 @@ telemetry::Counter& hits_counter() {
       telemetry::MetricsRegistry::global().counter("sdn.flow_table.hits");
   return c;
 }
-telemetry::Counter& misses_counter() {
-  static telemetry::Counter& c =
-      telemetry::MetricsRegistry::global().counter("sdn.flow_table.misses");
-  return c;
-}
 telemetry::Counter& removed_counter() {
   static telemetry::Counter& c =
       telemetry::MetricsRegistry::global().counter("sdn.flow_table.removed");
@@ -301,8 +296,7 @@ const FlowRule* FlowTable::lookup(const Packet& pkt, int in_port) const {
       return &rule;
     }
   }
-  ++misses_;
-  misses_counter().inc();
+  misses_.inc();
   return nullptr;
 }
 

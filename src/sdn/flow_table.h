@@ -21,6 +21,7 @@
 
 #include "sdn/action.h"
 #include "sdn/match.h"
+#include "telemetry/metrics.h"
 
 namespace pvn {
 
@@ -92,7 +93,7 @@ class FlowTable {
   std::size_t size() const { return slots_.size() - free_.size(); }
   RuleView rules() const;
 
-  std::uint64_t misses() const { return misses_; }
+  std::uint64_t misses() const { return misses_.value(); }
 
  private:
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
@@ -182,7 +183,7 @@ class FlowTable {
   // stored twice; remove_by_cookie compares the strings along the chain.
   std::unordered_map<std::size_t, std::uint32_t> by_cookie_;
   std::uint64_t next_seq_ = 0;
-  mutable std::uint64_t misses_ = 0;
+  mutable telemetry::Tally misses_{"sdn.flow_table.misses"};
 };
 
 }  // namespace pvn

@@ -1,22 +1,6 @@
 #include "sdn/meter.h"
 
-#include "telemetry/metrics.h"
-
 namespace pvn {
-namespace {
-
-telemetry::Counter& passed_counter() {
-  static telemetry::Counter& c = telemetry::MetricsRegistry::global().counter(
-      "sdn.meter.passed_packets");
-  return c;
-}
-telemetry::Counter& dropped_counter() {
-  static telemetry::Counter& c = telemetry::MetricsRegistry::global().counter(
-      "sdn.meter.dropped_packets");
-  return c;
-}
-
-}  // namespace
 
 void Meter::refill(SimTime now) {
   if (now <= last_refill_) return;
@@ -32,12 +16,10 @@ bool Meter::conforms(std::int64_t bytes, SimTime now) {
   refill(now);
   if (tokens_ >= static_cast<double>(bytes)) {
     tokens_ -= static_cast<double>(bytes);
-    ++passed_;
-    passed_counter().inc();
+    passed_.inc();
     return true;
   }
-  ++dropped_;
-  dropped_counter().inc();
+  dropped_.inc();
   return false;
 }
 

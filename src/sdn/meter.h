@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <string>
 
+#include "telemetry/metrics.h"
 #include "util/time.h"
 #include "util/units.h"
 
@@ -23,8 +24,8 @@ class Meter {
   bool conforms(std::int64_t bytes, SimTime now);
 
   Rate rate() const { return rate_; }
-  std::uint64_t dropped() const { return dropped_; }
-  std::uint64_t passed() const { return passed_; }
+  std::uint64_t dropped() const { return dropped_.value(); }
+  std::uint64_t passed() const { return passed_.value(); }
 
  private:
   void refill(SimTime now);
@@ -33,8 +34,8 @@ class Meter {
   std::int64_t burst_bytes_;
   double tokens_;
   SimTime last_refill_ = 0;
-  std::uint64_t dropped_ = 0;
-  std::uint64_t passed_ = 0;
+  telemetry::Tally dropped_{"sdn.meter.dropped_packets"};
+  telemetry::Tally passed_{"sdn.meter.passed_packets"};
 };
 
 }  // namespace pvn

@@ -40,16 +40,20 @@ std::string to_string(const Action& action) {
 
 SdnSwitch::SdnSwitch(Network& net, std::string name, int num_tables)
     : Node(net, std::move(name)),
-      tables_(static_cast<std::size_t>(num_tables < 1 ? 1 : num_tables)) {
-  auto& reg = telemetry::MetricsRegistry::global();
-  const std::string& inst = this->name();
-  m_packets_in_ = &reg.counter("sdn.switch.packets_in", inst);
-  m_forwarded_ = &reg.counter("sdn.switch.forwarded", inst);
-  m_dropped_rule_ = &reg.counter("sdn.switch.dropped_rule", inst);
-  m_dropped_miss_ = &reg.counter("sdn.switch.dropped_miss", inst);
-  m_dropped_meter_ = &reg.counter("sdn.switch.dropped_meter", inst);
-  m_diverted_mbox_ = &reg.counter("sdn.switch.diverted_mbox", inst);
-  m_tunneled_ = &reg.counter("sdn.switch.tunneled", inst);
+      tables_(static_cast<std::size_t>(num_tables < 1 ? 1 : num_tables)),
+      packets_in_("sdn.switch.packets_in", this->name()),
+      forwarded_("sdn.switch.forwarded", this->name()),
+      dropped_rule_("sdn.switch.dropped_rule", this->name()),
+      dropped_miss_("sdn.switch.dropped_miss", this->name()),
+      dropped_meter_("sdn.switch.dropped_meter", this->name()),
+      diverted_mbox_("sdn.switch.diverted_mbox", this->name()),
+      tunneled_("sdn.switch.tunneled", this->name()) {}
+
+SwitchStats SdnSwitch::stats() const {
+  return {packets_in_.value(),    forwarded_.value(),
+          dropped_rule_.value(),  dropped_miss_.value(),
+          dropped_meter_.value(), diverted_mbox_.value(),
+          tunneled_.value()};
 }
 
 void SdnSwitch::add_meter(const std::string& id, Rate rate,
@@ -72,8 +76,7 @@ void SdnSwitch::unregister_processor(const std::string& chain_id) {
 }
 
 void SdnSwitch::handle_packet(Packet pkt, int in_port) {
-  ++stats_.packets_in;
-  m_packets_in_->inc();
+  packets_in_.inc();
   if (pipeline_latency_ > 0) {
     sim().schedule_after(pipeline_latency_, SimCategory::kSwitch,
                          [this, pkt = std::move(pkt), in_port]() mutable {
@@ -86,20 +89,17 @@ void SdnSwitch::handle_packet(Packet pkt, int in_port) {
 
 void SdnSwitch::run_pipeline(Packet pkt, int in_port, int table_index) {
   if (table_index >= table_count()) {
-    ++stats_.dropped_miss;
-    m_dropped_miss_->inc();
+    dropped_miss_.inc();
     return;
   }
   const FlowRule* rule =
       tables_[static_cast<std::size_t>(table_index)].lookup(pkt, in_port);
   if (rule == nullptr) {
     if (table_index == 0 && default_port_) {
-      ++stats_.forwarded;
-      m_forwarded_->inc();
+      forwarded_.inc();
       send(*default_port_, std::move(pkt));
     } else {
-      ++stats_.dropped_miss;
-      m_dropped_miss_->inc();
+      dropped_miss_.inc();
     }
     return;
   }
@@ -111,14 +111,12 @@ void SdnSwitch::execute(const ActionList& actions, std::size_t start,
   for (std::size_t i = start; i < actions.size(); ++i) {
     const Action& action = actions[i];
     if (const auto* out = std::get_if<ActOutput>(&action)) {
-      ++stats_.forwarded;
-      m_forwarded_->inc();
+      forwarded_.inc();
       send(out->port, std::move(pkt));
       return;
     }
     if (std::get_if<ActDrop>(&action) != nullptr) {
-      ++stats_.dropped_rule;
-      m_dropped_rule_->inc();
+      dropped_rule_.inc();
       return;
     }
     if (const auto* set_tos = std::get_if<ActSetTos>(&action)) {
@@ -133,8 +131,7 @@ void SdnSwitch::execute(const ActionList& actions, std::size_t start,
       Meter* m = meter(meter_act->meter_id);
       if (m == nullptr ||
           !m->conforms(static_cast<std::int64_t>(pkt.size()), sim().now())) {
-        ++stats_.dropped_meter;
-        m_dropped_meter_->inc();
+        dropped_meter_.inc();
         return;
       }
       continue;
@@ -145,24 +142,20 @@ void SdnSwitch::execute(const ActionList& actions, std::size_t start,
     }
     if (const auto* tunnel = std::get_if<ActTunnel>(&action)) {
       if (!tunnel_encap_) {
-        ++stats_.dropped_rule;
-        m_dropped_rule_->inc();
+        dropped_rule_.inc();
         return;
       }
-      ++stats_.tunneled;
-      m_tunneled_->inc();
+      tunneled_.inc();
       pkt = tunnel_encap_(std::move(pkt), tunnel->gateway);
       continue;
     }
     if (const auto* mbox = std::get_if<ActMbox>(&action)) {
       const auto it = processors_.find(mbox->chain_id);
       if (it == processors_.end()) {
-        ++stats_.dropped_rule;
-        m_dropped_rule_->inc();
+        dropped_rule_.inc();
         return;
       }
-      ++stats_.diverted_mbox;
-      m_diverted_mbox_->inc();
+      diverted_mbox_.inc();
       SimDuration delay = 0;
       std::vector<Packet> outs =
           it->second->process(std::move(pkt), sim().now(), delay);
@@ -190,8 +183,7 @@ void SdnSwitch::execute(const ActionList& actions, std::size_t start,
     }
   }
   // Action list exhausted without output/drop: drop.
-  ++stats_.dropped_rule;
-  m_dropped_rule_->inc();
+  dropped_rule_.inc();
 }
 
 }  // namespace pvn

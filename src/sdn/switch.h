@@ -69,7 +69,7 @@ class SdnSwitch : public Node {
 
   void handle_packet(Packet pkt, int in_port) override;
 
-  const SwitchStats& stats() const { return stats_; }
+  SwitchStats stats() const;
 
   // Per-pipeline-packet processing latency (models lookup cost). Charged
   // once per ingress packet before actions execute.
@@ -86,16 +86,14 @@ class SdnSwitch : public Node {
   TunnelEncap tunnel_encap_;
   std::optional<int> default_port_;
   SimDuration pipeline_latency_ = 0;
-  SwitchStats stats_;
-  // Telemetry cells registered under instance = switch name, mirroring the
-  // SwitchStats fields the exporters and the auditor consume.
-  telemetry::Counter* m_packets_in_ = nullptr;
-  telemetry::Counter* m_forwarded_ = nullptr;
-  telemetry::Counter* m_dropped_rule_ = nullptr;
-  telemetry::Counter* m_dropped_miss_ = nullptr;
-  telemetry::Counter* m_dropped_meter_ = nullptr;
-  telemetry::Counter* m_diverted_mbox_ = nullptr;
-  telemetry::Counter* m_tunneled_ = nullptr;
+  // Per-switch counts, each also feeding sdn.switch.<field>{instance=name}.
+  telemetry::Tally packets_in_;
+  telemetry::Tally forwarded_;
+  telemetry::Tally dropped_rule_;
+  telemetry::Tally dropped_miss_;
+  telemetry::Tally dropped_meter_;
+  telemetry::Tally diverted_mbox_;
+  telemetry::Tally tunneled_;
 };
 
 }  // namespace pvn

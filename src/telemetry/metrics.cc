@@ -106,30 +106,34 @@ Histogram& MetricsRegistry::histogram(std::string_view name,
   return *e.histogram;
 }
 
+MetricSample MetricsRegistry::sample_of(const Entry& e) {
+  MetricSample s;
+  s.name = e.name;
+  s.instance = e.instance;
+  s.kind = e.kind;
+  switch (e.kind) {
+    case MetricKind::kCounter:
+      s.counter_value = e.counter.value();
+      break;
+    case MetricKind::kGauge:
+      s.gauge_value = e.gauge.value();
+      break;
+    case MetricKind::kHistogram:
+      s.bounds = e.histogram->bounds();
+      s.bucket_counts = e.histogram->counts();
+      s.hist_count = e.histogram->count();
+      s.hist_sum = e.histogram->sum();
+      break;
+  }
+  return s;
+}
+
 MetricsSnapshot MetricsRegistry::snapshot() const {
   MetricsSnapshot snap;
   snap.samples.reserve(index_.size());
   // index_ is an ordered map keyed on (name, instance): deterministic order.
   for (const auto& [key, entry] : index_) {
-    MetricSample s;
-    s.name = entry->name;
-    s.instance = entry->instance;
-    s.kind = entry->kind;
-    switch (entry->kind) {
-      case MetricKind::kCounter:
-        s.counter_value = entry->counter.value();
-        break;
-      case MetricKind::kGauge:
-        s.gauge_value = entry->gauge.value();
-        break;
-      case MetricKind::kHistogram:
-        s.bounds = entry->histogram->bounds();
-        s.bucket_counts = entry->histogram->counts();
-        s.hist_count = entry->histogram->count();
-        s.hist_sum = entry->histogram->sum();
-        break;
-    }
-    snap.samples.push_back(std::move(s));
+    snap.samples.push_back(sample_of(*entry));
   }
   snap.help = help_;
   return snap;
@@ -143,26 +147,7 @@ MetricsSnapshot MetricsRegistry::snapshot_for(
   for (const std::string& name : names) {
     for (auto it = index_.lower_bound({name, std::string()});
          it != index_.end() && it->first.first == name; ++it) {
-      const Entry* entry = it->second;
-      MetricSample s;
-      s.name = entry->name;
-      s.instance = entry->instance;
-      s.kind = entry->kind;
-      switch (entry->kind) {
-        case MetricKind::kCounter:
-          s.counter_value = entry->counter.value();
-          break;
-        case MetricKind::kGauge:
-          s.gauge_value = entry->gauge.value();
-          break;
-        case MetricKind::kHistogram:
-          s.bounds = entry->histogram->bounds();
-          s.bucket_counts = entry->histogram->counts();
-          s.hist_count = entry->histogram->count();
-          s.hist_sum = entry->histogram->sum();
-          break;
-      }
-      snap.samples.push_back(std::move(s));
+      snap.samples.push_back(sample_of(*it->second));
     }
   }
   return snap;
@@ -179,5 +164,8 @@ void MetricsRegistry::reset() {
     if (e.histogram != nullptr) e.histogram->reset();
   }
 }
+
+Tally::Tally(std::string_view name, std::string_view instance)
+    : cell_(&MetricsRegistry::global().counter(name, instance)) {}
 
 }  // namespace pvn::telemetry

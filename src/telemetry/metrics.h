@@ -210,11 +210,33 @@ class MetricsRegistry {
 
   Entry& entry_for(std::string_view name, std::string_view instance,
                    MetricKind kind);
+  static MetricSample sample_of(const Entry& e);
 
   // deque: stable addresses for handed-out cell references.
   std::deque<Entry> entries_;
   std::map<std::pair<std::string, std::string>, Entry*> index_;
   std::map<std::string, std::string> help_;  // describe() text, by name
+};
+
+// One object's own count of an event, for counts a getter reports and an
+// exporter also sees. inc() bumps the object's value and the global
+// registry's (name, instance) counter registered at construction, which
+// holds the aggregate over every object sharing that key. value() is this
+// object's count only: MetricsRegistry::reset() zeroes the cell, not it.
+// Copies count into the same cell.
+class Tally {
+ public:
+  explicit Tally(std::string_view name, std::string_view instance = "");
+
+  void inc(std::uint64_t n = 1) {
+    v_ += n;
+    cell_->inc(n);
+  }
+  std::uint64_t value() const { return v_; }
+
+ private:
+  std::uint64_t v_ = 0;
+  Counter* cell_;
 };
 
 }  // namespace pvn::telemetry

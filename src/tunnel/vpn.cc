@@ -8,23 +8,19 @@ TunnelIngress::TunnelIngress(Network& net, std::string name, Ipv4Addr self,
       self_(self),
       gateway_(gateway),
       key_(std::move(key)),
-      selector_([](const Packet&) { return true; }) {
-  auto& reg = telemetry::MetricsRegistry::global();
-  m_tunneled_ = &reg.counter("tunnel.ingress.tunneled", this->name());
-  m_bypassed_ = &reg.counter("tunnel.ingress.bypassed", this->name());
-}
+      selector_([](const Packet&) { return true; }),
+      tunneled_("tunnel.ingress.tunneled", this->name()),
+      bypassed_("tunnel.ingress.bypassed", this->name()) {}
 
 void TunnelIngress::handle_packet(Packet pkt, int in_port) {
   if (in_port == 0) {
     // Client -> WAN.
     if (selector_(pkt)) {
-      ++tunneled_;
-      m_tunneled_->inc();
+      tunneled_.inc();
       Packet outer = esp_encap(pkt, self_, gateway_, key_, /*spi=*/1, ++seq_);
       send(1, std::move(outer));
     } else {
-      ++bypassed_;
-      m_bypassed_->inc();
+      bypassed_.inc();
       send(1, std::move(pkt));
     }
     return;
@@ -60,34 +56,25 @@ DeviceTunnel::DeviceTunnel(Host& host, Ipv4Addr gateway, Bytes key)
       gateway_(gateway),
       key_(std::move(key)),
       selector_([](const Packet&) { return true; }) {
-  auto& reg = telemetry::MetricsRegistry::global();
-  m_tunneled_ = &reg.counter("tunnel.device.tunneled");
-  m_bypassed_ = &reg.counter("tunnel.device.bypassed");
-  m_decap_ = &reg.counter("tunnel.device.decapsulated");
-  m_auth_fail_ = &reg.counter("tunnel.device.auth_failures");
   host_->set_esp_handler([this](const Packet& outer) -> std::optional<Packet> {
     if (!active_ || outer.ip.src != gateway_) return std::nullopt;
     auto inner = esp_decap(outer, key_);
     if (!inner) {
-      ++auth_fail_;
-      m_auth_fail_->inc();
+      auth_fail_.inc();
       return std::nullopt;
     }
-    ++decap_;
-    m_decap_->inc();
+    decap_.inc();
     return inner;
   });
   host_->set_outbound_transform([this](Packet pkt) {
     if (!active_ || pkt.ip.proto == IpProto::kEsp || is_control(pkt) ||
         !selector_(pkt)) {
       if (active_) {
-        ++bypassed_;
-        m_bypassed_->inc();
+        bypassed_.inc();
       }
       return pkt;
     }
-    ++tunneled_;
-    m_tunneled_->inc();
+    tunneled_.inc();
     return esp_encap(pkt, host_->addr(), gateway_, key_, /*spi=*/1, ++seq_);
   });
 }
@@ -110,24 +97,22 @@ bool DeviceTunnel::is_control(const Packet& pkt) const {
 
 VpnGateway::VpnGateway(Network& net, std::string name, Ipv4Addr addr,
                        Bytes key)
-    : Node(net, std::move(name)), addr_(addr), key_(std::move(key)) {
-  auto& reg = telemetry::MetricsRegistry::global();
-  m_decap_ = &reg.counter("tunnel.gateway.decapsulated", this->name());
-  m_reencap_ = &reg.counter("tunnel.gateway.reencapsulated", this->name());
-  m_auth_fail_ = &reg.counter("tunnel.gateway.auth_failures", this->name());
-}
+    : Node(net, std::move(name)),
+      addr_(addr),
+      key_(std::move(key)),
+      decap_("tunnel.gateway.decapsulated", this->name()),
+      reencap_("tunnel.gateway.reencapsulated", this->name()),
+      auth_fail_("tunnel.gateway.auth_failures", this->name()) {}
 
 void VpnGateway::handle_packet(Packet pkt, int in_port) {
   (void)in_port;
   if (pkt.ip.proto == IpProto::kEsp && pkt.ip.dst == addr_) {
     auto inner = esp_decap(pkt, key_);
     if (!inner) {
-      ++auth_fail_;
-      m_auth_fail_->inc();
+      auth_fail_.inc();
       return;
     }
-    ++decap_;
-    m_decap_->inc();
+    decap_.inc();
     // Source-NAT so replies come back to this gateway.
     Port sport = 0, dport = 0;
     peek_ports(static_cast<std::uint8_t>(inner->ip.proto), inner->l4, sport,
@@ -152,8 +137,7 @@ void VpnGateway::handle_packet(Packet pkt, int in_port) {
     inner.ip.dst = client;
     const auto via = client_via_.find(client);
     if (via == client_via_.end()) return;
-    ++reencap_;
-    m_reencap_->inc();
+    reencap_.inc();
     Packet outer = esp_encap(inner, addr_, via->second, key_, /*spi=*/1, ++seq_);
     send(0, std::move(outer));
     return;

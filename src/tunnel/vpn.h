@@ -38,8 +38,8 @@ class TunnelIngress : public Node {
 
   void handle_packet(Packet pkt, int in_port) override;
 
-  std::uint64_t tunneled() const { return tunneled_; }
-  std::uint64_t bypassed() const { return bypassed_; }
+  std::uint64_t tunneled() const { return tunneled_.value(); }
+  std::uint64_t bypassed() const { return bypassed_.value(); }
 
  private:
   Ipv4Addr self_;
@@ -47,10 +47,8 @@ class TunnelIngress : public Node {
   Bytes key_;
   std::uint32_t seq_ = 0;
   TunnelSelector selector_;
-  std::uint64_t tunneled_ = 0;
-  std::uint64_t bypassed_ = 0;
-  telemetry::Counter* m_tunneled_ = nullptr;
-  telemetry::Counter* m_bypassed_ = nullptr;
+  telemetry::Tally tunneled_;
+  telemetry::Tally bypassed_;
 };
 
 // Switch-side tunnel termination: a PacketProcessor that decapsulates
@@ -103,10 +101,10 @@ class DeviceTunnel {
   // redirection); control-port traffic bypasses regardless.
   void set_selector(TunnelSelector selector) { selector_ = std::move(selector); }
 
-  std::uint64_t tunneled() const { return tunneled_; }
-  std::uint64_t bypassed() const { return bypassed_; }
-  std::uint64_t decapsulated() const { return decap_; }
-  std::uint64_t auth_failures() const { return auth_fail_; }
+  std::uint64_t tunneled() const { return tunneled_.value(); }
+  std::uint64_t bypassed() const { return bypassed_.value(); }
+  std::uint64_t decapsulated() const { return decap_.value(); }
+  std::uint64_t auth_failures() const { return auth_fail_.value(); }
 
  private:
   bool is_control(const Packet& pkt) const;
@@ -117,14 +115,10 @@ class DeviceTunnel {
   bool active_ = false;
   std::uint32_t seq_ = 0;
   TunnelSelector selector_;
-  std::uint64_t tunneled_ = 0;
-  std::uint64_t bypassed_ = 0;
-  std::uint64_t decap_ = 0;
-  std::uint64_t auth_fail_ = 0;
-  telemetry::Counter* m_tunneled_ = nullptr;
-  telemetry::Counter* m_bypassed_ = nullptr;
-  telemetry::Counter* m_decap_ = nullptr;
-  telemetry::Counter* m_auth_fail_ = nullptr;
+  telemetry::Tally tunneled_{"tunnel.device.tunneled"};
+  telemetry::Tally bypassed_{"tunnel.device.bypassed"};
+  telemetry::Tally decap_{"tunnel.device.decapsulated"};
+  telemetry::Tally auth_fail_{"tunnel.device.auth_failures"};
 };
 
 class VpnGateway : public Node {
@@ -135,9 +129,9 @@ class VpnGateway : public Node {
 
   void handle_packet(Packet pkt, int in_port) override;
 
-  std::uint64_t decapsulated() const { return decap_; }
-  std::uint64_t reencapsulated() const { return reencap_; }
-  std::uint64_t auth_failures() const { return auth_fail_; }
+  std::uint64_t decapsulated() const { return decap_.value(); }
+  std::uint64_t reencapsulated() const { return reencap_.value(); }
+  std::uint64_t auth_failures() const { return auth_fail_.value(); }
 
  private:
   struct NatKey {
@@ -153,12 +147,9 @@ class VpnGateway : public Node {
   std::map<NatKey, Ipv4Addr> nat_;          // reply -> original client addr
   std::map<Ipv4Addr, Ipv4Addr> client_via_; // client addr -> tunnel outer src
   std::uint32_t seq_ = 0;
-  std::uint64_t decap_ = 0;
-  std::uint64_t reencap_ = 0;
-  std::uint64_t auth_fail_ = 0;
-  telemetry::Counter* m_decap_ = nullptr;
-  telemetry::Counter* m_reencap_ = nullptr;
-  telemetry::Counter* m_auth_fail_ = nullptr;
+  telemetry::Tally decap_;
+  telemetry::Tally reencap_;
+  telemetry::Tally auth_fail_;
 };
 
 }  // namespace pvn

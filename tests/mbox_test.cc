@@ -86,6 +86,37 @@ TEST(MboxHost, DestroyReleasesMemory) {
   EXPECT_FALSE(host.destroy(got));
 }
 
+// The mbox.host.* gauges carry no instance label, so they must sum over the
+// live hosts instead of showing whichever host wrote them last.
+TEST(MboxHost, GaugesSumOverLiveHosts) {
+  auto& reg = telemetry::MetricsRegistry::global();
+  const telemetry::Gauge& instances = reg.gauge("mbox.host.instances");
+  const telemetry::Gauge& memory = reg.gauge("mbox.host.memory_in_use");
+  const std::int64_t instances0 = instances.value();
+  const std::int64_t memory0 = memory.value();
+  Simulator sim;
+  {
+    MboxHost a(sim);
+    MboxHost b(sim);
+    Middlebox* b_first = nullptr;
+    a.instantiate(std::make_unique<NopMbox>(), [](Middlebox*) {});
+    b.instantiate(std::make_unique<NopMbox>(),
+                  [&](Middlebox* m) { b_first = m; });
+    b.instantiate(std::make_unique<NopMbox>(), [](Middlebox*) {});
+    sim.run();
+    EXPECT_EQ(instances.value() - instances0, 3);
+    EXPECT_EQ(memory.value() - memory0, 18 * kMiB);
+    a.crash();
+    EXPECT_EQ(instances.value() - instances0, 2);
+    EXPECT_EQ(memory.value() - memory0, 12 * kMiB);
+    ASSERT_TRUE(b.destroy(b_first));
+    EXPECT_EQ(instances.value() - instances0, 1);
+    EXPECT_EQ(memory.value() - memory0, 6 * kMiB);
+  }
+  EXPECT_EQ(instances.value(), instances0);
+  EXPECT_EQ(memory.value(), memory0);
+}
+
 TEST(Chain, ChargesBasePlusModuleDelay) {
   Simulator sim;
   MboxHost host(sim);
@@ -199,6 +230,31 @@ TEST(TlsValidator, ShortOrOtherPortSegmentsLeaveNoState) {
   Packet whole = packet(wire);  // the whole SYN starts tracking its flow
   EXPECT_EQ(validator.process(whole, ctx), Middlebox::Verdict::kForward);
   EXPECT_NE(validator.serialize_state(), fresh);
+}
+
+// A length prefix within 4 of 2^32 used to wrap the reassembler's bounds
+// check and read ~4 GiB past the flow buffer: one 6-byte payload crashed
+// the chain. The frame is incomplete, so the segment is simply forwarded.
+TEST(TlsValidator, NearMaxLengthPrefixWaitsForItsBytes) {
+  Network net;
+  TrustStore trust;
+  TlsValidator validator(trust, EnforcementMode::kBlock);
+  MboxContext ctx;
+  TcpHeader hdr;
+  hdr.src_port = 50000;
+  hdr.dst_port = 443;
+  hdr.seq = 1000;
+  hdr.flags = kTcpSyn;
+  const auto packet = [&](const Bytes& payload) {
+    return net.make_packet(Ipv4Addr(10, 0, 0, 2), Ipv4Addr(93, 184, 216, 34),
+                           IpProto::kTcp, serialize_tcp(hdr, payload));
+  };
+  Packet syn = packet({});
+  EXPECT_EQ(validator.process(syn, ctx), Middlebox::Verdict::kForward);
+  hdr.seq = 1001;
+  hdr.flags = kTcpAck;
+  Packet crafted = packet({0xFF, 0xFF, 0xFF, 0xFD, 'x', 'y'});
+  EXPECT_EQ(validator.process(crafted, ctx), Middlebox::Verdict::kForward);
 }
 
 // --- MalwareDetector ----------------------------------------------------------------

@@ -824,5 +824,35 @@ TEST_P(FramerProperty, ReassemblesUnderChunking) {
 INSTANTIATE_TEST_SUITE_P(Chunkings, FramerProperty,
                          ::testing::Values(1, 2, 3, 7, 64, 1024, 100000));
 
+// A length prefix within 4 of 2^32 used to wrap the `4 + len` bounds check
+// into a short frame and read ~4 GiB past the buffer. Each must wait for
+// bytes that never come.
+TEST(StreamFramer, NearMaxLengthPrefixWaitsForItsBytes) {
+  for (std::uint32_t len = 0xFFFFFFFCu; len != 0; ++len) {
+    ByteWriter w;
+    w.u32(len);
+    w.raw(to_bytes("abc"));
+    const Bytes wire = std::move(w).take();
+    int frames = 0;
+    StreamFramer framer([&](Bytes) { ++frames; });
+    framer.feed(wire);
+    EXPECT_EQ(frames, 0) << len;
+    EXPECT_EQ(framer.buffered(), wire.size()) << len;
+  }
+}
+
+TEST(StreamFramer, TakeFramesLeavesThePartialTail) {
+  Bytes buf = StreamFramer::frame(to_bytes("one"));
+  const Bytes two = StreamFramer::frame(to_bytes("two"));
+  buf.insert(buf.end(), two.begin(), two.end());
+  const Bytes tail = {0, 0, 0, 9, 'p'};
+  buf.insert(buf.end(), tail.begin(), tail.end());
+  EXPECT_EQ(take_frames(buf),
+            (std::vector<Bytes>{to_bytes("one"), to_bytes("two")}));
+  EXPECT_EQ(buf, tail);
+  EXPECT_TRUE(take_frames(buf).empty());
+  EXPECT_EQ(buf, tail);
+}
+
 }  // namespace
 }  // namespace pvn

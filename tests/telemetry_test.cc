@@ -67,6 +67,48 @@ TEST(MetricsRegistry, GlobalIsASingleton) {
   EXPECT_EQ(&MetricsRegistry::global(), &MetricsRegistry::global());
 }
 
+// --- Tally -------------------------------------------------------------------
+
+TEST(Tally, EachCountsItsOwnEventsAndTheCellHoldsTheSum) {
+  const telemetry::Counter& cell =
+      MetricsRegistry::global().counter("test.tally.sum", "k");
+  const std::uint64_t before = cell.value();
+  telemetry::Tally a("test.tally.sum", "k");
+  telemetry::Tally b("test.tally.sum", "k");
+  a.inc();
+  b.inc(5);
+  a.inc(2);
+  EXPECT_EQ(a.value(), 3u);
+  EXPECT_EQ(b.value(), 5u);
+  EXPECT_EQ(cell.value() - before, 8u);
+}
+
+TEST(Tally, RegistryResetZeroesTheCellButNotTheValue) {
+  const telemetry::Counter& cell =
+      MetricsRegistry::global().counter("test.tally.reset");
+  telemetry::Tally t("test.tally.reset");
+  t.inc(4);
+  MetricsRegistry::global().reset();
+  EXPECT_EQ(cell.value(), 0u);
+  EXPECT_EQ(t.value(), 4u);
+  t.inc();
+  EXPECT_EQ(cell.value(), 1u);
+  EXPECT_EQ(t.value(), 5u);
+}
+
+TEST(Tally, ACopyCountsIntoTheSameCell) {
+  const telemetry::Counter& cell =
+      MetricsRegistry::global().counter("test.tally.copy");
+  const std::uint64_t before = cell.value();
+  telemetry::Tally a("test.tally.copy");
+  a.inc(2);
+  telemetry::Tally b = a;
+  b.inc(3);
+  EXPECT_EQ(a.value(), 2u);
+  EXPECT_EQ(b.value(), 5u);
+  EXPECT_EQ(cell.value() - before, 5u);
+}
+
 // --- Histogram ---------------------------------------------------------------
 
 TEST(Histogram, BoundsAreInclusiveUpperWithOverflowBucket) {
@@ -401,8 +443,11 @@ TEST(TelemetryE2E, DeployedSessionCoversEveryLayerAndPassesAudit) {
   Testbed tb;
   PvnClient agent(*tb.client, tb.standard_pvnc());
   bool deployed = false;
-  agent.discover_and_deploy(tb.addrs.control,
-                            [&](const DeployOutcome& out) { deployed = out.ok; });
+  std::string chain_id;
+  agent.discover_and_deploy(tb.addrs.control, [&](const DeployOutcome& out) {
+    deployed = out.ok;
+    chain_id = out.chain_id;
+  });
   HttpClient http(*tb.client);
   bool fetched = false;
   tb.net.sim().schedule_at(seconds(2), [&] {
@@ -422,6 +467,23 @@ TEST(TelemetryE2E, DeployedSessionCoversEveryLayerAndPassesAudit) {
   EXPECT_GT(snap.counter_total("pvn.server.deploys"), 0u);
   // Tunnel cells register at testbed construction even when idle.
   EXPECT_NE(snap.find("tunnel.device.tunneled"), nullptr);
+
+  // Each getter is the object's own count; with the registry reset above and
+  // one object behind each series, the series must hold the same number.
+  EXPECT_EQ(tb.server->deployments_total(),
+            snap.counter_total("pvn.server.deploys"));
+  EXPECT_EQ(tb.server->leases_renewed(),
+            snap.counter_total("pvn.server.leases_renewed"));
+  EXPECT_EQ(agent.retransmissions(),
+            snap.counter_total("pvn.client.deploy_retransmissions"));
+  EXPECT_EQ(agent.renews_sent(), snap.counter_total("pvn.client.renews_sent"));
+  EXPECT_EQ(tb.access_sw->stats().packets_in,
+            snap.counter_total("sdn.switch.packets_in"));
+  const Chain* chain = tb.mbox_host->chain(chain_id);
+  ASSERT_NE(chain, nullptr);
+  EXPECT_EQ(chain->packets(), snap.counter_total("mbox.chain.packets"));
+  EXPECT_EQ(tb.cloud_gw->decapsulated(),
+            snap.counter_total("tunnel.gateway.decapsulated"));
 
   // The layers' independent accounts of the same run must reconcile.
   const TelemetryAuditor auditor;
