@@ -39,7 +39,7 @@ struct RunResult {
 // Fetches `paths` sequentially via `target`; measures mean latency of the
 // `used` subset and total bytes crossing the client's access link.
 RunResult run(Testbed& tb, Ipv4Addr target, Port port, bool device_prefetch) {
-  TraceCollector trace(tb.net.sim());
+  TraceCollector trace;
   trace.attach(*tb.access_link);
 
   HttpClient http(*tb.client);

@@ -376,10 +376,8 @@ struct ParallelResult {
   ParallelRun one;   // the last 1-shard run
   ParallelRun many;  // the last run at the requested shard count
   bench::AbResult ab;  // N-shard events/s (B) over the 1-shard rate (A)
-  // Every run of either side matched the first 1-shard run's digest and
-  // delivered count. Raw event counts are NOT compared: the cross-shard
-  // burst path uses one extra flush event per burst, so the event count
-  // differs structurally (not nondeterministically) with layout.
+  // Every run of either side matched the first 1-shard run's digest,
+  // delivered count and event count.
   bool deterministic = true;
 };
 
@@ -397,7 +395,8 @@ ParallelResult measure_parallel(std::size_t shards, bool quick) {
     const bench::AbSample s = run_parallel_scenario(n, quick, run);
     if (!reference.has_value()) reference = run;
     r.deterministic = r.deterministic && run.digest == reference->digest &&
-                      run.delivered == reference->delivered;
+                      run.delivered == reference->delivered &&
+                      run.events == reference->events;
     return s;
   };
   r.ab = bench::ab_compare([&] { return timed(1, r.one); },
@@ -557,7 +556,6 @@ bool run_summary(bool quick, std::size_t shards) {
       .field("http_fetch_first_slice_per_sec", fetch.first_slice_per_sec, 0)
       .begin_object("parallel")
       .field("hardware_concurrency", hw)
-      .field("burst_window_us", 50)
       .begin_array("runs");
   const auto run_json = [&json](std::size_t n, const ParallelRun& run,
                                 double rate) {

@@ -56,7 +56,7 @@ OverheadResult measure_overhead() {
   const auto run = [&](bool with_recorder) {
     bench::DataplaneScenario sc(/*shards=*/1, flows, packets,
                                 /*with_admin=*/false);
-    FlightRecorder rec;  // default config: every 16th burst
+    FlightRecorder rec;  // default config: every 16th packet
     if (with_recorder) rec.attach(sc.net);
     const double t0 = bench::thread_cpu_seconds();
     const std::size_t events = sc.net.run_parallel();
@@ -281,7 +281,7 @@ int main(int argc, char** argv) {
   const bool overhead_ok = overhead_within && oh.passive;
   bench::header({"recorder", "events/s", "overhead %", "IQR %", "passive"});
   bench::row("off", oh.ab.base_rate, 0.0, "-", "-");
-  bench::row("every 16th burst", oh.ab.variant_rate, oh.ab.overhead_pct(),
+  bench::row("every 16th packet", oh.ab.variant_rate, oh.ab.overhead_pct(),
              oh.ab.ratio_iqr * 100.0, oh.passive ? "yes" : "NO");
 
   // Gate 2: barrier snapshots agree across shard counts.

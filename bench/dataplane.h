@@ -87,7 +87,6 @@ struct DataplaneScenario {
   DataplaneScenario(std::size_t shards, int flows, int packets_per_flow,
                     bool with_admin)
       : net(/*seed=*/7, shards, /*lookahead=*/milliseconds(1)) {
-    net.set_burst_window(microseconds(50));
     net.set_build_shard(0);
     core = &net.add_node<Router>("core");
 

@@ -124,116 +124,27 @@ void Link::start_transmit(Direction& dir, Packet pkt) {
     });
   }
 
-  pkt.arrived_at = arrive;
-  const SimDuration window = net_->burst_window();
-
   if (!dir.cross_shard) {
-    if (window <= 0) {
-      // Legacy path: one event per packet at its exact wire-arrival time
-      // (lost packets keep their no-op event so the schedule sequence — and
-      // thus all downstream tie-breaks — matches the historical kernel).
-      auto deliver = [this, dptr, pkt = std::move(pkt), lost]() mutable {
-        if (lost) return;
-        deliver_single(dptr, std::move(pkt));
-      };
-      // The per-hop delivery callback is the hottest event in the simulator;
-      // it must fit EventFn's inline buffer so delivery never allocates.
-      static_assert(sizeof(deliver) <= EventFn::kInlineSize);
-      sim.schedule_at(arrive, SimCategory::kLink, std::move(deliver));
-      return;
-    }
-    if (lost) return;
-    append_to_burst(dir, std::move(pkt), arrive);
+    // Lost packets keep their no-op event so the schedule sequence — and
+    // thus all downstream tie-breaks — matches the historical kernel.
+    auto deliver = [this, dptr, pkt = std::move(pkt), lost]() mutable {
+      if (lost) return;
+      deliver_single(dptr, std::move(pkt));
+    };
+    // The per-hop delivery callback is the hottest event in the simulator;
+    // it must fit EventFn's inline buffer so delivery never allocates.
+    static_assert(sizeof(deliver) <= EventFn::kInlineSize);
+    sim.schedule_at(arrive, SimCategory::kLink, std::move(deliver));
     return;
   }
 
   // Cross-shard: hand off through the ShardGroup mailbox. `arrive` is at
   // least `latency >= lookahead` in the future, so the post lands at or
   // beyond the current window horizon.
-  if (window <= 0) {
-    net_->shards().post(dir.to->shard(), arrive, SimCategory::kLink,
-                        [this, dptr, pkt = std::move(pkt)]() mutable {
-                          deliver_single(dptr, std::move(pkt));
-                        });
-    return;
-  }
-  append_to_burst(dir, std::move(pkt), arrive);
-}
-
-void Link::append_to_burst(Direction& dir, Packet pkt, SimTime arrive) {
-  PendingBurst* pb = nullptr;
-  if (!dir.bursts.empty()) {
-    PendingBurst& back = dir.bursts.back();
-    if (back.open && arrive <= back.deliver_at &&
-        back.burst.size() < kMaxBurstPackets) {
-      pb = &back;
-    } else {
-      back.open = false;
-    }
-  }
-  if (pb == nullptr) {
-    dir.bursts.emplace_back();
-    pb = &dir.bursts.back();
-    pb->deliver_at = arrive + net_->burst_window();
-    Direction* dptr = &dir;
-    Simulator& sim = dir.from->sim();
-    if (!dir.cross_shard) {
-      // Receiver == sender shard: drain in place at deliver_at. Later
-      // same-window arrivals keep appending until the event fires.
-      sim.schedule_at(pb->deliver_at, SimCategory::kLink,
-                      [this, dptr] { deliver_burst(dptr); });
-    } else {
-      // Close the burst on the sender shard one propagation delay before
-      // delivery, then post it: flush fires at deliver_at - latency, so the
-      // post lands >= lookahead past the flush — safe under any window.
-      sim.schedule_at(pb->deliver_at - params_.latency, SimCategory::kLink,
-                      [this, dptr] {
-                        PendingBurst head = std::move(dptr->bursts.front());
-                        dptr->bursts.pop_front();
-                        net_->shards().post(
-                            dptr->to->shard(), head.deliver_at,
-                            SimCategory::kLink,
-                            [this, dptr, b = std::move(head.burst)]() mutable {
-                              deliver_burst_payload(dptr, std::move(b));
-                            });
+  net_->shards().post(dir.to->shard(), arrive, SimCategory::kLink,
+                      [this, dptr, pkt = std::move(pkt)]() mutable {
+                        deliver_single(dptr, std::move(pkt));
                       });
-    }
-  }
-  pb->burst.push_back(std::move(pkt));
-}
-
-void Link::deliver_burst(Direction* dir) {
-  PendingBurst head = std::move(dir->bursts.front());
-  dir->bursts.pop_front();
-  deliver_burst_payload(dir, std::move(head.burst));
-}
-
-void Link::deliver_burst_payload(Direction* dir, PacketBurst burst) {
-  if (!dir->to->is_up()) {
-    for (const Packet& pkt : burst) {
-      ++dir->stats.rx_down_drops;
-      ++dir->to->down_drops_;
-      dir->m_dropped_packets->inc();
-      dir->m_dropped_bytes->inc(pkt.size());
-    }
-    return;
-  }
-  std::uint64_t bytes = 0;
-  for (const Packet& pkt : burst) bytes += pkt.size();
-  dir->stats.delivered_packets += burst.size();
-  dir->m_delivered_packets->inc(burst.size());
-  dir->m_delivered_bytes->inc(bytes);
-  if (!taps_.empty()) {
-    for (const Packet& pkt : burst) {
-      for (const Tap& tap : taps_) tap(pkt, *dir->from, *dir->to);
-    }
-  }
-  if (!burst_taps_.empty()) {
-    for (const BurstTap& tap : burst_taps_) tap(burst, *dir->from, *dir->to);
-  }
-  for (Packet& pkt : burst) {
-    dir->to->handle_packet(std::move(pkt), dir->to_port);
-  }
 }
 
 void Link::deliver_single(Direction* dir, Packet pkt) {
@@ -247,19 +158,7 @@ void Link::deliver_single(Direction* dir, Packet pkt) {
   ++dir->stats.delivered_packets;
   dir->m_delivered_packets->inc();
   dir->m_delivered_bytes->inc(pkt.size());
-  if (!taps_.empty()) {
-    for (const Tap& tap : taps_) tap(pkt, *dir->from, *dir->to);
-  }
-  if (!burst_taps_.empty()) {
-    // Single-packet view for burst-aware observers. The packet is moved in
-    // and back out rather than copied: a copy would heap-allocate the hop
-    // trace for every delivery, which a mostly-passive tap (e.g. the ops
-    // flight recorder sampling 1-in-N bursts) cannot afford.
-    PacketBurst view;
-    view.push_back(std::move(pkt));
-    for (const BurstTap& tap : burst_taps_) tap(view, *dir->from, *dir->to);
-    pkt = std::move(view[0]);
-  }
+  for (const Tap& tap : taps_) tap(pkt, *dir->from, *dir->to);
   dir->to->handle_packet(std::move(pkt), dir->to_port);
 }
 

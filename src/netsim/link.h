@@ -1,25 +1,15 @@
 // Full-duplex point-to-point link with bandwidth, propagation delay, random
 // loss, and a DropTail byte-bounded queue per direction.
 //
-// Delivery models (DESIGN.md "Hot paths"):
-//   * Burst window == 0 (default): one kLink event per packet at its exact
-//     wire-arrival time — the historical, bit-identical dataplane.
-//   * Burst window W > 0 (Network::set_burst_window): same-direction
-//     deliveries whose wire arrivals land within W of the burst head are
-//     coalesced into one kLink event carrying a flat PacketBurst, delivered
-//     at head_arrival + W (NIC interrupt-coalescing). The event hands each
-//     packet to the receiver's handle_packet in wire order. Discrete
-//     outcomes are identical; each packet's exact wire time is kept in
-//     arrived_at.
-//   * Cross-shard direction (endpoints on different shards): the packet (or
-//     closed burst) is posted through the ShardGroup mailbox. Cross-shard
-//     links must be lossless and their latency must be >= the group's
-//     lookahead — that latency is exactly what makes the conservative
-//     window safe.
+// Delivery (DESIGN.md "Hot paths"): one kLink event per packet at its exact
+// wire-arrival time. The event is scheduled on the sender's simulator, or
+// posted through the ShardGroup mailbox when the endpoints live on different
+// shards; both run deliver_single. Cross-shard links must be lossless and
+// their latency must be >= the group's lookahead — that latency is exactly
+// what makes the conservative window safe.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -55,18 +45,11 @@ struct LinkStats {
 
 class Link {
  public:
-  // Observes every packet the link delivers (after loss), per direction.
-  // Used by trace collectors and by on-path attackers in audit tests.
+  // Observes every packet the link delivers (after loss), per direction,
+  // inside the delivery event: `to.sim().now()` is the packet's wire
+  // arrival. Used by trace collectors, the flight recorder and on-path
+  // attackers in audit tests.
   using Tap = std::function<void(const Packet&, const Node& from, const Node& to)>;
-  // Burst-aware observer: sees each delivered burst once instead of being
-  // fanned out per packet (per-packet taps still fire for every packet).
-  // In the per-packet delivery path a burst tap sees single-packet bursts.
-  using BurstTap =
-      std::function<void(const PacketBurst&, const Node& from, const Node& to)>;
-
-  // Coalescing bound: a burst closes after this many packets even if later
-  // arrivals would still fall inside the window.
-  static constexpr std::size_t kMaxBurstPackets = 64;
 
   Link(Network& net, Node& a, Node& b, LinkParams params);
 
@@ -94,23 +77,10 @@ class Link {
   // registration order. A trace collector and a fault-injector/attacker
   // observer can therefore share a link.
   void add_tap(Tap tap) { taps_.push_back(std::move(tap)); }
-  void add_burst_tap(BurstTap tap) { burst_taps_.push_back(std::move(tap)); }
-  void clear_taps() {
-    taps_.clear();
-    burst_taps_.clear();
-  }
-  std::size_t tap_count() const { return taps_.size() + burst_taps_.size(); }
+  void clear_taps() { taps_.clear(); }
+  std::size_t tap_count() const { return taps_.size(); }
 
  private:
-  // A burst being coalesced: packets whose wire arrivals fall in
-  // [deliver_at - window, deliver_at]. The drain event (or cross-shard
-  // flush) is scheduled when the burst opens; late joiners just append.
-  struct PendingBurst {
-    PacketBurst burst;
-    SimTime deliver_at = 0;
-    bool open = true;
-  };
-
   struct Direction {
     Node* from = nullptr;
     Node* to = nullptr;
@@ -119,7 +89,6 @@ class Link {
     SimTime busy_until = 0;
     std::int64_t queued_bytes = 0;
     LinkStats stats;
-    std::deque<PendingBurst> bursts;  // FIFO by deliver_at
     // Telemetry cells (telemetry/metrics.h), registered once per direction
     // under instance "<from>-><to>"; raw pointer increments on the hot path.
     telemetry::Counter* m_delivered_packets = nullptr;
@@ -131,15 +100,8 @@ class Link {
 
   Direction& direction_from(const Node& from);
   void start_transmit(Direction& dir, Packet pkt);
-  // Appends to the direction's open burst (starting one, and scheduling its
-  // drain or cross-shard flush, if needed). `arrive` is the wire arrival.
-  void append_to_burst(Direction& dir, Packet pkt, SimTime arrive);
-  // Drains the oldest pending burst on the receiver side.
-  void deliver_burst(Direction* dir);
-  // Counts/taps a materialized burst and hands its packets, in order, to
-  // the receiving node.
-  void deliver_burst_payload(Direction* dir, PacketBurst burst);
-  // Per-packet delivery body shared by the legacy path and cross-shard posts.
+  // The delivery event's body: counts, taps and hands the packet to the
+  // receiving node.
   void deliver_single(Direction* dir, Packet pkt);
   void register_metrics(Direction& dir, const std::string& instance);
 
@@ -154,7 +116,6 @@ class Link {
   Direction ba_;  // b_ -> a_
   Rng rng_;
   std::vector<Tap> taps_;
-  std::vector<BurstTap> burst_taps_;
 };
 
 }  // namespace pvn

@@ -51,17 +51,6 @@ class Network {
     return shards_.run_parallel_until(deadline);
   }
 
-  // Burst coalescing window for every Link in this network. 0 (default)
-  // delivers one event per packet — bit-identical to the historical
-  // dataplane. > 0 coalesces same-direction deliveries whose wire arrivals
-  // fall within the window into one PacketBurst event delivered at
-  // first_arrival + window (NIC interrupt-coalescing semantics: discrete
-  // outcomes — routes, verdicts, counters, per-flow order — are unchanged;
-  // per-packet delivery timestamps shift by at most one window per hop, with
-  // exact wire times preserved in Packet::arrived_at).
-  void set_burst_window(SimDuration w) { burst_window_ = w < 0 ? 0 : w; }
-  SimDuration burst_window() const { return burst_window_; }
-
   Rng& rng() { return rng_; }
 
   // Interned node names (hop traces store ids against this table).
@@ -108,7 +97,6 @@ class Network {
   std::vector<std::unique_ptr<Link>> links_;
   std::atomic<std::uint64_t> next_packet_id_{1};
   std::size_t build_shard_ = 0;
-  SimDuration burst_window_ = 0;
 };
 
 }  // namespace pvn

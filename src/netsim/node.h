@@ -24,9 +24,7 @@ class Node {
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
 
-  // Invoked by a Link when a packet arrives on `in_port`. A coalesced burst
-  // (Network::set_burst_window) arrives as one call per packet, in wire
-  // order.
+  // Invoked by a Link when a packet arrives on `in_port`.
   virtual void handle_packet(Packet pkt, int in_port) = 0;
 
   const std::string& name() const { return name_; }
@@ -36,6 +34,7 @@ class Node {
   // The simulator of this node's shard (cached at construction; equals
   // network().sim() in single-shard networks).
   Simulator& sim() { return *sim_; }
+  const Simulator& sim() const { return *sim_; }
   // Event shard this node lives on (Network::set_build_shard at creation).
   std::size_t shard() const { return shard_; }
 

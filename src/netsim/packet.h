@@ -82,11 +82,6 @@ struct Packet {
 
   // --- simulation instrumentation (not on the wire) ---
   SimTime created_at = 0;
-  // Wire-arrival time at the most recent hop, stamped by Link on delivery.
-  // Under burst coalescing (Network::set_burst_window) the delivery *event*
-  // fires up to one window after this instant; arrived_at preserves the
-  // exact per-packet serialization+propagation time for tests and benches.
-  SimTime arrived_at = 0;
   HopTrace hop_trace;  // node ids traversed (ground truth)
   // Causal trace that caused this packet (telemetry/trace.h ids); 0 =
   // untraced. Out-of-band like the hop trace: invisible to protocol logic,
@@ -96,11 +91,9 @@ struct Packet {
   std::size_t size() const { return IpHeader::kWireSize + l4.size(); }
 };
 
-// A batch of packets delivered by one simulator event (Link's burst
-// coalescing, DESIGN.md "Hot paths"). Storage is a
-// small-vector: bursts up to kInline packets live entirely on the event
-// callback's stack/inline buffer; payload bytes are CoW SharedBytes refs, so
-// a burst never copies packet data. Packets appear in wire-arrival order.
+// A batch of packets for PacketProcessor::process_burst (sdn/switch.h).
+// Storage is a small-vector: up to kInline packets live inline; payload
+// bytes are CoW SharedBytes refs, so a burst never copies packet data.
 struct PacketBurst {
   static constexpr std::size_t kInline = 8;
   SmallVector<Packet, kInline> pkts;

@@ -7,7 +7,6 @@
 
 #include "netsim/link.h"
 #include "netsim/packet.h"
-#include "util/sim.h"
 #include "util/time.h"
 
 namespace pvn {
@@ -23,12 +22,11 @@ struct TraceRecord {
   std::size_t size = 0;
 };
 
-// Attaches to one or more Links and records every delivered packet.
+// Attaches to one or more Links and records every delivered packet, stamped
+// with the receiving node's clock (its wire arrival).
 class TraceCollector {
  public:
-  explicit TraceCollector(Simulator& sim) : sim_(&sim) {}
-
-  // Installs this collector as the link's tap (replacing any existing tap).
+  // Appends a tap to the link; taps already on it keep observing.
   void attach(Link& link);
 
   const std::vector<TraceRecord>& records() const { return records_; }
@@ -45,7 +43,6 @@ class TraceCollector {
                              const std::string& to) const;
 
  private:
-  Simulator* sim_;
   std::vector<TraceRecord> records_;
 };
 

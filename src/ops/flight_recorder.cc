@@ -73,20 +73,20 @@ void FlightRecorder::attach(Network& net) {
   for (const auto& link : net.links()) {
     links_.emplace_back();
     LinkState* ls = &links_.back();
+    ls->end_a = &link->end_a();
     for (int d = 0; d < 2; ++d) {
       // Deterministic seed: a function of attach order, never of wall time.
       ls->dir[d].rng.reseed(mix_u64(0xf11e7ull ^ (link_index * 2 + d)));
     }
-    Link* lp = link.get();
-    lp->add_burst_tap([this, ls, lp](const PacketBurst& burst,
-                                     const Node& from, const Node&) {
-      // Hot path: an increment, a decrement, and a compare per burst — no
+    link->add_tap([this, ls](const Packet& p, const Node& from,
+                             const Node& to) {
+      // Hot path: an increment, a decrement, and a compare per packet — no
       // division. The countdown reloads from the atomic interval only when
       // it expires, so a runtime rate change (kSetSamplingRate) takes
       // effect within one sampling period; a disabled recorder (interval
-      // 0) re-checks the interval every 65536 bursts.
-      DirState& d = ls->dir[&from == &lp->end_a() ? 0 : 1];
-      ++d.bursts;
+      // 0) re-checks the interval every 65536 packets.
+      DirState& d = ls->dir[&from == ls->end_a ? 0 : 1];
+      ++d.packets;
       if (d.until_next > 1) {
         --d.until_next;
         return;
@@ -97,60 +97,66 @@ void FlightRecorder::attach(Network& net) {
         d.until_next = 1u << 16;
         return;
       }
-      const bool first = d.until_next == 0;  // direction's very first burst
-      d.until_next = interval;
-      if (first && interval > 1) return;  // align: sample the Nth, not the 1st
-      ++d.sampled;
-      ShardState& ss = *shards_[ShardGroup::current_shard()];
-      const std::size_t mask = cfg_.flow_slots - 1;
-      for (const Packet& p : burst) {
-        // Inline flow key over (src, dst, proto, first l4 bytes): the
-        // recorder only needs a stable local identity, so two cheap
-        // 64-bit mixes stand in for a wide digest on every sampled packet.
-        std::uint64_t flow =
-            (static_cast<std::uint64_t>(p.ip.src.v) << 32) | p.ip.dst.v;
-        flow = hash_combine_u64(flow, static_cast<std::uint64_t>(p.ip.proto));
-        std::uint64_t ports = 0;
-        const std::size_t l4n = p.l4.size() < 8 ? p.l4.size() : 8;
-        for (std::size_t i = 0; i < l4n; ++i) {
-          ports = (ports << 8) | p.l4.data()[i];
-        }
-        flow = hash_combine_u64(flow, ports);
-        FlowSlot& slot = ss.flows[mix_u64(flow) & mask];
-        if (slot.flow != flow) {
-          slot.flow = flow;  // collision or first sight: fresh reservoir
-          slot.seen = 0;
-        }
-        ++slot.seen;
-        // Algorithm R acceptance: always keep the first per_flow_cap, then
-        // admit with probability per_flow_cap / seen.
-        if (slot.seen > cfg_.per_flow_cap &&
-            d.rng.next_below(slot.seen) >= cfg_.per_flow_cap) {
-          ++ss.rejected;
-          continue;
-        }
-        ++ss.admitted;
-        FlightSample s;
-        s.at = p.arrived_at;
-        s.packet_id = p.id;
-        s.flow_hash = flow;
-        s.trace_id = p.trace_id;
-        s.src = p.ip.src;
-        s.dst = p.ip.dst;
-        s.bytes = static_cast<std::uint32_t>(p.size());
-        const std::size_t hops =
-            std::min(p.hop_trace.ids.size(), FlightSample::kMaxHops);
-        s.hop_count = static_cast<std::uint8_t>(hops);
-        std::copy_n(p.hop_trace.ids.begin(), hops, s.hop_ids);
-        if (ss.ring.size() < cfg_.ring_capacity) {
-          ss.ring.push_back(s);
-        } else {
-          ss.ring[ss.wr] = s;
-          ss.wr = (ss.wr + 1) % cfg_.ring_capacity;
-        }
+      if (d.until_next == 0 && interval > 1) {
+        // The direction's first packet: count it, so the Nth is sampled.
+        d.until_next = interval - 1;
+        return;
       }
+      d.until_next = interval;
+      ++d.sampled;
+      sample(p, to.sim().now(), d.rng);
     });
     ++link_index;
+  }
+}
+
+void FlightRecorder::sample(const Packet& p, SimTime at, Rng& rng) {
+  ShardState& ss = *shards_[ShardGroup::current_shard()];
+  // Inline flow key over (src, dst, proto, first l4 bytes): the recorder
+  // only needs a stable local identity, so two cheap 64-bit mixes stand in
+  // for a wide digest on every sampled packet.
+  std::uint64_t flow =
+      (static_cast<std::uint64_t>(p.ip.src.v) << 32) | p.ip.dst.v;
+  flow = hash_combine_u64(flow, static_cast<std::uint64_t>(p.ip.proto));
+  std::uint64_t ports = 0;
+  const std::size_t l4n = p.l4.size() < 8 ? p.l4.size() : 8;
+  for (std::size_t i = 0; i < l4n; ++i) {
+    ports = (ports << 8) | p.l4.data()[i];
+  }
+  flow = hash_combine_u64(flow, ports);
+  FlowSlot& slot = ss.flows[mix_u64(flow) & (cfg_.flow_slots - 1)];
+  if (slot.flow != flow) {
+    slot.flow = flow;  // collision or first sight: fresh reservoir
+    slot.seen = 0;
+  }
+  ++slot.seen;
+  // Algorithm R acceptance: always keep the first per_flow_cap, then admit
+  // with probability per_flow_cap / seen. (A double compare, not
+  // next_below: its two 64-bit divisions per sampled packet showed in the
+  // recorder's dataplane overhead.)
+  if (slot.seen > cfg_.per_flow_cap &&
+      rng.uniform() * static_cast<double>(slot.seen) >= cfg_.per_flow_cap) {
+    ++ss.rejected;
+    return;
+  }
+  ++ss.admitted;
+  FlightSample s;
+  s.at = at;
+  s.packet_id = p.id;
+  s.flow_hash = flow;
+  s.trace_id = p.trace_id;
+  s.src = p.ip.src;
+  s.dst = p.ip.dst;
+  s.bytes = static_cast<std::uint32_t>(p.size());
+  const std::size_t hops =
+      std::min(p.hop_trace.ids.size(), FlightSample::kMaxHops);
+  s.hop_count = static_cast<std::uint8_t>(hops);
+  std::copy_n(p.hop_trace.ids.begin(), hops, s.hop_ids);
+  if (ss.ring.size() < cfg_.ring_capacity) {
+    ss.ring.push_back(s);
+  } else {
+    ss.ring[ss.wr] = s;
+    if (++ss.wr == cfg_.ring_capacity) ss.wr = 0;
   }
 }
 
@@ -223,8 +229,8 @@ FlightRecorder::Stats FlightRecorder::stats() const {
   Stats st;
   for (const LinkState& ls : links_) {
     for (const DirState& d : ls.dir) {
-      st.bursts_seen += d.bursts;
-      st.bursts_sampled += d.sampled;
+      st.packets_seen += d.packets;
+      st.packets_sampled += d.sampled;
     }
   }
   for (const auto& ss : shards_) {

@@ -1,25 +1,21 @@
 // Packet-sampling flight recorder.
 //
-// Attaches one burst tap per Link and samples whole bursts: every
-// `sample_interval`-th burst per link direction is inspected, all other
-// bursts pay exactly one counter increment plus a countdown decrement and
-// compare (no division — the countdown reloads from the interval only when
-// it expires, so a runtime rate change takes effect within one sampling
-// period). That single decision per burst (not per packet) is what keeps
-// dataplane overhead under the 5% bench gate — a burst carries up to
-// Link::kBurstCap packets, so the hot-path cost is amortized across the
-// whole batch.
+// Attaches one tap per Link and samples packets: every `sample_interval`-th
+// packet per link direction is inspected, all other packets pay exactly one
+// counter increment plus a countdown decrement and compare (no division —
+// the countdown reloads from the interval only when it expires, so a
+// runtime rate change takes effect within one sampling period).
 //
-// Inside a sampled burst, packets are admitted per flow with reservoir-style
-// decay: the first `per_flow_cap` packets of a flow are always kept, the
-// n-th after that survives with probability per_flow_cap / n (Algorithm R's
+// Sampled packets are admitted per flow with reservoir-style decay: the
+// first `per_flow_cap` sampled packets of a flow are always kept, the n-th
+// after that survives with probability per_flow_cap / n (Algorithm R's
 // acceptance rule). Expected samples per flow therefore grow like
 // cap * (1 + ln(N / cap)) for N sampled packets — heavy flows cannot crowd
 // out mice — while the fixed-size per-shard ring bounds total memory and
 // simply overwrites the oldest samples.
 //
 // Thread model: a cross-shard link's two directions deliver on different
-// shard threads, so all mutable state is either per-direction (burst
+// shard threads, so all mutable state is either per-direction (packet
 // counters, the admission Rng) or per-shard (rings, flow slots), indexed by
 // ShardGroup::current_shard(). Readers (samples(), trace_json(), stats())
 // must run while the group is quiesced — between run_parallel_until calls
@@ -42,9 +38,11 @@ namespace pvn {
 
 class Network;
 class NameTable;
+class Node;
+struct Packet;
 
 struct FlightRecorderConfig {
-  // Sample every Nth burst per link direction; 0 disables sampling.
+  // Sample every Nth packet per link direction; 0 disables sampling.
   std::uint32_t sample_interval = 16;
   // Per-shard ring capacity; oldest samples are overwritten.
   std::size_t ring_capacity = 4096;
@@ -68,7 +66,7 @@ struct FlightRecorderConfig {
 struct FlightSample {
   static constexpr std::size_t kMaxHops = 12;
 
-  SimTime at = 0;  // wire arrival at the sampling link
+  SimTime at = 0;  // wire arrival at the sampling link's receiving node
   std::uint64_t packet_id = 0;
   std::uint64_t flow_hash = 0;
   std::uint64_t trace_id = 0;  // owning causal trace (0 = untraced packet)
@@ -89,7 +87,7 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  // Adds a burst tap to every link currently in `net` and sizes the
+  // Adds a tap to every link currently in `net` and sizes the
   // per-shard state. Call once, after topology construction.
   void attach(Network& net);
 
@@ -110,26 +108,27 @@ class FlightRecorder {
   std::string trace_json() const;
 
   struct Stats {
-    std::uint64_t bursts_seen = 0;
-    std::uint64_t bursts_sampled = 0;
+    std::uint64_t packets_seen = 0;
+    std::uint64_t packets_sampled = 0;
     std::uint64_t packets_admitted = 0;
     std::uint64_t packets_rejected = 0;  // reservoir-declined
   };
   Stats stats() const;  // quiesced readers only
 
-  void clear();  // drops samples and flow state, keeps burst phase counters
+  void clear();  // drops samples and flow state, keeps the countdowns
 
  private:
   struct DirState {
-    std::uint64_t bursts = 0;
+    std::uint64_t packets = 0;
     std::uint64_t sampled = 0;
-    // Bursts left until the next sample; reloaded from the atomic interval
+    // Packets left until the next sample; reloaded from the atomic interval
     // when it expires, so the hot path is a decrement + compare with no
     // division. 0 = not yet initialised for this direction.
     std::uint32_t until_next = 0;
     Rng rng;
   };
   struct LinkState {
+    const Node* end_a = nullptr;
     DirState dir[2];  // [0] = end_a -> end_b, [1] = the reverse
   };
   struct FlowSlot {
@@ -143,6 +142,10 @@ class FlightRecorder {
     std::uint64_t admitted = 0;
     std::uint64_t rejected = 0;
   };
+
+  // A sampled packet's per-flow admission and ring write, off the tap's
+  // countdown path.
+  void sample(const Packet& p, SimTime at, Rng& rng);
 
   FlightRecorderConfig cfg_;
   std::atomic<std::uint32_t> interval_;

@@ -65,7 +65,7 @@ enum class OpsVerb : std::uint8_t {
   kWipeCache = 2,          // clear a registered cache ("" = all of them)
   kPromoteStandby = 3,     // force a deployment onto its warm standby now
   kQuarantineOverride = 4, // force a host into / out of quarantine
-  kSetSamplingRate = 5,    // flight-recorder burst sampling interval
+  kSetSamplingRate = 5,    // flight-recorder packet sampling interval
 };
 const char* to_string(OpsVerb v);
 

@@ -540,7 +540,7 @@ TEST(TraceCollector, RecordsDeliveredPackets) {
   auto& a = net.add_node<SinkNode>("a");
   auto& b = net.add_node<SinkNode>("b");
   Link& link = net.connect(a, b);
-  TraceCollector tc(net.sim());
+  TraceCollector tc;
   tc.attach(link);
   for (int i = 0; i < 5; ++i) a.send(0, test_packet(net, 100));
   net.sim().run();
@@ -560,7 +560,7 @@ TEST(TraceCollector, ThroughputReflectsLinkRate) {
   lp.latency = 0;
   lp.queue_bytes = 10 * kMiB;
   Link& link = net.connect(a, b, lp);
-  TraceCollector tc(net.sim());
+  TraceCollector tc;
   tc.attach(link);
   for (int i = 0; i < 200; ++i) {
     a.send(0, test_packet(net, 1500 - IpHeader::kWireSize));
@@ -583,7 +583,7 @@ TEST(Link, ChainedTapsAllObserveEveryDelivery) {
   link.add_tap([&](const Packet&, const Node&, const Node&) {
     ++attacker_seen;
   });
-  TraceCollector tc(net.sim());
+  TraceCollector tc;
   tc.attach(link);
   EXPECT_EQ(link.tap_count(), 2u);
 

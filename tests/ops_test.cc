@@ -305,8 +305,8 @@ TEST(Ops, FlightRecorderSamplesEveryBurstAtIntervalOne) {
   tb.net.shards().enable_time_barriers();
   ping(tb, 5);
   const FlightRecorder::Stats st = tb.flight_recorder->stats();
-  EXPECT_GT(st.bursts_seen, 0u);
-  EXPECT_EQ(st.bursts_sampled, st.bursts_seen);
+  EXPECT_GT(st.packets_seen, 0u);
+  EXPECT_EQ(st.packets_sampled, st.packets_seen);
   const std::vector<FlightSample> samples = tb.flight_recorder->samples();
   ASSERT_FALSE(samples.empty());
   // Samples are merged in (time, packet id) order and carry hop traces.
@@ -327,9 +327,63 @@ TEST(Ops, FlightRecorderIntervalZeroDisablesSampling) {
   tb.net.shards().enable_time_barriers();
   ping(tb, 5);
   const FlightRecorder::Stats st = tb.flight_recorder->stats();
-  EXPECT_GT(st.bursts_seen, 0u);
-  EXPECT_EQ(st.bursts_sampled, 0u);
+  EXPECT_GT(st.packets_seen, 0u);
+  EXPECT_EQ(st.packets_sampled, 0u);
   EXPECT_TRUE(tb.flight_recorder->samples().empty());
+}
+
+// A node that discards whatever it receives.
+class NullNode : public Node {
+ public:
+  NullNode(Network& net, std::string name) : Node(net, std::move(name)) {}
+  void handle_packet(Packet, int) override {}
+};
+
+TEST(Ops, FlightRecorderSamplesEveryNthPacketPerDirection) {
+  Network net;
+  auto& a = net.add_node<NullNode>("fr-a");
+  auto& b = net.add_node<NullNode>("fr-b");
+  net.connect(a, b);
+  FlightRecorderConfig cfg;
+  cfg.sample_interval = 16;
+  cfg.per_flow_cap = 1000;  // admit every sampled packet
+  FlightRecorder rec(cfg);
+  rec.attach(net);
+
+  std::vector<std::uint64_t> ids;  // ids[i]: the (i+1)-th packet sent a->b
+  const auto send = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      Packet pkt = net.make_packet(Ipv4Addr(10, 0, 0, 1),
+                                   Ipv4Addr(10, 0, 0, 2), IpProto::kUdp,
+                                   Bytes(64, 0x5A));
+      ids.push_back(pkt.id);
+      a.send(0, std::move(pkt));
+    }
+    net.sim().run();
+  };
+  const auto sampled = [&] {
+    std::vector<std::uint64_t> out;
+    for (const FlightSample& s : rec.samples()) out.push_back(s.packet_id);
+    return out;
+  };
+
+  send(50);
+  FlightRecorder::Stats st = rec.stats();
+  EXPECT_EQ(st.packets_seen, 50u);
+  EXPECT_EQ(st.packets_sampled, 3u);
+  EXPECT_EQ(sampled(),
+            (std::vector<std::uint64_t>{ids[15], ids[31], ids[47]}));
+
+  // A rate change lands when the running countdown expires: the 64th
+  // packet closes the old 16-packet period, then every 4th is sampled.
+  rec.set_sample_interval(4);
+  send(30);
+  st = rec.stats();
+  EXPECT_EQ(st.packets_seen, 80u);
+  EXPECT_EQ(st.packets_sampled, 8u);
+  EXPECT_EQ(sampled(), (std::vector<std::uint64_t>{ids[15], ids[31], ids[47],
+                                                   ids[63], ids[67], ids[71],
+                                                   ids[75], ids[79]}));
 }
 
 TEST(Ops, FlightRecorderRingStaysBounded) {
