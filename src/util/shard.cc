@@ -160,8 +160,8 @@ void ShardGroup::start_workers() {
 void ShardGroup::drain_mailboxes() {
   // Deterministic merge: order by (when, source shard, per-source sequence),
   // then hand the events to the target shards in that order so the targets'
-  // own sequence numbers — and therefore same-timestamp FIFO order — are a
-  // pure function of simulation state.
+  // schedule order — and therefore same-timestamp FIFO order — is a pure
+  // function of simulation state.
   std::vector<Mail> all;
   for (Outbox& box : outboxes_) {
     for (Mail& m : box.mail) all.push_back(std::move(m));

@@ -15,13 +15,13 @@
 //     receive work inside the window it is executing.
 //
 // Determinism contract: event order inside a shard is the Simulator's
-// (when, seq) order. Mailbox drains sort by (when, source shard, per-source
-// post sequence) before assigning target-shard sequences, so the interleaving
-// of cross-shard arrivals is a pure function of simulation state — never of
-// thread scheduling. An N-shard run is therefore bit-identical to the same
-// topology run with 1 shard (the windows change, the event order per shard
-// does not). shard_count()==1 never spawns threads and is exactly the legacy
-// single-Simulator execution.
+// (when, schedule order) order. Mailbox drains sort by (when, source shard,
+// per-source post sequence) before scheduling on the target shards, so the
+// interleaving of cross-shard arrivals is a pure function of simulation
+// state — never of thread scheduling. An N-shard run is therefore
+// bit-identical to the same topology run with 1 shard (the windows change,
+// the event order per shard does not). shard_count()==1 never spawns threads
+// and is exactly the legacy single-Simulator execution.
 #pragma once
 
 #include <atomic>

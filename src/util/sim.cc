@@ -1,6 +1,7 @@
 #include "util/sim.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 
 namespace pvn {
@@ -32,17 +33,21 @@ constexpr std::uint32_t event_gen(EventId id) {
   return static_cast<std::uint32_t>(id >> 32);
 }
 
-// Min-heap on (when, seq): std::push_heap/pop_heap build a max-heap, so the
-// comparator orders later events first.
-struct HeapLater {
-  template <typename E>
-  bool operator()(const E& a, const E& b) const {
-    if (a.when != b.when) return a.when > b.when;
-    return a.seq > b.seq;
-  }
-};
+constexpr std::uint64_t bucket_bit(int b) {
+  return std::uint64_t{1} << (b - 1);
+}
 
 }  // namespace
+
+void Simulator::place(const QueueEntry& e) {
+  // Keys are never negative (schedule_fn clamps to now_ >= 0), so the
+  // unsigned XOR orders them exactly: 0 for a key equal to last_, else one
+  // more than the highest differing bit.
+  const int b = static_cast<int>(
+      std::bit_width(static_cast<std::uint64_t>(e.when ^ last_)));
+  buckets_[b].push_back(e);
+  if (b != 0) nonempty_ |= bucket_bit(b);
+}
 
 EventId Simulator::schedule_fn(SimTime when, EventFn fn, SimCategory cat) {
   if (when < now_) when = now_;
@@ -58,8 +63,8 @@ EventId Simulator::schedule_fn(SimTime when, EventFn fn, SimCategory cat) {
   s.fn = std::move(fn);
   s.armed = true;
   s.cat = cat;
-  heap_.push_back(HeapEntry{when, next_seq_++, slot, s.gen});
-  std::push_heap(heap_.begin(), heap_.end(), HeapLater{});
+  place(QueueEntry{when, slot});
+  ++queued_;
   ++live_;
   return make_event_id(slot, s.gen);
 }
@@ -71,52 +76,78 @@ void Simulator::cancel(EventId id) {
   Slot& s = slots_[slot];
   if (!s.armed || s.gen != event_gen(id)) return;  // already fired/cancelled
   s.armed = false;
-  s.fn.reset();  // release captures now; the heap entry is reclaimed on pop
+  s.fn.reset();  // release captures now; the entry is reclaimed later
   --live_;
   // Mass-cancel churn guard: once dead entries outnumber live ones, sweep
-  // them out. Each compaction is O(heap) but needs >= live_ fresh cancels to
-  // re-trigger, so the amortized cost per cancel stays O(1) and heap_.size()
-  // stays O(live_).
-  if (heap_.size() >= 64 && heap_.size() > 2 * live_) compact_heap();
+  // them out. Each compaction is O(queue) but needs >= live_ fresh cancels
+  // to re-trigger, so the amortized cost per cancel stays O(1) and
+  // queued_ stays O(live_).
+  if (queued_ >= 64 && queued_ > 2 * live_) compact_queue();
 }
 
-void Simulator::compact_heap() {
+void Simulator::release(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  ++s.gen;
+  s.armed = false;
+  s.fn.reset();
+  free_slots_.push_back(slot);
+}
+
+std::size_t Simulator::sweep(int b, std::size_t from) {
+  std::vector<QueueEntry>& q = buckets_[b];
   std::size_t kept = 0;
-  for (const HeapEntry& e : heap_) {
-    Slot& s = slots_[e.slot];
-    if (s.armed && s.gen == e.gen) {
-      heap_[kept++] = e;
+  for (std::size_t i = from; i < q.size(); ++i) {
+    if (slots_[q[i].slot].armed) {
+      q[kept++] = q[i];
+    } else {
+      release(q[i].slot);
+    }
+  }
+  queued_ -= q.size() - from - kept;
+  q.resize(kept);
+  return kept;
+}
+
+void Simulator::compact_queue() {
+  sweep(0, head_);
+  head_ = 0;
+  for (std::uint64_t bits = nonempty_; bits != 0; bits &= bits - 1) {
+    const int b = std::countr_zero(bits) + 1;
+    if (sweep(b, 0) == 0) nonempty_ &= ~bucket_bit(b);
+  }
+}
+
+bool Simulator::lowest_live(int& bucket, SimTime& earliest) {
+  while (nonempty_ != 0) {
+    const int b = std::countr_zero(nonempty_) + 1;
+    if (sweep(b, 0) == 0) {
+      nonempty_ &= ~bucket_bit(b);
       continue;
     }
-    if (s.gen == e.gen) {
-      // Cancelled but not yet retired: retire the slot exactly as the pop
-      // path would (stale-ify outstanding ids, recycle the slot).
-      ++s.gen;
-      s.fn.reset();
-      free_slots_.push_back(e.slot);
-    }
-    // gen mismatch: the slot was already retired (and possibly re-armed
-    // under a new generation) — this entry is pure garbage, drop it.
+    SimTime m = buckets_[b].front().when;
+    for (const QueueEntry& e : buckets_[b]) m = std::min(m, e.when);
+    bucket = b;
+    earliest = m;
+    return true;
   }
-  heap_.resize(kept);
-  std::make_heap(heap_.begin(), heap_.end(), HeapLater{});
+  return false;
 }
 
 SimTime Simulator::next_event_time() {
-  while (!heap_.empty()) {
-    const HeapEntry& top = heap_.front();
-    Slot& s = slots_[top.slot];
-    if (s.armed && s.gen == top.gen) return top.when;
-    // Dead entry: retire it so repeated peeks stay cheap.
-    if (s.gen == top.gen) {
-      ++s.gen;
-      s.fn.reset();
-      free_slots_.push_back(top.slot);
-    }
-    std::pop_heap(heap_.begin(), heap_.end(), HeapLater{});
-    heap_.pop_back();
+  std::vector<QueueEntry>& ready = buckets_[0];
+  for (; head_ < ready.size(); ++head_) {
+    const std::uint32_t slot = ready[head_].slot;
+    if (slots_[slot].armed) return last_;
+    --queued_;
+    release(slot);
   }
-  return kNoPendingEvent;
+  ready.clear();
+  head_ = 0;
+  // Peek only: last_ stays put, so ShardGroup may still schedule between
+  // the clock and the time returned here.
+  int b = 0;
+  SimTime m = 0;
+  return lowest_live(b, m) ? m : kNoPendingEvent;
 }
 
 std::size_t Simulator::run_window(SimTime end_exclusive) {
@@ -138,29 +169,37 @@ std::size_t Simulator::run_window(SimTime end_exclusive) {
 
 bool Simulator::pop_one_until(SimTime deadline, SimTime& when_out,
                               EventFn& fn_out, SimCategory& cat_out) {
-  while (!heap_.empty() && heap_.front().when <= deadline) {
-    const HeapEntry top = heap_.front();
-    std::pop_heap(heap_.begin(), heap_.end(), HeapLater{});
-    heap_.pop_back();
-    Slot& s = slots_[top.slot];
-    const bool fire = s.armed && s.gen == top.gen;
-    // Retire the slot: bump the generation so outstanding EventIds go stale,
-    // then recycle it.
-    ++s.gen;
-    s.armed = false;
-    if (fire) {
-      fn_out = std::move(s.fn);
-      cat_out = s.cat;
+  std::vector<QueueEntry>& ready = buckets_[0];
+  for (;;) {
+    if (head_ < ready.size() && last_ > deadline) return false;
+    while (head_ < ready.size()) {
+      const std::uint32_t slot = ready[head_++].slot;
+      --queued_;
+      Slot& s = slots_[slot];
+      if (s.armed) {
+        fn_out = std::move(s.fn);
+        cat_out = s.cat;
+        --live_;
+        release(slot);
+        when_out = last_;
+        return true;
+      }
+      release(slot);
     }
-    s.fn.reset();
-    free_slots_.push_back(top.slot);
-    if (fire) {
-      --live_;
-      when_out = top.when;
-      return true;
-    }
+    ready.clear();
+    head_ = 0;
+    // Bucket 0 is dry: rebase on the earliest live key of the lowest
+    // bucket. Every entry there lands in a lower bucket, in order, and
+    // those buckets are empty, so each bucket stays in schedule order.
+    int b = 0;
+    SimTime m = 0;
+    if (!lowest_live(b, m) || m > deadline) return false;
+    last_ = m;
+    nonempty_ &= ~bucket_bit(b);
+    std::vector<QueueEntry>& q = buckets_[b];
+    for (const QueueEntry& e : q) place(e);
+    q.clear();
   }
-  return false;
 }
 
 void Simulator::dispatch(EventFn& fn, SimCategory cat) {
@@ -202,7 +241,7 @@ std::size_t Simulator::run_until(SimTime deadline) {
     fn.reset();
     ++executed;
   }
-  if (now_ < deadline && heap_.empty()) now_ = deadline;
+  if (now_ < deadline && live_ == 0) now_ = deadline;
   return executed;
 }
 

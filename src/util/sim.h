@@ -1,26 +1,36 @@
 // Discrete-event simulation kernel.
 //
-// A Simulator owns the virtual clock and a binary-heap event queue. Every
-// component in the repository (links, TCP endpoints, middlebox hosts,
+// A Simulator owns the virtual clock and a monotone radix-heap event queue.
+// Every component in the repository (links, TCP endpoints, middlebox hosts,
 // protocol state machines) schedules work through one shared Simulator, which
 // makes whole-network runs single-threaded and deterministic.
 //
 // Hot-path design (see DESIGN.md "Hot paths and performance model"):
-//   * Callbacks are stored in EventFn, a move-only callable with a 120-byte
+//   * Callbacks are stored in EventFn, a move-only callable with a 136-byte
 //     inline buffer, so capture-light lambdas (including ones carrying a
 //     whole Packet) never touch the heap per event.
-//   * Events live in generation-tagged slots; the heap holds (when, seq,
-//     slot, gen) entries only. cancel() is O(1): it disarms the slot and
-//     frees the callback immediately, so cancelled state never accumulates
-//     across long runs (the heap entry is reclaimed lazily on pop, and a
-//     compaction pass bounds dead heap entries under mass-cancel churn).
-//   * Tie-break contract: same-time events run in schedule order (FIFO by a
-//     per-simulator sequence number). schedule_at() with `when` in the past
-//     clamps to now() and therefore runs *after* every event already queued
-//     at now() — a late event never jumps the queue. The sequence is per
-//     simulator (per shard), so multi-shard runs stay deterministic as long
-//     as cross-shard injection assigns sequences deterministically (see
-//     ShardGroup in util/shard.h).
+//   * Events live in generation-tagged slots; the queue holds (when, slot)
+//     entries only, at most one per slot. cancel() is O(1): it disarms the
+//     slot and frees the callback immediately, so cancelled state never
+//     accumulates across long runs (the entry is reclaimed lazily when the
+//     queue passes it, and a compaction pass bounds dead entries under
+//     mass-cancel churn).
+//   * The queue is a radix heap (Ahuja, Mehlhorn, Orlin and Tarjan, J. ACM
+//     1990). Simulated time never runs backwards, so every queued key is at
+//     or after `last_`, the time of the last event popped. Bucket b >= 1
+//     holds the keys whose highest bit differing from `last_` is bit b-1;
+//     bucket 0 holds the keys equal to `last_` and is read front to back.
+//     When bucket 0 runs dry, the lowest non-empty bucket is redistributed
+//     around its earliest live key, so pops read memory in order instead of
+//     sifting a binary heap.
+//   * Tie-break contract: same-time events run in schedule order. Pushes
+//     append and a bucket is refilled only while empty, so every bucket
+//     stays in schedule order without a sequence number. schedule_at() with
+//     `when` in the past clamps to now() and therefore runs *after* every
+//     event already queued at now() — a late event never jumps the queue.
+//     Order is per simulator (per shard), so multi-shard runs stay
+//     deterministic as long as cross-shard injection schedules in a
+//     deterministic order (see ShardGroup in util/shard.h).
 //
 // Parallel use: a Simulator is single-threaded. ShardGroup runs one Simulator
 // per shard under conservative-lookahead windows (run_window/next_event_time
@@ -223,8 +233,10 @@ class Simulator {
   // already-fired/cancelled event id (both are no-ops).
   void cancel(EventId id);
 
-  // Runs events until the queue drains or the clock would pass `deadline`.
-  // Returns the number of events executed.
+  // Runs every event with when <= deadline, including ones scheduled along
+  // the way. If no live event remains afterwards, the clock lands on
+  // `deadline` (cancelled entries do not count); otherwise it stays at the
+  // last executed event. Returns the number of events executed.
   std::size_t run_until(SimTime deadline);
 
   // Runs until the event queue is empty.
@@ -238,7 +250,8 @@ class Simulator {
   static constexpr SimTime kNoPendingEvent = std::numeric_limits<SimTime>::max();
 
   // Timestamp of the earliest pending event, or kNoPendingEvent. Reclaims
-  // cancelled entries found at the top of the heap along the way.
+  // cancelled entries it passes, but never moves the queue's base: callers
+  // may still schedule below the returned time (down to now()).
   SimTime next_event_time();
 
   // Runs every pending event with when < end_exclusive (strictly before the
@@ -254,10 +267,10 @@ class Simulator {
   }
 
   std::size_t pending_events() const { return live_; }
-  // Heap entries currently held: live events plus cancelled entries not yet
-  // reclaimed. Compaction keeps this O(pending_events()); exposed so the
+  // Queue entries currently held: live events plus cancelled entries not
+  // yet reclaimed. Compaction keeps this O(pending_events()); exposed so the
   // mass-cancel churn regression can assert the bound.
-  std::size_t heap_size() const { return heap_.size(); }
+  std::size_t heap_size() const { return queued_; }
 
   // --- profiler (see SimProfile above) -----------------------------------
   // Per-category event counts are always collected; wall-clock attribution
@@ -268,13 +281,12 @@ class Simulator {
   void reset_profile() { profile_ = SimProfile{}; }
 
  private:
-  // Heap entries are 24 bytes; the callback lives in its slot until fired or
-  // cancelled. `gen` detects stale entries after a slot is recycled.
-  struct HeapEntry {
+  // A queued event. The callback lives in its slot until fired or
+  // cancelled; a slot is recycled only once its one entry has left the
+  // queue, so `armed` alone tells a live entry from a cancelled one.
+  struct QueueEntry {
     SimTime when;
-    std::uint64_t seq;  // tie-break: FIFO among same-time events
     std::uint32_t slot;
-    std::uint32_t gen;
   };
   struct Slot {
     std::uint32_t gen = 1;
@@ -282,22 +294,40 @@ class Simulator {
     SimCategory cat = SimCategory::kOther;
     EventFn fn;
   };
+  // Bucket 0 plus one bucket per bit of a key.
+  static constexpr int kBuckets = 65;
 
   EventId schedule_fn(SimTime when, EventFn fn, SimCategory cat);
+  // Appends an entry to the bucket of its key relative to last_.
+  void place(const QueueEntry& e);
   // Pops the earliest live event with when <= deadline (reclaiming any
   // cancelled entries it passes). Returns false if there is none.
   bool pop_one_until(SimTime deadline, SimTime& when_out, EventFn& fn_out,
                      SimCategory& cat_out);
-  // Drops dead heap entries (cancelled events) and re-heapifies. Execution
-  // order is unaffected: pop order is fully determined by the (when, seq)
-  // total order, not by the heap's internal layout.
-  void compact_heap();
+  // Finds the lowest non-empty bucket b >= 1 and its earliest live key,
+  // dropping the cancelled entries of every bucket it reads. Returns false
+  // when no live entry is left outside bucket 0.
+  bool lowest_live(int& bucket, SimTime& earliest);
+  // Drops the cancelled entries of bucket `b` (from `from` on), keeping the
+  // rest in order. Returns how many remain.
+  std::size_t sweep(int b, std::size_t from);
+  // Recycles the slot of an entry that left the queue: its id goes stale.
+  void release(std::uint32_t slot);
+  // Drops every cancelled entry. Execution order is unaffected: buckets
+  // keep their order and an entry's bucket depends only on its key.
+  void compact_queue();
   // Runs a popped event, charging the profiler.
   void dispatch(EventFn& fn, SimCategory cat);
 
   SimTime now_ = 0;
-  std::uint64_t next_seq_ = 1;
-  std::vector<HeapEntry> heap_;  // binary min-heap on (when, seq)
+  // Radix base: the time of the last event popped. Invariant: last_ <=
+  // now_ and last_ <= every queued key. It moves only to the time of a live
+  // event about to run, never from a cancelled entry or a peek.
+  SimTime last_ = 0;
+  std::vector<QueueEntry> buckets_[kBuckets];
+  std::size_t head_ = 0;        // next unread entry of buckets_[0]
+  std::uint64_t nonempty_ = 0;  // bit b-1 set iff buckets_[b] has entries
+  std::size_t queued_ = 0;      // entries not yet popped, live or cancelled
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::size_t live_ = 0;

@@ -6,13 +6,14 @@
 reads the outputs the CI bench-quick job leaves in build/bench: the
 quick-mode summaries of e15 (run with --shards=4), e20 and e22
 (BENCH_dataplane.json, BENCH_ops.json, BENCH_tracing.json) and the stdout of
-the seed-1 pvnbench smoke runs, saved as pvnbench_<workload>.txt. It prints
-every pinned value that moved and exits 1 if any did.
+the seed-1 and seed-5 pvnbench smoke runs, saved as
+pvnbench_<workload>_seed<seed>.txt. It prints every pinned value that moved
+and exits 1 if any did.
 
     python3 tests/golden/check_digests.py --dir build/bench --run --write
 
 regenerates the file. --run first produces those outputs: it runs the three
-benches in quick mode from --dir (build them in Release first) and the three
+benches in quick mode from --dir (build them in Release first) and the six
 pvnbench smoke runs. --write then stores the values instead of comparing
 them. A change that moves a pinned value says why in CHANGES.md.
 """
@@ -28,9 +29,14 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(os.path.dirname(HERE))
 GOLDEN = os.path.join(HERE, "digests.json")
 WORKLOADS = ("fleet_churn", "chain_web", "tunnel_mix")
+SEEDS = (1, 5)
 BENCHES = (("bench_e15_dataplane", ["--shards=4"]),
            ("bench_e20_ops", []),
            ("bench_e22_tracing", []))
+
+
+def pvnbench_output(out_dir, workload, seed):
+    return os.path.join(out_dir, "pvnbench_%s_seed%d.txt" % (workload, seed))
 
 
 def run_producers(out_dir):
@@ -40,12 +46,14 @@ def run_producers(out_dir):
         # leaves its summary behind, and the digests do not depend on it.
         subprocess.run([os.path.join(out_dir, exe)] + args, cwd=out_dir,
                        env=env, stdout=subprocess.DEVNULL)
-    for w in WORKLOADS:
-        with open(os.path.join(out_dir, "pvnbench_%s.txt" % w), "w") as out:
-            subprocess.run([sys.executable,
-                            os.path.join(ROOT, "pvnbench", "run.py"),
-                            "--workload", w, "--seed", "1", "--seconds", "1",
-                            "--trace", "1"], stdout=out, check=True)
+    for seed in SEEDS:
+        for w in WORKLOADS:
+            with open(pvnbench_output(out_dir, w, seed), "w") as out:
+                subprocess.run([sys.executable,
+                                os.path.join(ROOT, "pvnbench", "run.py"),
+                                "--workload", w, "--seed", str(seed),
+                                "--seconds", "1", "--trace", "1"],
+                               stdout=out, check=True)
 
 
 def load_summary(out_dir, name):
@@ -59,11 +67,12 @@ def load_summary(out_dir, name):
 def observe(out_dir):
     """Every pinned value, as read from the outputs in out_dir."""
     values = {}
-    for w in WORKLOADS:
-        with open(os.path.join(out_dir, "pvnbench_%s.txt" % w)) as f:
-            m = re.search(r"outcome digest ([0-9a-f]{16})", f.read())
-        values["pvnbench.seed1.%s.outcome_digest" % w] = (
-            m.group(1) if m else None)
+    for seed in SEEDS:
+        for w in WORKLOADS:
+            with open(pvnbench_output(out_dir, w, seed)) as f:
+                m = re.search(r"outcome digest ([0-9a-f]{16})", f.read())
+            values["pvnbench.seed%d.%s.outcome_digest" % (seed, w)] = (
+                m.group(1) if m else None)
     e15 = load_summary(out_dir, "dataplane")
     for run in e15["parallel"]["runs"]:
         values["e15.shards%d.digest" % run["shards"]] = run["digest"]

@@ -242,5 +242,83 @@ TEST(ShardGroup, RunParallelUntilMirrorsRunUntilClockSemantics) {
   EXPECT_EQ(fired, 2);
 }
 
+// --- final clock -------------------------------------------------------------
+
+// A at 5 runs; B at 20 is cancelled, so nothing live is left by the deadline
+// and every run path lands the clock on it. A cancelled entry still queued
+// past the deadline must not hold the clock back on any path.
+TEST(ShardGroup, EveryRunPathLandsOnDeadlineWhenOnlyCancelledEntriesRemain) {
+  const auto arm = [](Simulator& sim, int& fired) {
+    sim.schedule_at(5, [&fired] { ++fired; });
+    sim.cancel(sim.schedule_at(20, [&fired] { fired += 100; }));
+  };
+
+  Simulator plain;
+  int plain_fired = 0;
+  arm(plain, plain_fired);
+  EXPECT_EQ(plain.run_until(10), 1u);
+  EXPECT_EQ(plain_fired, 1);
+  EXPECT_EQ(plain.now(), 10);
+
+  ShardGroup legacy(1, /*lookahead=*/3);
+  int legacy_fired = 0;
+  arm(legacy.shard(0), legacy_fired);
+  EXPECT_EQ(legacy.run_parallel_until(10), 1u);
+  EXPECT_EQ(legacy_fired, 1);
+  EXPECT_EQ(legacy.shard(0).now(), 10);
+
+  ShardGroup windowed(1, /*lookahead=*/3);
+  windowed.enable_time_barriers();
+  int windowed_fired = 0;
+  arm(windowed.shard(0), windowed_fired);
+  EXPECT_EQ(windowed.run_parallel_until(10), 1u);
+  EXPECT_EQ(windowed_fired, 1);
+  EXPECT_EQ(windowed.shard(0).now(), 10);
+
+  ShardGroup two(2, /*lookahead=*/3);
+  int two_fired = 0;
+  arm(two.shard(0), two_fired);
+  EXPECT_EQ(two.run_parallel_until(10), 1u);
+  EXPECT_EQ(two_fired, 1);
+  EXPECT_EQ(two.shard(0).now(), 10);
+  EXPECT_EQ(two.shard(1).now(), 10);
+}
+
+// Scheduling from outside the run loop after run_until stopped short of a
+// cancelled entry and a later live event: the new events may land anywhere
+// from now() up, below both, and must still run in time order.
+TEST(SimulatorClock, ScheduleAfterRunUntilRunsBelowLaterEvents) {
+  Simulator sim;
+  std::vector<std::pair<SimTime, char>> log;
+  const auto mark = [&](char c) {
+    return [&log, &sim, c] { log.emplace_back(sim.now(), c); };
+  };
+  sim.schedule_at(5, mark('A'));
+  sim.cancel(sim.schedule_at(20, mark('B')));
+  sim.schedule_at(40, mark('C'));
+  EXPECT_EQ(sim.run_until(10), 1u);
+  EXPECT_EQ(sim.now(), 5);  // C is still live: the clock stays at A
+  EXPECT_EQ(sim.next_event_time(), 40);
+  sim.schedule_at(30, mark('E'));
+  sim.schedule_at(6, mark('D'));
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::pair<SimTime, char>>{
+                     {5, 'A'}, {6, 'D'}, {30, 'E'}, {40, 'C'}}));
+
+  // Nothing live left: the clock lands on the deadline, and later
+  // schedules start from there.
+  Simulator drained;
+  std::vector<SimTime> ran;
+  drained.schedule_at(5, [&] { ran.push_back(drained.now()); });
+  drained.cancel(drained.schedule_at(20, [] {}));
+  EXPECT_EQ(drained.run_until(10), 1u);
+  EXPECT_EQ(drained.now(), 10);
+  drained.schedule_at(12, [&] { ran.push_back(drained.now()); });
+  drained.schedule_at(3, [&] { ran.push_back(drained.now()); });  // clamps
+  drained.schedule_at(11, [&] { ran.push_back(drained.now()); });
+  drained.run();
+  EXPECT_EQ(ran, (std::vector<SimTime>{5, 10, 11, 12}));
+}
+
 }  // namespace
 }  // namespace pvn
