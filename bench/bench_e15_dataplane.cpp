@@ -12,22 +12,19 @@
 // Besides the google-benchmark tables, the binary always emits a
 // machine-readable BENCH_dataplane.json summary (override the path with
 // PVN_BENCH_JSON) so the perf trajectory is recorded per commit, and exits
-// nonzero when a gate fails: determinism across shard counts, the chain,
-// ESP, churn and fetch-scaling rates, and the shard speedup. Quick mode
-// (PVN_BENCH_QUICK=1 or --quick) shrinks iteration counts and skips the
-// google-benchmark run — that is what the CI perf job uses.
+// nonzero when a gate fails: the dataplane scenario's outcome across
+// repeated runs, and the chain, ESP, churn and fetch-scaling rates. Quick
+// mode (PVN_BENCH_QUICK=1 or --quick) shrinks iteration counts and skips
+// the google-benchmark run — that is what the CI perf job uses.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common.h"
@@ -350,58 +347,36 @@ double measure_chain_packets_per_sec(int modules_count, bool quick) {
   });
 }
 
-// --- parallel sharded scenario (bench/dataplane.h) ---------------------------
+// --- dataplane scenario (bench/dataplane.h) ----------------------------------
 
-struct ParallelRun {
+struct ScenarioResult {
   std::size_t events = 0;
   std::uint64_t delivered = 0;
   std::uint64_t digest = 0;
+  double events_per_sec = 0;  // median over the runs
+  bool deterministic = true;  // every run matched the first run's outcome
 };
 
-// One run of the scenario, timed on the wall clock: the shards run on
-// threads of their own. Its outcome lands in `out`.
-bench::AbSample run_parallel_scenario(std::size_t shards, bool quick,
-                                      ParallelRun& out) {
-  bench::DataplaneScenario sc(shards, /*flows=*/32, quick ? 150 : 1500,
-                              /*with_admin=*/false);
-  const auto t0 = std::chrono::steady_clock::now();
-  out.events = sc.net.run_parallel();
-  const double wall = seconds_of(std::chrono::steady_clock::now() - t0);
-  out.delivered = sc.delivered();
-  out.digest = sc.digest();
-  return {static_cast<double>(out.events), wall};
-}
-
-struct ParallelResult {
-  ParallelRun one;   // the last 1-shard run
-  ParallelRun many;  // the last run at the requested shard count
-  bench::AbResult ab;  // N-shard events/s (B) over the 1-shard rate (A)
-  // Every run of either side matched the first 1-shard run's digest,
-  // delivered count and event count.
-  bool deterministic = true;
-};
-
-ParallelResult measure_parallel(std::size_t shards, bool quick) {
-  ParallelResult r;
-  if (shards == 1) {
-    // Nothing to compare against: one run, and the speedup is 1.
-    const bench::AbSample s = run_parallel_scenario(1, quick, r.one);
-    r.ab.base_rate = r.ab.variant_rate = s.work / s.seconds;
-    r.ab.ratio = 1.0;
-    return r;
+ScenarioResult measure_scenario(bool quick) {
+  constexpr int kRuns = 5;
+  ScenarioResult r;
+  std::vector<double> rates;
+  for (int i = 0; i < kRuns; ++i) {
+    bench::DataplaneScenario sc(/*flows=*/32, quick ? 150 : 1500,
+                                /*with_admin=*/false);
+    const auto t0 = std::chrono::steady_clock::now();
+    const std::size_t events = sc.net.sim().run();
+    rates.push_back(static_cast<double>(events) /
+                    seconds_of(std::chrono::steady_clock::now() - t0));
+    if (i == 0) {
+      r.events = events;
+      r.delivered = sc.delivered();
+      r.digest = sc.digest();
+    }
+    r.deterministic = r.deterministic && events == r.events &&
+                      sc.delivered() == r.delivered && sc.digest() == r.digest;
   }
-  std::optional<ParallelRun> reference;  // ab_compare runs 1 shard first
-  const auto timed = [&](std::size_t n, ParallelRun& run) {
-    const bench::AbSample s = run_parallel_scenario(n, quick, run);
-    if (!reference.has_value()) reference = run;
-    r.deterministic = r.deterministic && run.digest == reference->digest &&
-                      run.delivered == reference->delivered &&
-                      run.events == reference->events;
-    return s;
-  };
-  r.ab = bench::ab_compare([&] { return timed(1, r.one); },
-                           [&] { return timed(shards, r.many); },
-                           bench::kAbPairs);
+  r.events_per_sec = bench::quantile(rates, 0.5);
   return r;
 }
 
@@ -516,7 +491,7 @@ bool gate(bool ok, const char* fmt, Args... args) {
 
 // Measures everything, writes the JSON summary, and checks the gates.
 // Returns false when any gate fails (the caller exits nonzero).
-bool run_summary(bool quick, std::size_t shards) {
+bool run_summary(bool quick) {
   // The index's speedup over the scan is reported, not gated, so a few
   // pairs do.
   std::vector<FlowTableSample> samples;
@@ -528,10 +503,7 @@ bool run_summary(bool quick, std::size_t shards) {
   const double events = measure_sim_events_per_sec(quick);
   const double esp = measure_esp_roundtrips_per_sec(quick);
   const FetchScalingSample fetch = measure_http_fetch_scaling();
-  // The parallel scenario at 1 shard (the baseline and determinism
-  // reference) against the requested shard count.
-  const ParallelResult par = measure_parallel(shards, quick);
-  const unsigned hw = std::thread::hardware_concurrency();
+  const ScenarioResult sc = measure_scenario(quick);
 
   bench::JsonWriter json;
   json.begin_object()
@@ -554,26 +526,12 @@ bool run_summary(bool quick, std::size_t shards) {
       .field("esp_roundtrips_per_sec", esp, 0)
       .field("http_fetch_scaling", fetch.ratio, 3)
       .field("http_fetch_first_slice_per_sec", fetch.first_slice_per_sec, 0)
-      .begin_object("parallel")
-      .field("hardware_concurrency", hw)
-      .begin_array("runs");
-  const auto run_json = [&json](std::size_t n, const ParallelRun& run,
-                                double rate) {
-    json.begin_object()
-        .field("shards", n)
-        .field("events", run.events)
-        .field("wall_sec", static_cast<double>(run.events) / rate, 4)
-        .field("events_per_sec", rate, 0)
-        .field("delivered", run.delivered)
-        .field("digest", hex64(run.digest))
-        .end_object();
-  };
-  run_json(1, par.one, par.ab.base_rate);
-  if (shards > 1) run_json(shards, par.many, par.ab.variant_rate);
-  json.end_array()
-      .field("speedup", par.ab.ratio, 2)
-      .field("speedup_iqr", par.ab.ratio_iqr, 2)
-      .field("deterministic", par.deterministic)
+      .begin_object("scenario")
+      .field("events", sc.events)
+      .field("events_per_sec", sc.events_per_sec, 0)
+      .field("delivered", sc.delivered)
+      .field("digest", hex64(sc.digest))
+      .field("deterministic", sc.deterministic)
       .end_object()
       .end_object();
   const bool wrote = bench::write_json(json, "BENCH_dataplane.json");
@@ -595,25 +553,16 @@ bool run_summary(bool quick, std::size_t shards) {
   std::printf("http fetch scaling:    %12.3f (host time of fetches 1-1000 / "
               "7001-8000; %d/8000 ok; first slice %.0f fetches/s)\n",
               fetch.ratio, fetch.ok, fetch.first_slice_per_sec);
-  std::printf("parallel 1 shard(s):   %12.0f events/s  (%zu events, "
-              "%llu delivered, digest %s)\n",
-              par.ab.base_rate, par.one.events,
-              static_cast<unsigned long long>(par.one.delivered),
-              hex64(par.one.digest).c_str());
-  if (shards > 1) {
-    std::printf("parallel %zu shard(s):   %12.0f events/s  (%zu events, "
-                "%llu delivered, digest %s)\n",
-                shards, par.ab.variant_rate, par.many.events,
-                static_cast<unsigned long long>(par.many.delivered),
-                hex64(par.many.digest).c_str());
-  }
-  std::printf("parallel speedup:      %.2fx (IQR %.2f) on %u hw threads — "
-              "%s\n",
-              par.ab.ratio, par.ab.ratio_iqr, hw,
-              par.deterministic ? "deterministic" : "DETERMINISM MISMATCH");
+  std::printf("dataplane scenario:    %12.0f events/s  (%zu events, "
+              "%llu delivered, digest %s) — %s\n",
+              sc.events_per_sec, sc.events,
+              static_cast<unsigned long long>(sc.delivered),
+              hex64(sc.digest).c_str(),
+              sc.deterministic ? "deterministic" : "DETERMINISM MISMATCH");
 
-  bool pass = gate(par.deterministic,
-                   "%zu-shard run is not deterministic vs 1-shard", shards);
+  bool pass = gate(sc.deterministic,
+                   "dataplane scenario runs disagree with the first (%s)",
+                   hex64(sc.digest).c_str());
   // >= 10x the first chain baseline (~110k pkts/s) per packet.
   pass &= gate(chain5 >= 1.1e6, "chain rate %.0f < 1.1M pkts/s", chain5);
   // The one-pass digest and single-buffer ESP codec measure ~190k round
@@ -631,16 +580,11 @@ bool run_summary(bool quick, std::size_t shards) {
   // 0.87-1.26.
   pass &= gate(fetch.ratio >= 0.6, "http fetch scaling %.2f < 0.6",
                fetch.ratio);
-  // The 2x aggregate-event-rate gate needs real cores to mean anything.
-  pass &= gate(shards == 1 || hw < 4 || par.ab.ratio >= 2.0,
-               "%zu-shard speedup %.2fx < 2x on %u hw threads", shards,
-               par.ab.ratio, hw);
   if (pass) {
     std::printf("dataplane gates OK: deterministic, chain %.2fM pkts/s, "
                 "ESP %.0fk round trips/s, churn %.0fk cycles/s, "
-                "fetch scaling %.2f, speedup %.2fx\n",
-                chain5 / 1e6, esp / 1e3, churn / 1e3, fetch.ratio,
-                par.ab.ratio);
+                "fetch scaling %.2f\n",
+                chain5 / 1e6, esp / 1e3, churn / 1e3, fetch.ratio);
   }
   return pass && wrote;
 }
@@ -650,17 +594,10 @@ bool run_summary(bool quick, std::size_t shards) {
 int main(int argc, char** argv) {
   pvn::bench::TelemetryScope telemetry(argc, argv);
   const bool quick = bench::quick_mode(argc, argv);
-  std::size_t shards = 4;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-      shards = static_cast<std::size_t>(std::atoi(argv[i] + 9));
-      if (shards == 0) shards = 1;
-    }
-  }
 
   if (!quick) {
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
   }
-  return run_summary(quick, shards) ? 0 : 1;
+  return run_summary(quick) ? 0 : 1;
 }

@@ -3,14 +3,14 @@
 //
 // Three gates, each a hard exit-code failure:
 //   1. Flight-recorder overhead: the per-link packet sampler attached to
-//      the shared sharded dataplane workload (dataplane.h) must cost < 5% in
+//      the shared dataplane workload (dataplane.h) must cost < 5% in
 //      events per thread-CPU second (bench::ab_compare: the median of
 //      paired ratios), and must be passive (identical delivery digest with
 //      and without it).
-//   2. Snapshot shard-consistency: an OpsEndpoint metrics snapshot cut at
-//      a ShardGroup time barrier must report byte-identical per-link
-//      deltas on a 4-shard run and a 1-shard run of the same topology at
-//      the same simulated barrier instant.
+//   2. Snapshot: an OpsEndpoint metrics snapshot of the dataplane workload
+//      must be answered with per-link samples whose carried digest matches
+//      them. The per-link deltas' digest and the snapshot time (1 ms after
+//      the request arrives) are pinned in tests/golden/digests.json.
 //   3. Reconfiguration verbs: every OpsVerb round-trips through the in-sim
 //      protocol against the full testbed, is idempotent under admin
 //      retransmission, and is visible in a subsequent snapshot.
@@ -54,12 +54,11 @@ OverheadResult measure_overhead() {
   OverheadResult r;
   std::optional<std::uint64_t> reference;
   const auto run = [&](bool with_recorder) {
-    bench::DataplaneScenario sc(/*shards=*/1, flows, packets,
-                                /*with_admin=*/false);
+    bench::DataplaneScenario sc(flows, packets, /*with_admin=*/false);
     FlightRecorder rec;  // default config: every 16th packet
     if (with_recorder) rec.attach(sc.net);
     const double t0 = bench::thread_cpu_seconds();
-    const std::size_t events = sc.net.run_parallel();
+    const std::size_t events = sc.net.sim().run();
     const double cpu = bench::thread_cpu_seconds() - t0;
     const std::uint64_t digest = sc.digest();
     if (!reference.has_value()) reference = digest;
@@ -72,24 +71,21 @@ OverheadResult measure_overhead() {
   return r;
 }
 
-// --- gate 2: snapshot shard-consistency --------------------------------------
+// --- gate 2: snapshot ---------------------------------------------------------
 
-// Per-link metric deltas for one run: (reply samples at the barrier) minus
+// Per-link metric deltas for one run: (reply samples) minus
 // (registry values before the run started). The global registry accumulates
-// across scenarios in this process, so absolute values differ between the
-// 1-shard and 4-shard runs — the deltas must not.
+// across scenarios in this process, so only the deltas are pinned.
 struct SnapshotRun {
   bool replied = false;
   SimTime barrier_time = 0;
-  std::uint32_t shard_count = 0;
   std::size_t sample_count = 0;
   bool wire_digest_ok = false;  // server digest matches the samples carried
   std::uint64_t delta_digest = 0;
 };
 
-SnapshotRun run_snapshot(std::size_t shards, int flows, int packets) {
-  bench::DataplaneScenario sc(shards, flows, packets, /*with_admin=*/true);
-  sc.net.shards().enable_time_barriers();
+SnapshotRun run_snapshot(int flows, int packets) {
+  bench::DataplaneScenario sc(flows, packets, /*with_admin=*/true);
 
   static constexpr const char* kPrefix = "netsim.link.";
   std::map<std::pair<std::string, std::string>, telemetry::MetricSample> base;
@@ -98,27 +94,22 @@ SnapshotRun run_snapshot(std::size_t shards, int flows, int packets) {
     if (s.name.rfind(kPrefix, 0) == 0) base[{s.name, s.instance}] = s;
   }
 
-  // Script the request at an absolute sim time from shard 0: after a
-  // run_parallel_until the clock position depends on the shard count (one
-  // shard lands on the deadline, N shards on a window boundary), so a send
-  // issued between runs would leave at different instants per configuration.
   std::optional<OpsSnapshotReply> reply;
-  sc.net.shards().shard(0).schedule_at(
+  sc.net.sim().schedule_at(
       milliseconds(5), SimCategory::kPvnControl, [&sc, &reply] {
         sc.client->request_snapshot(
             kPrefix, [&reply](const OpsSnapshotReply& r) { reply = r; });
       });
-  sc.net.run_parallel_until(milliseconds(20));
+  sc.net.sim().run_until(milliseconds(20));
   // Drain to completion so the shared global registry's gauges (set
-  // semantics, e.g. queued_bytes) read zero again before the next run
+  // semantics, e.g. queued_bytes) read zero again before a later run
   // captures its baseline.
-  sc.net.run_parallel();
+  sc.net.sim().run();
 
   SnapshotRun out;
   if (!reply.has_value()) return out;
   out.replied = true;
   out.barrier_time = reply->barrier_time;
-  out.shard_count = reply->shard_count;
   out.sample_count = reply->samples.size();
   out.wire_digest_ok = reply->digest == ops_snapshot_digest(reply->samples);
 
@@ -171,14 +162,11 @@ VerbsResult run_verbs() {
     return std::size_t{3};
   });
 
-  // Snapshots cut at time barriers, so from here the testbed is driven
-  // through the windowed parallel runner instead of sim().run_until.
-  tb.net.shards().enable_time_barriers();
   const std::uint64_t applied_before = tb.ops->reconfigs_applied();
 
   OpsClient admin(*tb.client, tb.addrs.control);
   auto drive = [&tb](SimDuration d) {
-    tb.net.run_parallel_until(tb.net.sim().now() + d);
+    tb.net.sim().run_until(tb.net.sim().now() + d);
   };
   auto roundtrip = [&](OpsReconfigRequest rq,
                        std::optional<OpsReconfigReply>& out) {
@@ -273,7 +261,7 @@ int main(int argc, char** argv) {
 
   bench::title("E20 — operations plane",
                "admin introspection must not perturb the dataplane, and "
-               "must report identically at every shard count");
+               "every admin request must be answered in-sim");
 
   // Gate 1: flight-recorder overhead on the dataplane workload.
   const OverheadResult oh = measure_overhead();
@@ -284,27 +272,16 @@ int main(int argc, char** argv) {
   bench::row("every 16th packet", oh.ab.variant_rate, oh.ab.overhead_pct(),
              oh.ab.ratio_iqr * 100.0, oh.passive ? "yes" : "NO");
 
-  // Gate 2: barrier snapshots agree across shard counts.
-  const int flows = 32;
-  const int packets = quick ? 100 : 500;
-  const SnapshotRun snap1 = run_snapshot(1, flows, packets);
-  const SnapshotRun snap4 = run_snapshot(4, flows, packets);
-  const bool consistent =
-      snap1.replied && snap4.replied && snap1.shard_count == 1 &&
-      snap4.shard_count == 4 && snap1.barrier_time == snap4.barrier_time &&
-      snap1.sample_count > 0 && snap1.sample_count == snap4.sample_count &&
-      snap1.wire_digest_ok && snap4.wire_digest_ok &&
-      snap1.delta_digest == snap4.delta_digest;
+  // Gate 2: a snapshot of the dataplane workload.
+  const SnapshotRun snap = run_snapshot(/*flows=*/32, quick ? 100 : 500);
+  const bool snapshot_ok =
+      snap.replied && snap.sample_count > 0 && snap.wire_digest_ok;
   std::printf("\n");
-  bench::header({"shards", "barrier (us)", "samples", "delta digest"});
-  bench::row(1, static_cast<double>(snap1.barrier_time) / 1000.0,
-             static_cast<std::uint64_t>(snap1.sample_count),
-             snap1.delta_digest);
-  bench::row(4, static_cast<double>(snap4.barrier_time) / 1000.0,
-             static_cast<std::uint64_t>(snap4.sample_count),
-             snap4.delta_digest);
-  std::printf("snapshot shard-consistency: %s\n",
-              consistent ? "consistent" : "MISMATCH");
+  bench::header({"at (us)", "samples", "delta digest"});
+  bench::row(static_cast<double>(snap.barrier_time) / 1000.0,
+             static_cast<std::uint64_t>(snap.sample_count),
+             snap.delta_digest);
+  std::printf("snapshot: %s\n", snapshot_ok ? "ok" : "FAIL");
 
   // Gate 3: every reconfiguration verb round-trips against the testbed.
   const VerbsResult verbs = run_verbs();
@@ -330,11 +307,10 @@ int main(int argc, char** argv) {
       .field("recorder_passive", oh.passive)
       .field("recorder_samples", oh.samples_captured)
       .field("snapshot_barrier_us",
-             static_cast<double>(snap1.barrier_time) / 1000.0, 3)
-      .field("snapshot_samples", snap1.sample_count)
-      .field("snapshot_delta_digest_1shard", snap1.delta_digest)
-      .field("snapshot_delta_digest_4shard", snap4.delta_digest)
-      .field("snapshot_shard_consistent", consistent)
+             static_cast<double>(snap.barrier_time) / 1000.0, 3)
+      .field("snapshot_samples", snap.sample_count)
+      .field("snapshot_delta_digest", snap.delta_digest)
+      .field("snapshot_ok", snapshot_ok)
       .begin_object("verbs")
       .field("inject_rule", verbs.inject_ok)
       .field("wipe_cache", verbs.wipe_ok)
@@ -348,9 +324,9 @@ int main(int argc, char** argv) {
       .end_object();
   const bool wrote = bench::write_json(json, "BENCH_ops.json");
 
-  const bool pass = wrote && overhead_ok && consistent && verbs.all();
-  std::printf("gates: overhead %s, consistency %s, verbs %s -> %s\n",
-              overhead_ok ? "pass" : "FAIL", consistent ? "pass" : "FAIL",
+  const bool pass = wrote && overhead_ok && snapshot_ok && verbs.all();
+  std::printf("gates: overhead %s, snapshot %s, verbs %s -> %s\n",
+              overhead_ok ? "pass" : "FAIL", snapshot_ok ? "pass" : "FAIL",
               verbs.all() ? "pass" : "FAIL", pass ? "PASS" : "FAIL");
   return pass ? 0 : 1;
 }

@@ -1,10 +1,10 @@
 // E22 — Causal tracing + SLO health plane bench: observability must be
-// cheap, must account for the latencies it explains, and must report the
-// same story at every shard count.
+// cheap, must account for the latencies it explains, and must tell the
+// scripted SLO story through the audited ops verbs.
 //
 // Three gates, each a hard exit-code failure:
 //   1. Overhead: the full observability stack — flight recorder, windowed
-//      HealthMonitor evaluation at time barriers, span recording, and trace
+//      HealthMonitor evaluation, span recording, and trace
 //      assembly — attached to the shared dataplane workload (dataplane.h)
 //      must cost < 5% in events per thread-CPU second (bench::ab_compare:
 //      the median of paired ratios) and must be passive (identical delivery
@@ -14,12 +14,12 @@
 //      critical_total() == trace interval holds by construction (the
 //      critical path partitions the interval); the gate cross-checks that
 //      interval against the client's own wall measurement.
-//   3. get-alerts / get-trace shard-consistency: the same scripted SLO
-//      story (slow deploys, a retransmission burst that fires and then
-//      clears, one cross-node deploy trace) served through the audited ops
-//      verbs must produce byte-identical digests on a 4-shard and a 1-shard
-//      run, with the wire digest matching a recomputation over the carried
-//      payload.
+//   3. get-alerts / get-trace: a scripted SLO story (slow deploys, a
+//      retransmission burst that fires and then clears, one cross-node
+//      deploy trace) served through the audited ops verbs must show the
+//      alert firing and clearing and the trace's three spans, with each
+//      wire digest matching a recomputation over the carried payload. Both
+//      digests are pinned in tests/golden/digests.json.
 //
 // Prints BENCH_tracing.json (override with PVN_BENCH_JSON). Quick mode
 // (PVN_BENCH_QUICK=1 or --quick) is only recorded in the summary: every
@@ -61,9 +61,7 @@ OverheadResult measure_overhead() {
   OverheadResult r;
   std::optional<std::uint64_t> reference;
   const auto run = [&](bool observability) {
-    bench::DataplaneScenario sc(/*shards=*/1, flows, packets,
-                                /*with_admin=*/false);
-    sc.net.shards().enable_time_barriers();
+    bench::DataplaneScenario sc(flows, packets, /*with_admin=*/false);
     FlightRecorder rec;
     HealthMonitorConfig hcfg;
     hcfg.window = milliseconds(5);
@@ -75,11 +73,11 @@ OverheadResult measure_overhead() {
     spans.clear();  // isolate runs: assembly cost must not grow across runs
     spans.set_clock(&sc.net.sim());
     if (observability) rec.attach(sc.net);
-    // Both variants register the identical barrier schedule so the paired
-    // comparison isolates the observability work, not the barrier plumbing.
+    // Both variants schedule the identical evaluation events so the paired
+    // comparison isolates the observability work.
     for (SimTime t = milliseconds(5); t <= milliseconds(80);
          t += milliseconds(5)) {
-      sc.net.shards().at_time_barrier(t, [&spans, &health, t, observability] {
+      sc.net.sim().schedule_at(t, [&spans, &health, t, observability] {
         if (!observability) return;
         telemetry::Span tick = spans.start("health_tick", "ops", "",
                                            spans.new_trace(), "monitor");
@@ -88,7 +86,7 @@ OverheadResult measure_overhead() {
       });
     }
     const double t0 = bench::thread_cpu_seconds();
-    const std::size_t events = sc.net.run_parallel();
+    const std::size_t events = sc.net.sim().run();
     if (observability) {
       // Assembly is part of what an operator pays for: include it in the
       // measured interval.
@@ -182,19 +180,15 @@ PathResult measure_migration_path() {
   return finish_path(outcome, switched - started, tb.roaming_pvnc().name);
 }
 
-// --- gate 3: get-alerts / get-trace shard consistency ------------------------
+// --- gate 3: get-alerts / get-trace ------------------------------------------
 
-// The same scripted SLO story at every shard count: nine slow deploys (p99
-// breaches from the second window on), a retransmission burst that fires the
-// rate rule and then clears (hysteresis visible in the digest), and one
-// cross-node deploy trace for "alice-phone". A light dataplane load keeps
-// all shards busy while the verbs are served.
+// A scripted SLO story: nine slow deploys (p99 breaches from the second
+// window on), a retransmission burst that fires the rate rule and then
+// clears (hysteresis visible in the digest), and one cross-node deploy trace
+// for "alice-phone". A light dataplane load runs while the verbs are served.
 struct HealthScenario {
-  explicit HealthScenario(std::size_t shards)
-      : inner(shards, /*flows=*/8, /*packets_per_flow=*/100,
-              /*with_admin=*/true) {
-    inner.net.shards().enable_time_barriers();
-
+  HealthScenario()
+      : inner(/*flows=*/8, /*packets_per_flow=*/100, /*with_admin=*/true) {
     health = std::make_unique<HealthMonitor>();
     for (HealthRule& rule : HealthMonitor::default_rules()) {
       health->add_rule(std::move(rule));
@@ -202,7 +196,7 @@ struct HealthScenario {
     inner.endpoint->set_health_monitor(health.get());
     inner.endpoint->set_span_recorder(&telemetry::SpanRecorder::global());
 
-    Simulator& sim0 = inner.net.shards().shard(0);
+    Simulator& sim0 = inner.net.sim();
     telemetry::SpanRecorder& rec = telemetry::SpanRecorder::global();
     rec.clear();  // trace/span ids restart at 1: reproducible across runs
     rec.set_clock(&sim0);
@@ -242,10 +236,10 @@ struct HealthScenario {
     sim0.schedule_at(milliseconds(400), SimCategory::kPvnControl,
                      [this] { cycle.finish(); });
 
-    // Periodic health evaluation at barrier cuts, as the testbed wires it.
+    // Periodic health evaluation.
     for (SimTime t = milliseconds(200); t <= milliseconds(1000);
          t += milliseconds(200)) {
-      inner.net.shards().at_time_barrier(t, [this, t] { health->evaluate(t); });
+      sim0.schedule_at(t, [this, t] { health->evaluate(t); });
     }
   }
 
@@ -254,47 +248,41 @@ struct HealthScenario {
   telemetry::Span cycle, server_span;
 };
 
-struct ConsistencyRun {
+struct StoryRun {
   bool replied = false;
-  std::uint32_t shard_count = 0;
-  SimTime barrier_time = 0;
   std::size_t alert_count = 0;
   std::size_t firing = 0;
   std::uint64_t alerts_digest = 0;
   bool alerts_wire_ok = false;  // carried digest matches recomputation
   bool trace_found = false;
   std::size_t trace_spans = 0;
-  std::size_t critical_segments = 0;
   std::uint64_t trace_digest = 0;
   bool trace_wire_ok = false;
 };
 
-ConsistencyRun run_consistency(std::size_t shards) {
-  HealthScenario sc(shards);
+StoryRun run_story() {
+  HealthScenario sc;
   std::optional<OpsAlertsReply> alerts;
   std::optional<OpsTraceReply> trace;
-  sc.inner.net.shards().shard(0).schedule_at(
+  sc.inner.net.sim().schedule_at(
       milliseconds(1050), SimCategory::kPvnControl, [&sc, &alerts, &trace] {
         sc.inner.client->request_alerts(
             [&alerts](const OpsAlertsReply& r) { alerts = r; });
         sc.inner.client->request_causal_trace(
             "alice-phone", [&trace](const OpsTraceReply& r) { trace = r; });
       });
-  sc.inner.net.run_parallel_until(milliseconds(1300));
-  sc.inner.net.run_parallel();
+  sc.inner.net.sim().run_until(milliseconds(1300));
+  sc.inner.net.sim().run();
 
-  ConsistencyRun out;
+  StoryRun out;
   if (!alerts.has_value() || !trace.has_value()) return out;
   out.replied = true;
-  out.shard_count = alerts->shard_count;
-  out.barrier_time = alerts->barrier_time;
   out.alert_count = alerts->alerts.size();
   for (const OpsAlert& a : alerts->alerts) out.firing += a.firing != 0;
   out.alerts_digest = alerts->digest;
   out.alerts_wire_ok = alerts->digest == ops_alerts_digest(alerts->alerts);
   out.trace_found = trace->found != 0;
   out.trace_spans = trace->spans.size();
-  out.critical_segments = trace->critical.size();
   out.trace_digest = trace->digest;
   out.trace_wire_ok =
       trace->digest == ops_trace_digest(trace->trace_id, trace->session,
@@ -311,7 +299,7 @@ int main(int argc, char** argv) {
 
   bench::title("E22 — causal tracing + health plane",
                "observability must cost < 5%, explain the latencies it "
-               "reports, and tell one story at every shard count");
+               "reports, and tell the SLO story it was given");
 
   // Gate 1: overhead of the full observability stack on the dataplane.
   const OverheadResult oh = measure_overhead();
@@ -344,33 +332,21 @@ int main(int argc, char** argv) {
   std::printf("critical path accounts for wall time (±%.0f%%): %s\n", tol_pct,
               deploy_ok && migration_ok ? "yes" : "NO");
 
-  // Gate 3: the audited verbs agree across shard counts.
-  const ConsistencyRun c1 = run_consistency(1);
-  const ConsistencyRun c4 = run_consistency(4);
-  const bool consistent =
-      c1.replied && c4.replied && c1.shard_count == 1 && c4.shard_count == 4 &&
-      c1.barrier_time == c4.barrier_time && c1.alert_count > 0 &&
-      c1.firing > 0 && c1.firing < c1.alert_count &&  // fired AND cleared
-      c1.alerts_digest == c4.alerts_digest && c1.alerts_wire_ok &&
-      c4.alerts_wire_ok && c1.trace_found && c4.trace_found &&
-      c1.trace_spans == c4.trace_spans && c1.trace_spans >= 3 &&
-      c1.trace_digest == c4.trace_digest && c1.trace_wire_ok &&
-      c4.trace_wire_ok;
+  // Gate 3: the audited verbs tell the scripted story.
+  const StoryRun story = run_story();
+  const bool story_ok =
+      story.replied && story.alert_count > 0 && story.firing > 0 &&
+      story.firing < story.alert_count &&  // fired AND cleared
+      story.alerts_wire_ok && story.trace_found && story.trace_spans >= 3 &&
+      story.trace_wire_ok;
   std::printf("\n");
-  bench::header(
-      {"shards", "alerts(firing)", "alerts digest", "spans", "trace digest"});
-  bench::row(1,
-             std::to_string(c1.alert_count) + "(" + std::to_string(c1.firing) +
-                 ")",
-             c1.alerts_digest, static_cast<std::uint64_t>(c1.trace_spans),
-             c1.trace_digest);
-  bench::row(4,
-             std::to_string(c4.alert_count) + "(" + std::to_string(c4.firing) +
-                 ")",
-             c4.alerts_digest, static_cast<std::uint64_t>(c4.trace_spans),
-             c4.trace_digest);
-  std::printf("get-alerts/get-trace shard-consistency: %s\n",
-              consistent ? "consistent" : "MISMATCH");
+  bench::header({"alerts(firing)", "alerts digest", "spans", "trace digest"});
+  bench::row(std::to_string(story.alert_count) + "(" +
+                 std::to_string(story.firing) + ")",
+             story.alerts_digest,
+             static_cast<std::uint64_t>(story.trace_spans),
+             story.trace_digest);
+  std::printf("get-alerts/get-trace story: %s\n", story_ok ? "ok" : "FAIL");
 
   bench::JsonWriter json;
   json.begin_object()
@@ -390,22 +366,20 @@ int main(int argc, char** argv) {
       .field("migration_critical_ms", migration.trace_ms, 3)
       .field("migration_delta_pct", migration.delta_pct, 3)
       .field("migration_path_ok", migration_ok)
-      .field("alerts", c1.alert_count)
-      .field("alerts_firing", c1.firing)
-      .field("alerts_digest_1shard", c1.alerts_digest)
-      .field("alerts_digest_4shard", c4.alerts_digest)
-      .field("trace_spans", c1.trace_spans)
-      .field("trace_digest_1shard", c1.trace_digest)
-      .field("trace_digest_4shard", c4.trace_digest)
-      .field("shard_consistent", consistent)
+      .field("alerts", story.alert_count)
+      .field("alerts_firing", story.firing)
+      .field("alerts_digest", story.alerts_digest)
+      .field("trace_spans", story.trace_spans)
+      .field("trace_digest", story.trace_digest)
+      .field("story_ok", story_ok)
       .end_object();
   const bool wrote = bench::write_json(json, "BENCH_tracing.json");
 
   const bool pass =
-      wrote && overhead_ok && deploy_ok && migration_ok && consistent;
-  std::printf("gates: overhead %s, critical-path %s, consistency %s -> %s\n",
+      wrote && overhead_ok && deploy_ok && migration_ok && story_ok;
+  std::printf("gates: overhead %s, critical-path %s, story %s -> %s\n",
               overhead_ok ? "pass" : "FAIL",
               deploy_ok && migration_ok ? "pass" : "FAIL",
-              consistent ? "pass" : "FAIL", pass ? "PASS" : "FAIL");
+              story_ok ? "pass" : "FAIL", pass ? "PASS" : "FAIL");
   return pass ? 0 : 1;
 }

@@ -79,7 +79,7 @@ struct AbResult {
 };
 
 // The shortest measurement of one side in a pair. A quick-mode run of
-// e15's 1-shard scenario or e17's tick loop lasts 4-10 ms, about one
+// e15's dataplane scenario or e17's tick loop lasts 4-10 ms, about one
 // scheduler tick, so a single interrupt or preemption is a large share of
 // it. Longer measurements do not help: on a shared 4-vCPU VM the speed of
 // identical runs moves in plateaus of ±30% lasting a few hundred ms, so a

@@ -1,12 +1,9 @@
-// The sharded dataplane scenario the host-time gates share: e15's shard
-// speedup, e20's flight-recorder overhead, and e22's observability overhead
-// and shard-consistency story all run it.
+// The dataplane scenario e15 (pinned delivery digest and event count), e20
+// (flight-recorder overhead, metrics snapshot) and e22 (observability
+// overhead, get-alerts/get-trace story) share.
 //
-// K access networks (source -> SdnSwitch+chain -> sink), one per shard,
-// joined by a shard-0 core router. 90% of flows stay local, 10% cross the
-// core. Send times are globally unique so cross-shard arrival order is a
-// pure function of the schedule — the delivery digest must be identical for
-// every shard count (the determinism gate).
+// K access networks (source -> SdnSwitch+chain -> sink) joined by a core
+// router. 90% of flows stay local, 10% cross the core.
 #pragma once
 
 #include <cstdint>
@@ -81,13 +78,10 @@ class BenchSource : public Node {
 struct DataplaneScenario {
   static constexpr int kNetworks = 4;
 
-  // `with_admin` adds the management plane on shard 0: an ops endpoint host
-  // and an admin host, directly linked (deterministic request arrival time,
-  // so a snapshot barrier lands at the same instant for every shard count).
-  DataplaneScenario(std::size_t shards, int flows, int packets_per_flow,
-                    bool with_admin)
-      : net(/*seed=*/7, shards, /*lookahead=*/milliseconds(1)) {
-    net.set_build_shard(0);
+  // `with_admin` adds the management plane: an ops endpoint host and an
+  // admin host, directly linked.
+  DataplaneScenario(int flows, int packets_per_flow, bool with_admin)
+      : net(/*seed=*/7) {
     core = &net.add_node<Router>("core");
 
     if (with_admin) {
@@ -109,7 +103,6 @@ struct DataplaneScenario {
     backbone.latency = milliseconds(1);
 
     for (int k = 0; k < kNetworks; ++k) {
-      net.set_build_shard(static_cast<std::size_t>(k) % net.shard_count());
       const std::string id = std::to_string(k);
       auto& src = net.add_node<BenchSource>("src-" + id);
       auto& sw = net.add_node<SdnSwitch>("sw-" + id, 1);
@@ -118,8 +111,7 @@ struct DataplaneScenario {
       net.connect(sw, sink, access);
       net.connect(sw, *core, backbone);
 
-      auto host = std::make_unique<MboxHost>(
-          net.shards().shard(static_cast<std::size_t>(k) % net.shard_count()));
+      auto host = std::make_unique<MboxHost>(net.sim());
       Chain& chain = host->create_chain("chain-" + id);
       for (int m = 0; m < 5; ++m) {
         modules.push_back(std::make_unique<PiiDetector>(

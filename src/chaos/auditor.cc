@@ -12,16 +12,14 @@ InvariantAuditor::InvariantAuditor(PopulationTestbed& tb,
     : tb_(&tb), cfg_(cfg) {}
 
 void InvariantAuditor::arm(SimTime until) {
-  // Barrier callbacks run on the coordinator at a globally-consistent cut.
-  // One barrier per period across the whole run, registered up front: the
-  // count is bounded (run length / period) and the registration order is
+  // One audit per period across the whole run, scheduled up front: the
+  // count is bounded (run length / period) and the schedule order is
   // trivially deterministic.
-  ShardGroup& shards = tb_->net.shards();
+  Simulator& sim = tb_->net.sim();
   const SimTime first =
-      std::max<SimTime>(tb_->net.sim().now() + shards.lookahead(),
-                        cfg_.period);
+      std::max<SimTime>(sim.now() + milliseconds(1), cfg_.period);
   for (SimTime when = first; when <= until; when += cfg_.period) {
-    shards.at_time_barrier(when, [this] { audit(); });
+    sim.schedule_at(when, [this] { audit(); });
   }
 }
 
@@ -31,9 +29,7 @@ void InvariantAuditor::flag(const std::string& invariant, std::string detail) {
   v.invariant = invariant;
   v.detail = std::move(detail);
   // Violations are rare, so the SLO-context capture can afford a monitor
-  // evaluation and a trace assembly: flag() runs at a barrier cut (audit()
-  // is a barrier callback), exactly where both are defined to be
-  // deterministic.
+  // evaluation and a trace assembly.
   if (health_ != nullptr) {
     health_->evaluate(v.at);
     v.alerts = health_->alerts();

@@ -1,8 +1,8 @@
-// Global invariant auditing at ShardGroup time barriers.
+// Global invariant auditing.
 //
 // The InvariantAuditor watches a PopulationTestbed while a chaos schedule
-// runs and checks system-wide invariants at globally-consistent cuts (the
-// coordinator side of ShardGroup::at_time_barrier). Two classes of check:
+// runs and checks system-wide invariants in audit events, one per period.
+// Two classes of check:
 //
 //  Always (every audit period, faults may be live):
 //   * conservation  — the telemetry layer accounts agree across layers:
@@ -72,13 +72,12 @@ class InvariantAuditor {
   // (evaluated at the flagging cut) plus the newest assembled causal trace.
   void set_health_monitor(HealthMonitor* hm) { health_ = hm; }
 
-  // Registers the barrier-audit chain on tb.net.shards(): one audit per
-  // period until `until`. The caller must enable_time_barriers() before the
-  // run. Call before tb.net.run_parallel_until(...).
+  // Schedules one audit event per period until `until` on tb.net.sim(),
+  // the first at max(now + 1 ms, period). Call before running the schedule.
   void arm(SimTime until);
 
-  // The always-on invariant checks, at the current simulated time. Runs on
-  // every armed barrier; callable directly from tests.
+  // The always-on invariant checks, at the current simulated time. Runs in
+  // every armed audit event; callable directly from tests.
   void audit();
 
   // The end-of-run checks; call after the run drains past the horizon.

@@ -108,9 +108,8 @@ ChaosRunResult run_schedule(const ChaosSchedule& schedule,
 
   InvariantAuditor auditor(tb, auditor_cfg);
   auditor.arm(schedule.horizon());
-  tb.net.shards().enable_time_barriers();
 
-  tb.net.run_parallel_until(schedule.horizon());
+  tb.net.sim().run_until(schedule.horizon());
   auditor.audit_quiescent();
 
   ChaosRunResult result;

@@ -8,8 +8,7 @@
 namespace pvn {
 
 Link::Link(Network& net, Node& a, Node& b, LinkParams params)
-    : net_(&net),
-      a_(&a),
+    : a_(&a),
       b_(&b),
       port_a_(a.attach_link(this)),
       port_b_(b.attach_link(this)),
@@ -21,18 +20,6 @@ Link::Link(Network& net, Node& a, Node& b, LinkParams params)
   ba_.from = b_;
   ba_.to = a_;
   ba_.to_port = port_a_;
-  ab_.cross_shard = a.shard() != b.shard();
-  ba_.cross_shard = ab_.cross_shard;
-  // Cross-shard boundaries carry the conservative-lookahead contract: the
-  // propagation latency is the guarantee that a window [T, T+L) can run on
-  // both shards without either receiving work inside it. Loss is excluded
-  // so the shared loss rng is only ever touched from one thread (and so
-  // N-shard runs stay bit-identical to 1-shard runs).
-  if (ab_.cross_shard) {
-    assert(params_.latency >= net.shards().lookahead() &&
-           "cross-shard link latency must be >= ShardGroup lookahead");
-    assert(params_.loss == 0.0 && "cross-shard links must be lossless");
-  }
   register_metrics(ab_, a.name() + "->" + b.name());
   register_metrics(ba_, b.name() + "->" + a.name());
 }
@@ -105,10 +92,9 @@ void Link::start_transmit(Direction& dir, Packet pkt) {
   dir.stats.tx_bytes += pkt.size();
 
   const std::int64_t sz = static_cast<std::int64_t>(pkt.size());
-  // Cross-shard directions never sample the shared rng (they are asserted
-  // lossless); intra-shard directions sample unconditionally so the loss
-  // stream is bit-identical to the historical per-packet kernel.
-  const bool lost = dir.cross_shard ? false : rng_.bernoulli(params_.loss);
+  // Sampled even at zero loss: skipping it would shift the loss stream, and
+  // with it every digest.
+  const bool lost = rng_.bernoulli(params_.loss);
   if (lost) {
     ++dir.stats.loss_drops;
     dir.m_dropped_packets->inc();
@@ -124,27 +110,16 @@ void Link::start_transmit(Direction& dir, Packet pkt) {
     });
   }
 
-  if (!dir.cross_shard) {
-    // Lost packets keep their no-op event so the schedule sequence — and
-    // thus all downstream tie-breaks — matches the historical kernel.
-    auto deliver = [this, dptr, pkt = std::move(pkt), lost]() mutable {
-      if (lost) return;
-      deliver_single(dptr, std::move(pkt));
-    };
-    // The per-hop delivery callback is the hottest event in the simulator;
-    // it must fit EventFn's inline buffer so delivery never allocates.
-    static_assert(sizeof(deliver) <= EventFn::kInlineSize);
-    sim.schedule_at(arrive, SimCategory::kLink, std::move(deliver));
-    return;
-  }
-
-  // Cross-shard: hand off through the ShardGroup mailbox. `arrive` is at
-  // least `latency >= lookahead` in the future, so the post lands at or
-  // beyond the current window horizon.
-  net_->shards().post(dir.to->shard(), arrive, SimCategory::kLink,
-                      [this, dptr, pkt = std::move(pkt)]() mutable {
-                        deliver_single(dptr, std::move(pkt));
-                      });
+  // Lost packets keep their no-op event so the schedule sequence — and
+  // thus all downstream tie-breaks — matches the historical kernel.
+  auto deliver = [this, dptr, pkt = std::move(pkt), lost]() mutable {
+    if (lost) return;
+    deliver_single(dptr, std::move(pkt));
+  };
+  // The per-hop delivery callback is the hottest event in the simulator;
+  // it must fit EventFn's inline buffer so delivery never allocates.
+  static_assert(sizeof(deliver) <= EventFn::kInlineSize);
+  sim.schedule_at(arrive, SimCategory::kLink, std::move(deliver));
 }
 
 void Link::deliver_single(Direction* dir, Packet pkt) {

@@ -2,11 +2,7 @@
 // loss, and a DropTail byte-bounded queue per direction.
 //
 // Delivery (DESIGN.md "Hot paths"): one kLink event per packet at its exact
-// wire-arrival time. The event is scheduled on the sender's simulator, or
-// posted through the ShardGroup mailbox when the endpoints live on different
-// shards; both run deliver_single. Cross-shard links must be lossless and
-// their latency must be >= the group's lookahead — that latency is exactly
-// what makes the conservative window safe.
+// wire-arrival time, which runs deliver_single.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +32,6 @@ struct LinkStats {
   std::uint64_t delivered_packets = 0;
   std::uint64_t queue_drops = 0;
   std::uint64_t loss_drops = 0;
-  // Split by writer side so sender and receiver shards never share a field:
   // tx_down_drops is charged at transmit time (link administratively down),
   // rx_down_drops at delivery time (destination node crashed).
   std::uint64_t tx_down_drops = 0;
@@ -85,7 +80,6 @@ class Link {
     Node* from = nullptr;
     Node* to = nullptr;
     int to_port = 0;
-    bool cross_shard = false;  // from->shard() != to->shard()
     SimTime busy_until = 0;
     std::int64_t queued_bytes = 0;
     LinkStats stats;
@@ -105,7 +99,6 @@ class Link {
   void deliver_single(Direction* dir, Packet pkt);
   void register_metrics(Direction& dir, const std::string& instance);
 
-  Network* net_;
   Node* a_;
   Node* b_;
   int port_a_;

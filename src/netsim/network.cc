@@ -4,9 +4,6 @@
 
 namespace pvn {
 
-Network::Network(std::uint64_t seed, std::size_t shards, SimDuration lookahead)
-    : shards_(shards, lookahead), rng_(seed) {}
-
 void Network::register_node(std::unique_ptr<Node> node) {
   const auto [it, inserted] = by_name_.emplace(node->name(), node.get());
   if (!inserted) {
@@ -34,10 +31,7 @@ Packet Network::make_packet(Ipv4Addr src, Ipv4Addr dst, IpProto proto,
   pkt.ip.dst = dst;
   pkt.ip.proto = proto;
   pkt.l4 = std::move(l4);
-  // Stamp with the calling shard's clock (shard 0 outside parallel windows).
-  std::size_t s = ShardGroup::current_shard();
-  if (s >= shards_.shard_count()) s = 0;
-  pkt.created_at = shards_.shard(s).now();
+  pkt.created_at = sim_.now();
   return pkt;
 }
 

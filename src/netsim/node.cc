@@ -7,8 +7,7 @@ namespace pvn {
 
 Node::Node(Network& net, std::string name)
     : net_(&net),
-      sim_(&net.shards().shard(net.build_shard())),
-      shard_(net.build_shard()),
+      sim_(&net.sim()),
       name_(std::move(name)),
       log_(name_) {}
 

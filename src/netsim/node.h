@@ -31,12 +31,9 @@ class Node {
   // Interned id of name() in network().names(); assigned at registration.
   std::uint32_t name_id() const { return name_id_; }
   Network& network() { return *net_; }
-  // The simulator of this node's shard (cached at construction; equals
-  // network().sim() in single-shard networks).
+  // network().sim(), cached at construction.
   Simulator& sim() { return *sim_; }
   const Simulator& sim() const { return *sim_; }
-  // Event shard this node lives on (Network::set_build_shard at creation).
-  std::size_t shard() const { return shard_; }
 
   // Crash/restart state (driven by netsim/faults.h). A down node neither
   // sends nor receives: Links drop deliveries to it and send() discards.
@@ -65,7 +62,6 @@ class Node {
 
   Network* net_;
   Simulator* sim_;
-  std::size_t shard_;
   std::string name_;
   std::uint32_t name_id_ = 0;
   std::vector<Link*> ports_;

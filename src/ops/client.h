@@ -36,7 +36,7 @@ class OpsClient {
       std::function<void(const OpsReconfigReply&)> cb);
   std::uint32_t request_trace(
       std::function<void(const OpsTraceDumpReply&)> cb);
-  // SLO health plane: barrier-consistent alert list / stitched causal trace.
+  // SLO health plane: alert list / stitched causal trace.
   std::uint32_t request_alerts(
       std::function<void(const OpsAlertsReply&)> cb);
   std::uint32_t request_causal_trace(

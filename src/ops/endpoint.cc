@@ -10,9 +10,16 @@
 #include "sdn/controller.h"
 #include "telemetry/assembler.h"
 #include "telemetry/span.h"
-#include "util/shard.h"
 
 namespace pvn {
+namespace {
+
+// The read verbs (snapshot, get-alerts, get-trace) read the system and
+// reply in one event this long after the request arrives. e20's pinned
+// snapshot time and digest depend on the value.
+constexpr SimDuration kReplyDelay = milliseconds(1);
+
+}  // namespace
 
 OpsEndpoint::OpsEndpoint(Host& host, OpsEndpointConfig cfg)
     : host_(&host),
@@ -21,8 +28,7 @@ OpsEndpoint::OpsEndpoint(Host& host, OpsEndpointConfig cfg)
   auto& reg = telemetry::MetricsRegistry::global();
   reg.describe("ops.endpoint.requests",
                "Ops-protocol datagrams accepted by the endpoint");
-  reg.describe("ops.endpoint.snapshots",
-               "Barrier-consistent metrics snapshots served");
+  reg.describe("ops.endpoint.snapshots", "Metrics snapshots served");
   reg.describe("ops.endpoint.reconfigs_applied",
                "Reconfiguration verbs actually applied (idempotent "
                "duplicates excluded)");
@@ -32,8 +38,7 @@ OpsEndpoint::OpsEndpoint(Host& host, OpsEndpointConfig cfg)
   reg.describe("ops.endpoint.malformed",
                "Datagrams dropped because they failed all-or-nothing "
                "decoding");
-  reg.describe("ops.endpoint.alerts",
-               "Barrier-consistent health-alert queries served");
+  reg.describe("ops.endpoint.alerts", "Health-alert queries served");
   reg.describe("ops.endpoint.causal_traces",
                "Stitched causal-trace queries served");
   host_->bind_udp(cfg_.port, [this](Ipv4Addr src, Port sport, Port,
@@ -118,18 +123,12 @@ void OpsEndpoint::on_datagram(Ipv4Addr src, Port sport,
 
 void OpsEndpoint::handle_snapshot(Ipv4Addr src, Port sport,
                                   const OpsSnapshotRequest& q) {
-  ShardGroup& group = host_->network().shards();
-  // Cut at the earliest instant every shard can be quiesced at: one
-  // lookahead past now (the same bound post() lives under). The barrier
-  // callback runs on the coordinator between windows, where all shard
-  // writes are visible (the window rendezvous is the happens-before edge).
-  const SimTime cut = host_->sim().now() + group.lookahead();
-  const std::size_t my_shard = host_->shard();
-  group.at_time_barrier(cut, [this, src, sport, q, cut, &group, my_shard] {
+  Simulator& sim = host_->sim();
+  const SimTime at = sim.now() + kReplyDelay;
+  sim.schedule_at(at, SimCategory::kPvnControl, [this, src, sport, q, at] {
     OpsSnapshotReply reply;
     reply.seq = q.seq;
-    reply.barrier_time = cut;
-    reply.shard_count = static_cast<std::uint32_t>(group.shard_count());
+    reply.barrier_time = at;
     const telemetry::MetricsSnapshot snap = registry_->snapshot();
     for (const telemetry::MetricSample& s : snap.samples) {
       if (!q.prefix.empty() && s.name.rfind(q.prefix, 0) != 0) continue;
@@ -145,13 +144,7 @@ void OpsEndpoint::handle_snapshot(Ipv4Addr src, Port sport,
     }
     reply.digest = ops_snapshot_digest(reply.samples);
     snapshots_.inc();
-    // Send from the cut instant, as an ordinary event on our shard (the
-    // coordinator is between windows here, so this schedules directly).
-    Bytes datagram = reply.encode();
-    group.post(my_shard, cut, SimCategory::kPvnControl,
-               [this, src, sport, datagram = std::move(datagram)] {
-                 send(src, sport, OpsMsgType::kSnapshotReply, datagram);
-               });
+    send(src, sport, OpsMsgType::kSnapshotReply, reply.encode());
   });
 }
 
@@ -336,51 +329,38 @@ void OpsEndpoint::audit_query(Ipv4Addr src, std::uint32_t seq,
 
 void OpsEndpoint::handle_alerts(Ipv4Addr src, Port sport,
                                 const OpsAlertsRequest& q) {
-  ShardGroup& group = host_->network().shards();
-  // Same cut discipline as handle_snapshot: evaluate the monitor exactly at
-  // a barrier every shard has quiesced at, so the alert list (and digest)
-  // cannot depend on shard count.
-  const SimTime cut = host_->sim().now() + group.lookahead();
-  const std::size_t my_shard = host_->shard();
-  group.at_time_barrier(cut, [this, src, sport, q, cut, &group, my_shard] {
+  Simulator& sim = host_->sim();
+  const SimTime at = sim.now() + kReplyDelay;
+  sim.schedule_at(at, SimCategory::kPvnControl, [this, src, sport, q, at] {
     OpsAlertsReply reply;
     reply.seq = q.seq;
-    reply.barrier_time = cut;
-    reply.shard_count = static_cast<std::uint32_t>(group.shard_count());
+    reply.barrier_time = at;
     if (health_ != nullptr) {
-      health_->evaluate(cut);
+      health_->evaluate(at);
       reply.alerts = health_->alerts();
     }
     reply.digest = ops_alerts_digest(reply.alerts);
     alerts_served_.inc();
     std::size_t firing = 0;
     for (const OpsAlert& a : reply.alerts) firing += a.firing;
-    Bytes datagram = reply.encode();
-    group.post(my_shard, cut, SimCategory::kPvnControl,
-               [this, src, sport, q, firing, n = reply.alerts.size(),
-                datagram = std::move(datagram)] {
-                 audit_query(src, q.seq, "get-alerts",
-                             std::to_string(firing) + " firing of " +
-                                 std::to_string(n) + " alerts");
-                 send(src, sport, OpsMsgType::kAlertsReply, datagram);
-               });
+    audit_query(src, q.seq, "get-alerts",
+                std::to_string(firing) + " firing of " +
+                    std::to_string(reply.alerts.size()) + " alerts");
+    send(src, sport, OpsMsgType::kAlertsReply, reply.encode());
   });
 }
 
 void OpsEndpoint::handle_causal_trace(Ipv4Addr src, Port sport,
                                       const OpsTraceRequest& q) {
-  ShardGroup& group = host_->network().shards();
-  const SimTime cut = host_->sim().now() + group.lookahead();
-  const std::size_t my_shard = host_->shard();
-  group.at_time_barrier(cut, [this, src, sport, q, cut, &group, my_shard] {
+  Simulator& sim = host_->sim();
+  const SimTime at = sim.now() + kReplyDelay;
+  sim.schedule_at(at, SimCategory::kPvnControl, [this, src, sport, q] {
     OpsTraceReply reply;
     reply.seq = q.seq;
     reply.session = q.session;
-    reply.shard_count = static_cast<std::uint32_t>(group.shard_count());
     if (spans_ != nullptr) {
-      // Assemble at the barrier, where every ring is quiescent. All
-      // control-plane nodes share the global recorder, so one ring holds
-      // the whole cross-node trace.
+      // All control-plane nodes share the global recorder, so one ring
+      // holds the whole cross-node trace.
       telemetry::TraceAssembler assembler(*spans_);
       if (const auto t = assembler.latest_for_session(q.session)) {
         reply.found = true;
@@ -402,16 +382,11 @@ void OpsEndpoint::handle_causal_trace(Ipv4Addr src, Port sport,
         ops_trace_digest(reply.trace_id, reply.session, reply.start,
                          reply.end, reply.spans, reply.critical);
     traces_served_.inc();
-    Bytes datagram = reply.encode();
-    group.post(my_shard, cut, SimCategory::kPvnControl,
-               [this, src, sport, q, found = reply.found,
-                n = reply.spans.size(), datagram = std::move(datagram)] {
-                 audit_query(src, q.seq, "get-trace",
-                             found ? q.session + ": " + std::to_string(n) +
-                                         " spans"
-                                   : q.session + ": no trace");
-                 send(src, sport, OpsMsgType::kTraceReply, datagram);
-               });
+    audit_query(src, q.seq, "get-trace",
+                reply.found ? q.session + ": " +
+                                  std::to_string(reply.spans.size()) + " spans"
+                            : q.session + ": no trace");
+    send(src, sport, OpsMsgType::kTraceReply, reply.encode());
   });
 }
 

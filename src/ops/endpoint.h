@@ -3,12 +3,9 @@
 // An OpsEndpoint binds kOpsPort on a Host inside the simulated network and
 // serves the ops protocol (proto/ops.h):
 //
-//   * Metrics snapshots, cut at a ShardGroup time barrier so a 4-shard run
-//     reports exactly the same numbers as a 1-shard run of the same
-//     topology at the same simulated instant. The handler arms the barrier
-//     at now + lookahead (the earliest time every shard can be quiesced
-//     at), captures the registry there, and sends the reply as an ordinary
-//     simulated datagram from that instant.
+//   * Metrics snapshots: 1 ms after the request arrives, one simulator
+//     event captures the registry and sends the reply as an ordinary
+//     simulated datagram.
 //   * Per-session introspection, joining the DeploymentServer's registry
 //     (chain placement, lease, standby health), the HostScoreboard
 //     (reputation + quarantine of the session's standby host), and the
@@ -19,11 +16,11 @@
 //     (admin address, seq) so a retransmitted request re-sends the cached
 //     reply instead of applying the verb twice.
 //   * Flight-recorder dumps as Chrome trace JSON.
-//   * The SLO health plane: get-alerts evaluates the wired HealthMonitor at
-//     a barrier cut and returns its typed alerts; get-trace assembles the
-//     newest stitched causal trace for one session (spans + critical path)
-//     at a barrier. Both replies carry a digest that is byte-identical at
-//     every shard count, and both queries land in the audit log.
+//   * The SLO health plane: get-alerts evaluates the wired HealthMonitor
+//     and returns its typed alerts; get-trace assembles the newest stitched
+//     causal trace for one session (spans + critical path). Both answer
+//     1 ms after the request arrives, like snapshots, carry a digest over
+//     their payload, and land in the audit log.
 //
 // All collaborators are optional: an endpoint wired to nothing still serves
 // snapshots (of the global registry) and answers everything else with a
@@ -71,7 +68,7 @@ class OpsEndpoint {
   void set_scoreboard(HostScoreboard* sb) { scoreboard_ = sb; }
   void set_span_recorder(telemetry::SpanRecorder* sr) { spans_ = sr; }
   void set_flight_recorder(FlightRecorder* fr) { recorder_ = fr; }
-  // SLO health plane: get-alerts evaluates this monitor at the barrier cut.
+  // SLO health plane: get-alerts evaluates this monitor.
   void set_health_monitor(HealthMonitor* hm) { health_ = hm; }
   // Defaults to telemetry::MetricsRegistry::global().
   void set_registry(telemetry::MetricsRegistry* reg) { registry_ = reg; }

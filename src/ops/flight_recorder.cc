@@ -10,7 +10,6 @@
 #include "netsim/names.h"
 #include "netsim/network.h"
 #include "util/hash.h"
-#include "util/shard.h"
 
 namespace pvn {
 namespace {
@@ -61,14 +60,8 @@ FlightRecorder::FlightRecorder(FlightRecorderConfig cfg)
 
 void FlightRecorder::attach(Network& net) {
   names_ = &net.names();
-  const std::size_t shards = net.shards().shard_count();
-  shards_.clear();
-  for (std::size_t i = 0; i < shards; ++i) {
-    auto ss = std::make_unique<ShardState>();
-    ss->ring.reserve(cfg_.ring_capacity);
-    ss->flows.assign(cfg_.flow_slots, FlowSlot{});
-    shards_.push_back(std::move(ss));
-  }
+  ring_.reserve(cfg_.ring_capacity);
+  clear();
   std::size_t link_index = 0;
   for (const auto& link : net.links()) {
     links_.emplace_back();
@@ -81,8 +74,8 @@ void FlightRecorder::attach(Network& net) {
     link->add_tap([this, ls](const Packet& p, const Node& from,
                              const Node& to) {
       // Hot path: an increment, a decrement, and a compare per packet — no
-      // division. The countdown reloads from the atomic interval only when
-      // it expires, so a runtime rate change (kSetSamplingRate) takes
+      // division. The countdown reloads from the interval only when it
+      // expires, so a runtime rate change (kSetSamplingRate) takes
       // effect within one sampling period; a disabled recorder (interval
       // 0) re-checks the interval every 65536 packets.
       DirState& d = ls->dir[&from == ls->end_a ? 0 : 1];
@@ -91,8 +84,7 @@ void FlightRecorder::attach(Network& net) {
         --d.until_next;
         return;
       }
-      const std::uint32_t interval =
-          interval_.load(std::memory_order_relaxed);
+      const std::uint32_t interval = interval_;
       if (interval == 0) {
         d.until_next = 1u << 16;
         return;
@@ -111,7 +103,6 @@ void FlightRecorder::attach(Network& net) {
 }
 
 void FlightRecorder::sample(const Packet& p, SimTime at, Rng& rng) {
-  ShardState& ss = *shards_[ShardGroup::current_shard()];
   // Inline flow key over (src, dst, proto, first l4 bytes): the recorder
   // only needs a stable local identity, so two cheap 64-bit mixes stand in
   // for a wide digest on every sampled packet.
@@ -124,7 +115,7 @@ void FlightRecorder::sample(const Packet& p, SimTime at, Rng& rng) {
     ports = (ports << 8) | p.l4.data()[i];
   }
   flow = hash_combine_u64(flow, ports);
-  FlowSlot& slot = ss.flows[mix_u64(flow) & (cfg_.flow_slots - 1)];
+  FlowSlot& slot = flows_[mix_u64(flow) & (cfg_.flow_slots - 1)];
   if (slot.flow != flow) {
     slot.flow = flow;  // collision or first sight: fresh reservoir
     slot.seen = 0;
@@ -136,10 +127,10 @@ void FlightRecorder::sample(const Packet& p, SimTime at, Rng& rng) {
   // recorder's dataplane overhead.)
   if (slot.seen > cfg_.per_flow_cap &&
       rng.uniform() * static_cast<double>(slot.seen) >= cfg_.per_flow_cap) {
-    ++ss.rejected;
+    ++rejected_;
     return;
   }
-  ++ss.admitted;
+  ++admitted_;
   FlightSample s;
   s.at = at;
   s.packet_id = p.id;
@@ -152,19 +143,16 @@ void FlightRecorder::sample(const Packet& p, SimTime at, Rng& rng) {
       std::min(p.hop_trace.ids.size(), FlightSample::kMaxHops);
   s.hop_count = static_cast<std::uint8_t>(hops);
   std::copy_n(p.hop_trace.ids.begin(), hops, s.hop_ids);
-  if (ss.ring.size() < cfg_.ring_capacity) {
-    ss.ring.push_back(s);
+  if (ring_.size() < cfg_.ring_capacity) {
+    ring_.push_back(s);
   } else {
-    ss.ring[ss.wr] = s;
-    if (++ss.wr == cfg_.ring_capacity) ss.wr = 0;
+    ring_[wr_] = s;
+    if (++wr_ == cfg_.ring_capacity) wr_ = 0;
   }
 }
 
 std::vector<FlightSample> FlightRecorder::samples() const {
-  std::vector<FlightSample> out;
-  for (const auto& ss : shards_) {
-    out.insert(out.end(), ss->ring.begin(), ss->ring.end());
-  }
+  std::vector<FlightSample> out = ring_;
   std::sort(out.begin(), out.end(),
             [](const FlightSample& a, const FlightSample& b) {
               if (a.at != b.at) return a.at < b.at;
@@ -233,21 +221,17 @@ FlightRecorder::Stats FlightRecorder::stats() const {
       st.packets_sampled += d.sampled;
     }
   }
-  for (const auto& ss : shards_) {
-    st.packets_admitted += ss->admitted;
-    st.packets_rejected += ss->rejected;
-  }
+  st.packets_admitted = admitted_;
+  st.packets_rejected = rejected_;
   return st;
 }
 
 void FlightRecorder::clear() {
-  for (const auto& ss : shards_) {
-    ss->ring.clear();
-    ss->wr = 0;
-    ss->flows.assign(cfg_.flow_slots, FlowSlot{});
-    ss->admitted = 0;
-    ss->rejected = 0;
-  }
+  ring_.clear();
+  wr_ = 0;
+  flows_.assign(cfg_.flow_slots, FlowSlot{});
+  admitted_ = 0;
+  rejected_ = 0;
 }
 
 }  // namespace pvn

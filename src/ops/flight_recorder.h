@@ -11,21 +11,12 @@
 // after that survives with probability per_flow_cap / n (Algorithm R's
 // acceptance rule). Expected samples per flow therefore grow like
 // cap * (1 + ln(N / cap)) for N sampled packets — heavy flows cannot crowd
-// out mice — while the fixed-size per-shard ring bounds total memory and
-// simply overwrites the oldest samples.
-//
-// Thread model: a cross-shard link's two directions deliver on different
-// shard threads, so all mutable state is either per-direction (packet
-// counters, the admission Rng) or per-shard (rings, flow slots), indexed by
-// ShardGroup::current_shard(). Readers (samples(), trace_json(), stats())
-// must run while the group is quiesced — between run_parallel_until calls
-// or from a ShardGroup time barrier.
+// out mice — while the fixed-size ring bounds total memory and simply
+// overwrites the oldest samples.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -44,17 +35,17 @@ struct Packet;
 struct FlightRecorderConfig {
   // Sample every Nth packet per link direction; 0 disables sampling.
   std::uint32_t sample_interval = 16;
-  // Per-shard ring capacity; oldest samples are overwritten.
+  // Ring capacity; oldest samples are overwritten.
   std::size_t ring_capacity = 4096;
   // Reservoir size per flow within the sampled stream.
   std::uint32_t per_flow_cap = 8;
-  // Flow-slot table size per shard (rounded up to a power of two). A hash
+  // Flow-slot table size (rounded up to a power of two). A hash
   // collision resets the colliding flow's reservoir counter — acceptable
   // bias for a sampler, zero allocation on the sampling path. Size it well
   // above the expected live-flow count: when the table is tight, colliding
   // flows keep resetting each other's counters, every sampled packet looks
   // first-seen, and the reservoir cap stops biting (16 B/slot, so 4096
-  // slots is 64 KiB per shard).
+  // slots is 64 KiB).
   std::size_t flow_slots = 4096;
 };
 
@@ -87,20 +78,15 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  // Adds a tap to every link currently in `net` and sizes the
-  // per-shard state. Call once, after topology construction.
+  // Adds a tap to every link currently in `net` and sizes the ring and the
+  // flow slots. Call once, after topology construction.
   void attach(Network& net);
 
   // Runtime-adjustable (the ops plane's kSetSamplingRate verb); 0 disables.
-  void set_sample_interval(std::uint32_t n) {
-    interval_.store(n, std::memory_order_relaxed);
-  }
-  std::uint32_t sample_interval() const {
-    return interval_.load(std::memory_order_relaxed);
-  }
+  void set_sample_interval(std::uint32_t n) { interval_ = n; }
+  std::uint32_t sample_interval() const { return interval_; }
 
-  // Merged view of every shard's ring, sorted by (at, packet_id) so the
-  // result is independent of shard count. Quiesced readers only.
+  // The ring's samples, sorted by (at, packet_id).
   std::vector<FlightSample> samples() const;
 
   // Chrome trace_event JSON: one "i" instant per sample on a per-flow
@@ -113,7 +99,7 @@ class FlightRecorder {
     std::uint64_t packets_admitted = 0;
     std::uint64_t packets_rejected = 0;  // reservoir-declined
   };
-  Stats stats() const;  // quiesced readers only
+  Stats stats() const;
 
   void clear();  // drops samples and flow state, keeps the countdowns
 
@@ -121,8 +107,8 @@ class FlightRecorder {
   struct DirState {
     std::uint64_t packets = 0;
     std::uint64_t sampled = 0;
-    // Packets left until the next sample; reloaded from the atomic interval
-    // when it expires, so the hot path is a decrement + compare with no
+    // Packets left until the next sample; reloaded from the interval when
+    // it expires, so the hot path is a decrement + compare with no
     // division. 0 = not yet initialised for this direction.
     std::uint32_t until_next = 0;
     Rng rng;
@@ -135,24 +121,21 @@ class FlightRecorder {
     std::uint64_t flow = 0;
     std::uint64_t seen = 0;
   };
-  struct ShardState {
-    std::vector<FlightSample> ring;
-    std::size_t wr = 0;  // next overwrite position once the ring is full
-    std::vector<FlowSlot> flows;
-    std::uint64_t admitted = 0;
-    std::uint64_t rejected = 0;
-  };
 
   // A sampled packet's per-flow admission and ring write, off the tap's
   // countdown path.
   void sample(const Packet& p, SimTime at, Rng& rng);
 
   FlightRecorderConfig cfg_;
-  std::atomic<std::uint32_t> interval_;
+  std::uint32_t interval_;
   const NameTable* names_ = nullptr;
   // deque: stable addresses for the tap closures.
   std::deque<LinkState> links_;
-  std::vector<std::unique_ptr<ShardState>> shards_;
+  std::vector<FlightSample> ring_;
+  std::size_t wr_ = 0;  // next overwrite position once the ring is full
+  std::vector<FlowSlot> flows_;
+  std::uint64_t admitted_ = 0;
+  std::uint64_t rejected_ = 0;
 };
 
 }  // namespace pvn

@@ -100,7 +100,7 @@ std::size_t HealthMonitor::evaluate(SimTime now) {
 
 void HealthMonitor::close_window(SimTime at) {
   ++windows_closed_;
-  // Sample only the watched series: window closes run at every barrier, and
+  // Sample only the watched series: window closes run at every evaluation, and
   // a full-registry snapshot scales with everything ever registered in the
   // process, not with this monitor's rules. Names are deduped because
   // snapshot_for copies (and counter_total would then double-count) one

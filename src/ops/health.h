@@ -4,8 +4,8 @@
 // alerts — the operator-facing answer to "is this PVN provider healthy
 // right now?". It works on *windows*, not cumulative values: evaluate(now)
 // closes every whole window boundary that has passed (boundaries are fixed
-// multiples of the window length from simulated t=0, so every shard count
-// sees identical windows), snapshots each watched series at the close, and
+// multiples of the window length from simulated t=0), snapshots each
+// watched series at the close, and
 // scores the window's *delta* against the rule:
 //
 //   * kHistogramQuantile — interpolated quantile (metrics.h
@@ -24,12 +24,10 @@
 // transition is timestamped (`since`), and cleared alerts stay queryable
 // (firing=0) so an operator who missed the breach still sees it happened.
 //
-// Determinism contract: evaluate() only runs at ShardGroup barriers (the
-// ops endpoint's get-alerts handler, the chaos auditor's sweep), where
-// every shard has executed exactly the events before the cut. Window
-// boundaries depend only on simulated time and the registry contents are
-// barrier-consistent, so the alert list — and ops_alerts_digest over it —
-// is byte-identical at every shard count.
+// Determinism contract: evaluate() runs inside simulator events (the ops
+// endpoint's get-alerts handler, the chaos auditor's sweep), and window
+// boundaries depend only on simulated time, so the alert list — and
+// ops_alerts_digest over it — is a function of the simulation alone.
 #pragma once
 
 #include <cstdint>
@@ -79,13 +77,13 @@ class HealthMonitor {
   static std::vector<HealthRule> default_rules();
 
   // Closes every window boundary at or before `now` and re-scores all
-  // rules. Call from a shard barrier (or a quiesced single-shard sim).
+  // rules. Call from a simulator event or between runs.
   // Returns how many windows were closed by this call.
   std::size_t evaluate(SimTime now);
 
   // Alert list in rule-registration order: every rule that is currently
   // firing or has fired before (cleared history keeps firing=0). Stable
-  // given the same evaluate() history — digest this for shard consistency.
+  // given the same evaluate() history — digest this for determinism checks.
   std::vector<OpsAlert> alerts() const;
 
   // Recent per-window values for one rule, oldest first (introspection).

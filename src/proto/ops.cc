@@ -233,7 +233,6 @@ Bytes OpsSnapshotReply::encode() const {
   ByteWriter w;
   w.u32(seq);
   w.i64(barrier_time);
-  w.u32(shard_count);
   w.u64(digest);
   w.u32(static_cast<std::uint32_t>(samples.size()));
   for (const OpsMetricSample& s : samples) {
@@ -253,7 +252,6 @@ std::optional<OpsSnapshotReply> OpsSnapshotReply::decode(const Bytes& raw) {
   OpsSnapshotReply m;
   m.seq = r.u32();
   m.barrier_time = r.i64();
-  m.shard_count = r.u32();
   m.digest = r.u64();
   const std::uint32_t n = r.u32();
   for (std::uint32_t i = 0; i < n; ++i) {
@@ -518,7 +516,6 @@ Bytes OpsAlertsReply::encode() const {
   ByteWriter w;
   w.u32(seq);
   w.i64(barrier_time);
-  w.u32(shard_count);
   w.u64(digest);
   w.u16(static_cast<std::uint16_t>(alerts.size()));
   for (const OpsAlert& a : alerts) encode_alert(w, a);
@@ -529,7 +526,6 @@ std::optional<OpsAlertsReply> OpsAlertsReply::decode(const Bytes& raw) {
   OpsAlertsReply m;
   m.seq = r.u32();
   m.barrier_time = r.i64();
-  m.shard_count = r.u32();
   m.digest = r.u64();
   const std::uint16_t n = r.u16();
   for (std::uint16_t i = 0; i < n; ++i) {
@@ -565,7 +561,6 @@ Bytes OpsTraceReply::encode() const {
   w.str(session);
   w.i64(start);
   w.i64(end);
-  w.u32(shard_count);
   w.u64(digest);
   w.u16(static_cast<std::uint16_t>(spans.size()));
   for (const OpsTraceSpan& ts : spans) encode_trace_span(w, ts);
@@ -584,7 +579,6 @@ std::optional<OpsTraceReply> OpsTraceReply::decode(const Bytes& raw) {
   m.session = r.str();
   m.start = r.i64();
   m.end = r.i64();
-  m.shard_count = r.u32();
   m.digest = r.u64();
   const std::uint16_t ns = r.u16();
   for (std::uint16_t i = 0; i < ns; ++i) {

@@ -6,7 +6,7 @@
 // statmaster/json_ws surface):
 //
 //   admin                          OpsEndpoint
-//     | -- OpsSnapshotRequest -->     |  (metrics cut at a shard barrier)
+//     | -- OpsSnapshotRequest -->     |  (metrics at one simulated instant)
 //     | <-- OpsSnapshotReply ---      |
 //     | -- OpsSessionQuery ---->      |  (one session's live state)
 //     | <-- OpsSessionInfo -----      |
@@ -49,9 +49,7 @@ enum class OpsMsgType : std::uint8_t {
   kTraceDumpRequest = 7,
   kTraceDumpReply = 8,
   // SLO health plane: typed alerts from the declarative rule monitor
-  // (src/ops/health.h) and stitched causal traces (telemetry/assembler.h),
-  // both captured at shard barriers so replies are byte-identical at every
-  // shard count.
+  // (src/ops/health.h) and stitched causal traces (telemetry/assembler.h).
   kAlertsRequest = 9,
   kAlertsReply = 10,
   kTraceRequest = 11,
@@ -84,10 +82,9 @@ struct OpsMetricSample {
   bool operator==(const OpsMetricSample&) const = default;
 };
 
-// Asks for a consistent metrics cut. The endpoint arms a ShardGroup time
-// barrier at now + lookahead and captures every metric whose name starts
-// with `prefix` ("" = everything) once all shards have executed exactly the
-// events before that barrier.
+// Asks for a metrics snapshot. 1 ms after the request arrives, one
+// simulator event captures every metric whose name starts with `prefix`
+// ("" = everything) and sends the reply.
 struct OpsSnapshotRequest {
   std::uint32_t seq = 0;
   std::string prefix;
@@ -98,8 +95,7 @@ struct OpsSnapshotRequest {
 
 struct OpsSnapshotReply {
   std::uint32_t seq = 0;
-  SimTime barrier_time = 0;   // the cut's simulated time
-  std::uint32_t shard_count = 0;
+  SimTime barrier_time = 0;   // when the snapshot was captured
   std::uint64_t digest = 0;   // fnv-style digest over `samples`
   std::vector<OpsMetricSample> samples;
 
@@ -223,8 +219,7 @@ struct OpsAlertsRequest {
 
 struct OpsAlertsReply {
   std::uint32_t seq = 0;
-  SimTime barrier_time = 0;  // the evaluation cut's simulated time
-  std::uint32_t shard_count = 0;
+  SimTime barrier_time = 0;  // when the monitor was evaluated
   std::uint64_t digest = 0;  // ops_alerts_digest over `alerts`
   std::vector<OpsAlert> alerts;
 
@@ -260,7 +255,6 @@ struct OpsTraceReply {
   std::string session;
   SimTime start = 0;
   SimTime end = 0;
-  std::uint32_t shard_count = 0;
   std::uint64_t digest = 0;  // ops_trace_digest over the fields below
   std::vector<OpsTraceSpan> spans;     // by (start, seq): causal order
   std::vector<OpsTraceSpan> critical;  // critical-path partition of [start,end]
@@ -284,12 +278,12 @@ bool same_rule(const FlowRule& a, const FlowRule& b);
 Bytes ops_wrap(OpsMsgType type, const Bytes& body);
 std::optional<std::pair<OpsMsgType, Bytes>> ops_unwrap(const Bytes& payload);
 
-// Order-sensitive digest over a snapshot's samples — the shard-consistency
+// Order-sensitive digest over a snapshot's samples — its determinism
 // fingerprint: equal digests <=> byte-equal sample lists.
 std::uint64_t ops_snapshot_digest(const std::vector<OpsMetricSample>& samples);
 
-// Same fingerprint discipline for the health plane: get-alerts and
-// get-trace replies must digest byte-identically at every shard count.
+// Same fingerprint discipline for the health plane's get-alerts and
+// get-trace replies.
 std::uint64_t ops_alerts_digest(const std::vector<OpsAlert>& alerts);
 std::uint64_t ops_trace_digest(std::uint64_t trace_id,
                                const std::string& session, SimTime start,

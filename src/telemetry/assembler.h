@@ -1,8 +1,7 @@
 // Cross-node trace assembly.
 //
 // SpanRecorder rings hold flat per-node span records; the TraceAssembler
-// joins them (add() one ring per recorder — the join is meaningful at a
-// ShardGroup time barrier or after a run, when every ring is quiescent) and
+// joins them (add() one ring per recorder) and
 // stitches records sharing a trace_id into per-trace causal trees via their
 // span_id / parent_span links. Per trace it extracts:
 //
@@ -19,8 +18,8 @@
 //     renders the hop structure.
 //
 // Everything is derived from simulation state only (no wall clock, no
-// iteration over unordered containers), so two runs of the same scenario —
-// at any shard count — assemble byte-identical traces.
+// iteration over unordered containers), so two runs of the same scenario
+// assemble byte-identical traces.
 #pragma once
 
 #include <optional>

@@ -5,16 +5,6 @@
 //     The returned reference points at a fixed uint64 cell that stays
 //     valid for the registry's lifetime, so the hot path is a single inlined
 //     increment with no locks, hashing, or branches.
-//   * Cells are std::atomic<uint64_t> mutated with *relaxed load + store*
-//     (not fetch_add): on mainstream ISAs this compiles to the same
-//     load/add/store sequence as a plain increment, so the e17 overhead gate
-//     (<3%) is unaffected, and it keeps the sharded kernel (util/shard.h)
-//     TSan-clean. Hot cells are shard-confined by construction (per-link,
-//     per-switch, per-chain instances live on one shard), so their counts
-//     are exact. The few globally shared cells (e.g. sdn.flow_table.hits)
-//     may statistically undercount when two shards hit the same cell in the
-//     same cycle — documented in DESIGN.md; acceptable for statistics,
-//     never used for control decisions.
 //   * snapshot() copies every cell into a value type the exporters
 //     (telemetry/export.h) render as Prometheus text or JSON.
 //
@@ -24,7 +14,7 @@
 // link direction.
 #pragma once
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -39,30 +29,24 @@ namespace pvn::telemetry {
 // Monotonically increasing event count.
 class Counter {
  public:
-  void inc(std::uint64_t n = 1) {
-    v_.store(v_.load(std::memory_order_relaxed) + n,
-             std::memory_order_relaxed);
-  }
-  std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
-  void reset() { v_.store(0, std::memory_order_relaxed); }
+  void inc(std::uint64_t n = 1) { v_ += n; }
+  std::uint64_t value() const { return v_; }
+  void reset() { v_ = 0; }
 
  private:
-  std::atomic<std::uint64_t> v_{0};
+  std::uint64_t v_ = 0;
 };
 
 // Point-in-time value that can move both ways (queue depth, memory in use).
 class Gauge {
  public:
-  void set(std::int64_t v) { v_.store(v, std::memory_order_relaxed); }
-  void add(std::int64_t d) {
-    v_.store(v_.load(std::memory_order_relaxed) + d,
-             std::memory_order_relaxed);
-  }
-  std::int64_t value() const { return v_.load(std::memory_order_relaxed); }
-  void reset() { v_.store(0, std::memory_order_relaxed); }
+  void set(std::int64_t v) { v_ = v; }
+  void add(std::int64_t d) { v_ += d; }
+  std::int64_t value() const { return v_; }
+  void reset() { v_ = 0; }
 
  private:
-  std::atomic<std::int64_t> v_{0};
+  std::int64_t v_ = 0;
 };
 
 // Fixed-bucket histogram. `bounds` are inclusive upper bounds in ascending
@@ -77,37 +61,28 @@ class Histogram {
   void observe(std::uint64_t v) {
     std::size_t i = 0;
     while (i < bounds_.size() && v > bounds_[i]) ++i;
-    counts_[i].store(counts_[i].load(std::memory_order_relaxed) + 1,
-                     std::memory_order_relaxed);
-    sum_.store(sum_.load(std::memory_order_relaxed) + v,
-               std::memory_order_relaxed);
+    ++counts_[i];
+    sum_ += v;
   }
 
   const std::vector<std::uint64_t>& bounds() const { return bounds_; }
   // counts()[i] counts observations <= bounds()[i]; counts().back() is +inf.
-  // Returns a copy (the live cells are atomics).
-  std::vector<std::uint64_t> counts() const {
-    std::vector<std::uint64_t> out(counts_.size());
-    for (std::size_t i = 0; i < counts_.size(); ++i) {
-      out[i] = counts_[i].load(std::memory_order_relaxed);
-    }
-    return out;
-  }
+  const std::vector<std::uint64_t>& counts() const { return counts_; }
   std::uint64_t count() const {
     std::uint64_t n = 0;
-    for (const auto& c : counts_) n += c.load(std::memory_order_relaxed);
+    for (const std::uint64_t c : counts_) n += c;
     return n;
   }
-  std::uint64_t sum() const { return sum_.load(std::memory_order_relaxed); }
+  std::uint64_t sum() const { return sum_; }
   void reset() {
-    for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
-    sum_.store(0, std::memory_order_relaxed);
+    std::fill(counts_.begin(), counts_.end(), 0);
+    sum_ = 0;
   }
 
  private:
   std::vector<std::uint64_t> bounds_;
-  std::vector<std::atomic<std::uint64_t>> counts_;
-  std::atomic<std::uint64_t> sum_{0};
+  std::vector<std::uint64_t> counts_;
+  std::uint64_t sum_ = 0;
 };
 
 // Exponential latency buckets for SimDuration observations:

@@ -87,7 +87,7 @@ class SpanRecorder {
 
   // Allocates a fresh trace id for a new causal story (one deploy cycle,
   // migration, promotion). A plain counter: the simulation is deterministic,
-  // so ids are reproducible at every shard count.
+  // so ids are reproducible run to run.
   TraceContext new_trace() { return TraceContext{++next_trace_id_, 0, 0}; }
   std::uint64_t traces_started() const { return next_trace_id_; }
 

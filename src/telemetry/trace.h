@@ -10,8 +10,8 @@
 // trace_id 0 means "untraced"; everything downstream treats such a context
 // as absent. Ids are allocated by SpanRecorder::new_trace_id(), a plain
 // deterministic counter: the control plane is simulated, so the same
-// scenario allocates the same ids at every shard count — which is what lets
-// the ops plane's get-trace digest be byte-identical across shard counts.
+// scenario allocates the same ids on every run — which is what lets the ops
+// plane's get-trace digest be byte-identical run to run.
 #pragma once
 
 #include <cstdint>

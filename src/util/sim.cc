@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <chrono>
+#include <limits>
 
 namespace pvn {
 
@@ -131,40 +132,6 @@ bool Simulator::lowest_live(int& bucket, SimTime& earliest) {
     return true;
   }
   return false;
-}
-
-SimTime Simulator::next_event_time() {
-  std::vector<QueueEntry>& ready = buckets_[0];
-  for (; head_ < ready.size(); ++head_) {
-    const std::uint32_t slot = ready[head_].slot;
-    if (slots_[slot].armed) return last_;
-    --queued_;
-    release(slot);
-  }
-  ready.clear();
-  head_ = 0;
-  // Peek only: last_ stays put, so ShardGroup may still schedule between
-  // the clock and the time returned here.
-  int b = 0;
-  SimTime m = 0;
-  return lowest_live(b, m) ? m : kNoPendingEvent;
-}
-
-std::size_t Simulator::run_window(SimTime end_exclusive) {
-  if (end_exclusive <= now_) return 0;
-  // pop_one_until is inclusive; the window bound is exclusive.
-  const SimTime deadline = end_exclusive - 1;
-  std::size_t executed = 0;
-  SimTime when;
-  EventFn fn;
-  SimCategory cat = SimCategory::kOther;
-  while (pop_one_until(deadline, when, fn, cat)) {
-    now_ = when;
-    dispatch(fn, cat);
-    fn.reset();
-    ++executed;
-  }
-  return executed;
 }
 
 bool Simulator::pop_one_until(SimTime deadline, SimTime& when_out,

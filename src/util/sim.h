@@ -28,18 +28,10 @@
 //     stays in schedule order without a sequence number. schedule_at() with
 //     `when` in the past clamps to now() and therefore runs *after* every
 //     event already queued at now() — a late event never jumps the queue.
-//     Order is per simulator (per shard), so multi-shard runs stay
-//     deterministic as long as cross-shard injection schedules in a
-//     deterministic order (see ShardGroup in util/shard.h).
-//
-// Parallel use: a Simulator is single-threaded. ShardGroup runs one Simulator
-// per shard under conservative-lookahead windows (run_window/next_event_time
-// below exist for that driver) with a barrier between windows.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -244,27 +236,6 @@ class Simulator {
 
   // Executes at most one event; returns false if the queue is empty.
   bool step();
-
-  // --- shard-window API (used by ShardGroup, util/shard.h) ---------------
-  // Sentinel returned by next_event_time() when the queue is empty.
-  static constexpr SimTime kNoPendingEvent = std::numeric_limits<SimTime>::max();
-
-  // Timestamp of the earliest pending event, or kNoPendingEvent. Reclaims
-  // cancelled entries it passes, but never moves the queue's base: callers
-  // may still schedule below the returned time (down to now()).
-  SimTime next_event_time();
-
-  // Runs every pending event with when < end_exclusive (strictly before the
-  // horizon), leaving now() at the last executed event. Events scheduled
-  // mid-window inside the horizon are executed too. Returns events executed.
-  std::size_t run_window(SimTime end_exclusive);
-
-  // Moves the clock forward to `t` without executing anything (no-op if the
-  // clock is already past `t`). ShardGroup uses this to mirror run_until's
-  // "clock lands on the deadline once drained" behavior across shards.
-  void advance_to(SimTime t) {
-    if (t > now_) now_ = t;
-  }
 
   std::size_t pending_events() const { return live_; }
   // Queue entries currently held: live events plus cancelled entries not

@@ -118,7 +118,7 @@ TEST(Quantile, InterpolatesBetweenOrderStatistics) {
 TEST(QuickMode, ReadsTheFlagAndTheEnvironment) {
   char prog[] = "bench";
   char quick[] = "--quick";
-  char other[] = "--shards=4";
+  char other[] = "--telemetry-out=out";
   char* with_flag[] = {prog, other, quick};
   char* without_flag[] = {prog, other};
   unsetenv("PVN_BENCH_QUICK");

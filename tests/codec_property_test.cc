@@ -928,7 +928,6 @@ TEST_P(OpsProperty, AllMessageTypesRoundTrip) {
     OpsSnapshotReply srep;
     srep.seq = sreq.seq;
     srep.barrier_time = static_cast<SimTime>(rng.next_below(1u << 30));
-    srep.shard_count = static_cast<std::uint32_t>(1 + rng.next_below(8));
     const int n_samples = static_cast<int>(rng.next_below(5));
     for (int s = 0; s < n_samples; ++s) {
       OpsMetricSample ms;
@@ -945,7 +944,6 @@ TEST_P(OpsProperty, AllMessageTypesRoundTrip) {
     const auto srep2 = OpsSnapshotReply::decode(srep.encode());
     ASSERT_TRUE(srep2.has_value());
     EXPECT_EQ(srep2->barrier_time, srep.barrier_time);
-    EXPECT_EQ(srep2->shard_count, srep.shard_count);
     EXPECT_EQ(srep2->samples, srep.samples);
     // The digest survives the wire and re-verifies against the samples.
     EXPECT_EQ(srep2->digest, ops_snapshot_digest(srep2->samples));
@@ -1148,7 +1146,6 @@ OpsAlertsReply random_alerts_reply(Rng& rng) {
   OpsAlertsReply rep;
   rep.seq = static_cast<std::uint32_t>(rng.next_u64());
   rep.barrier_time = static_cast<SimTime>(rng.next_below(1u << 30));
-  rep.shard_count = static_cast<std::uint32_t>(1 + rng.next_below(8));
   const int n = static_cast<int>(rng.next_below(5));
   for (int i = 0; i < n; ++i) {
     OpsAlert a;
@@ -1173,7 +1170,6 @@ OpsTraceReply random_trace_reply(Rng& rng) {
   rep.session = random_name(rng);
   rep.start = static_cast<SimTime>(rng.next_below(1u << 30));
   rep.end = rep.start + static_cast<SimTime>(rng.next_below(1u << 20));
-  rep.shard_count = static_cast<std::uint32_t>(1 + rng.next_below(8));
   const int n = static_cast<int>(rng.next_below(6));
   for (int i = 0; i < n; ++i) {
     OpsTraceSpan ts;
@@ -1206,11 +1202,10 @@ TEST_P(OpsProperty, HealthPlaneMessagesRoundTrip) {
     const auto arep2 = OpsAlertsReply::decode(arep.encode());
     ASSERT_TRUE(arep2.has_value());
     EXPECT_EQ(arep2->barrier_time, arep.barrier_time);
-    EXPECT_EQ(arep2->shard_count, arep.shard_count);
     EXPECT_EQ(arep2->digest, arep.digest);
     EXPECT_EQ(arep2->alerts, arep.alerts);
     // The digest survives the wire: recomputing over the decoded list
-    // reproduces it (the shard-consistency check the bench relies on).
+    // reproduces it (the check the bench relies on).
     EXPECT_EQ(ops_alerts_digest(arep2->alerts), arep.digest);
 
     OpsTraceRequest treq;

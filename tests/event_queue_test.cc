@@ -1,12 +1,16 @@
-// Differential test of the simulator's event queue. Seeded random sequences
-// of kernel calls run against Simulator and against a reference model, and
-// every observable result must agree: the firing order, every return value,
-// and now() and pending_events() after every call.
+// Tests of the simulator's event queue and run loop.
 //
-// The reference model is the binary-heap queue the radix heap replaced:
-// a min-heap of (when, seq) entries over generation-tagged slots, lazy
-// cancellation with the same compaction trigger, and run_until's clock rule
-// (land on the deadline when no live event remains).
+// The differential test runs seeded random sequences of kernel calls
+// against Simulator and against a reference model, and every observable
+// result must agree: the firing order, every return value, and now() and
+// pending_events() after every call. The reference model is the binary-heap
+// queue the radix heap replaced: a min-heap of (when, seq) entries over
+// generation-tagged slots, lazy cancellation with the same compaction
+// trigger, and run_until's clock rule (land on the deadline when no live
+// event remains).
+//
+// The unit tests below it pin the heap bound under mass-cancel churn, the
+// same-time tie-break contract and run_until's clock.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,8 +28,6 @@ namespace {
 
 class RefSimulator {
  public:
-  static constexpr SimTime kNoPendingEvent = Simulator::kNoPendingEvent;
-
   SimTime now() const { return now_; }
   std::size_t pending_events() const { return live_; }
 
@@ -60,18 +62,6 @@ class RefSimulator {
     if (heap_.size() >= 64 && heap_.size() > 2 * live_) compact();
   }
 
-  SimTime next_event_time() {
-    while (!heap_.empty()) {
-      const Entry& top = heap_.front();
-      Slot& s = slots_[top.slot];
-      if (s.armed && s.gen == top.gen) return top.when;
-      retire(top);
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      heap_.pop_back();
-    }
-    return kNoPendingEvent;
-  }
-
   std::size_t run_until(SimTime deadline) {
     std::size_t executed = 0;
     std::function<void()> fn;
@@ -85,19 +75,6 @@ class RefSimulator {
     return executed;
   }
 
-  std::size_t run_window(SimTime end_exclusive) {
-    if (end_exclusive <= now_) return 0;
-    std::size_t executed = 0;
-    std::function<void()> fn;
-    SimTime when = 0;
-    while (pop(end_exclusive - 1, when, fn)) {
-      now_ = when;
-      fn();
-      ++executed;
-    }
-    return executed;
-  }
-
   bool step() {
     std::function<void()> fn;
     SimTime when = 0;
@@ -105,10 +82,6 @@ class RefSimulator {
     now_ = when;
     fn();
     return true;
-  }
-
-  void advance_to(SimTime t) {
-    if (t > now_) now_ = t;
   }
 
  private:
@@ -256,17 +229,10 @@ void run_differential(std::uint64_t seed, int ops) {
       got.cancel(n);
       want.cancel(n);
       ASSERT_LE(got.sim.heap_size(), 2 * got.sim.pending_events() + 64);
-    } else if (kind < 67) {
+    } else if (kind < 80) {
       ASSERT_EQ(got.sim.run_until(t), want.sim.run_until(t));
-    } else if (kind < 76) {
-      ASSERT_EQ(got.sim.run_window(t), want.sim.run_window(t));
-    } else if (kind < 85) {
-      ASSERT_EQ(got.sim.next_event_time(), want.sim.next_event_time());
-    } else if (kind < 94) {
-      ASSERT_EQ(got.sim.step(), want.sim.step());
     } else {
-      got.sim.advance_to(t);
-      want.sim.advance_to(t);
+      ASSERT_EQ(got.sim.step(), want.sim.step());
     }
     ASSERT_EQ(got.sim.now(), want.sim.now());
     ASSERT_EQ(got.sim.pending_events(), want.sim.pending_events());
@@ -289,6 +255,121 @@ TEST(EventQueueDifferential, MatchesBinaryHeapReference) {
     run_differential(seed, 2000);
     if (HasFatalFailure()) return;
   }
+}
+
+
+// --- mass-cancel churn (lease-style timer workloads) -----------------------
+
+TEST(SimulatorChurn, MassCancelKeepsHeapBounded) {
+  Simulator sim;
+  // A rotating set of armed timers, like lease renewals that are cancelled
+  // and re-armed on every heartbeat. One million churn iterations used to
+  // leave one dead heap entry each; compaction must keep the heap
+  // proportional to the live set.
+  constexpr std::size_t kLive = 512;
+  constexpr std::size_t kChurn = 1'000'000;
+  std::vector<EventId> ids(kLive, kInvalidEventId);
+  for (std::size_t i = 0; i < kLive; ++i) {
+    ids[i] = sim.schedule_at(static_cast<SimTime>(1'000'000 + i), [] {});
+  }
+  for (std::size_t i = 0; i < kChurn; ++i) {
+    const std::size_t slot = i % kLive;
+    sim.cancel(ids[slot]);
+    ids[slot] =
+        sim.schedule_at(static_cast<SimTime>(1'000'000 + i % 4096), [] {});
+    ASSERT_EQ(sim.pending_events(), kLive);  // exact, not approximate
+    // Compaction bound: at most 2x live entries (+ the small floor below
+    // which compaction never bothers to run).
+    ASSERT_LE(sim.heap_size(), 2 * kLive + 64);
+  }
+  EXPECT_EQ(sim.pending_events(), kLive);
+  std::size_t fired = sim.run();
+  EXPECT_EQ(fired, kLive);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.heap_size(), 0u);
+}
+
+TEST(SimulatorChurn, CancelAllDrainsHeap) {
+  Simulator sim;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 10'000; ++i) {
+    ids.push_back(sim.schedule_at(100 + i, [] {}));
+  }
+  for (const EventId id : ids) sim.cancel(id);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  // Compaction triggers on the way down; the heap must not retain ~10k
+  // corpses until the next run().
+  EXPECT_LE(sim.heap_size(), 64u);
+  EXPECT_EQ(sim.run(), 0u);
+}
+
+// --- tie-break contract ----------------------------------------------------
+
+TEST(SimulatorTieBreak, SameTimeEventsRunInScheduleOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(10, [&] { order.push_back(1); });
+  sim.schedule_at(10, [&] { order.push_back(2); });
+  sim.schedule_at(5, [&] { order.push_back(0); });
+  sim.schedule_at(10, [&] { order.push_back(3); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(SimulatorTieBreak, ScheduleAtInPastClampsAndNeverJumpsTheQueue) {
+  Simulator sim;
+  std::vector<int> order;
+  // Event A (t=10) schedules X at t=5 — in the past. X must clamp to now()
+  // and run AFTER B, which was already queued at t=10 before A executed.
+  sim.schedule_at(10, [&] {
+    order.push_back(1);
+    sim.schedule_at(5, [&] {
+      order.push_back(3);
+      EXPECT_EQ(sim.now(), 10);  // clamped, the clock never rewinds
+    });
+  });
+  sim.schedule_at(10, [&] { order.push_back(2); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(sim.now(), 10);
+}
+
+// Scheduling from outside the run loop after run_until stopped short of a
+// cancelled entry and a later live event: the new events may land anywhere
+// from now() up, below both, and must still run in time order.
+TEST(SimulatorClock, ScheduleAfterRunUntilRunsBelowLaterEvents) {
+  Simulator sim;
+  std::vector<std::pair<SimTime, char>> log;
+  const auto mark = [&](char c) {
+    return [&log, &sim, c] { log.emplace_back(sim.now(), c); };
+  };
+  sim.schedule_at(5, mark('A'));
+  sim.cancel(sim.schedule_at(20, mark('B')));
+  sim.schedule_at(40, mark('C'));
+  EXPECT_EQ(sim.run_until(10), 1u);
+  EXPECT_EQ(sim.now(), 5);  // C is still live: the clock stays at A
+  sim.schedule_at(30, mark('E'));
+  sim.schedule_at(6, mark('D'));
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::pair<SimTime, char>>{
+                     {5, 'A'}, {6, 'D'}, {30, 'E'}, {40, 'C'}}));
+}
+
+// With nothing live left past the deadline, only a cancelled entry,
+// run_until lands the clock on the deadline, and later schedules start
+// from there.
+TEST(SimulatorClock, RunUntilLandsOnDeadlineWhenOnlyCancelledEntriesRemain) {
+  Simulator drained;
+  std::vector<SimTime> ran;
+  drained.schedule_at(5, [&] { ran.push_back(drained.now()); });
+  drained.cancel(drained.schedule_at(20, [] {}));
+  EXPECT_EQ(drained.run_until(10), 1u);
+  EXPECT_EQ(drained.now(), 10);
+  drained.schedule_at(12, [&] { ran.push_back(drained.now()); });
+  drained.schedule_at(3, [&] { ran.push_back(drained.now()); });  // clamps
+  drained.schedule_at(11, [&] { ran.push_back(drained.now()); });
+  drained.run();
+  EXPECT_EQ(ran, (std::vector<SimTime>{5, 10, 11, 12}));
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
     python3 tests/golden/check_digests.py --dir build/bench
 
 reads the outputs the CI bench-quick job leaves in build/bench: the
-quick-mode summaries of e15 (run with --shards=4), e20 and e22
+quick-mode summaries of e15, e20 and e22
 (BENCH_dataplane.json, BENCH_ops.json, BENCH_tracing.json) and the stdout of
 the seed-1 and seed-5 pvnbench smoke runs, saved as
 pvnbench_<workload>_seed<seed>.txt. It prints every pinned value that moved
@@ -30,9 +30,7 @@ ROOT = os.path.dirname(os.path.dirname(HERE))
 GOLDEN = os.path.join(HERE, "digests.json")
 WORKLOADS = ("fleet_churn", "chain_web", "tunnel_mix")
 SEEDS = (1, 5)
-BENCHES = (("bench_e15_dataplane", ["--shards=4"]),
-           ("bench_e20_ops", []),
-           ("bench_e22_tracing", []))
+BENCHES = ("bench_e15_dataplane", "bench_e20_ops", "bench_e22_tracing")
 
 
 def pvnbench_output(out_dir, workload, seed):
@@ -41,11 +39,11 @@ def pvnbench_output(out_dir, workload, seed):
 
 def run_producers(out_dir):
     env = dict(os.environ, PVN_BENCH_QUICK="1")
-    for exe, args in BENCHES:
+    for exe in BENCHES:
         # Not check=True: a host-time gate that fails on a busy host still
         # leaves its summary behind, and the digests do not depend on it.
-        subprocess.run([os.path.join(out_dir, exe)] + args, cwd=out_dir,
-                       env=env, stdout=subprocess.DEVNULL)
+        subprocess.run([os.path.join(out_dir, exe)], cwd=out_dir, env=env,
+                       stdout=subprocess.DEVNULL)
     for seed in SEEDS:
         for w in WORKLOADS:
             with open(pvnbench_output(out_dir, w, seed), "w") as out:
@@ -73,20 +71,15 @@ def observe(out_dir):
                 m = re.search(r"outcome digest ([0-9a-f]{16})", f.read())
             values["pvnbench.seed%d.%s.outcome_digest" % (seed, w)] = (
                 m.group(1) if m else None)
-    e15 = load_summary(out_dir, "dataplane")
-    for run in e15["parallel"]["runs"]:
-        values["e15.shards%d.digest" % run["shards"]] = run["digest"]
-        values["e15.shards%d.events" % run["shards"]] = run["events"]
+    e15 = load_summary(out_dir, "dataplane")["scenario"]
+    values["e15.digest"] = e15["digest"]
+    values["e15.events"] = e15["events"]
     e20 = load_summary(out_dir, "ops")
     values["e20.snapshot_barrier_us"] = e20["snapshot_barrier_us"]
-    for shards in (1, 4):
-        key = "snapshot_delta_digest_%dshard" % shards
-        values["e20." + key] = str(e20[key])
+    values["e20.snapshot_delta_digest"] = str(e20["snapshot_delta_digest"])
     e22 = load_summary(out_dir, "tracing")
-    for shards in (1, 4):
-        for kind in ("alerts", "trace"):
-            key = "%s_digest_%dshard" % (kind, shards)
-            values["e22." + key] = str(e22[key])
+    for kind in ("alerts", "trace"):
+        values["e22.%s_digest" % kind] = str(e22["%s_digest" % kind])
     return values
 
 

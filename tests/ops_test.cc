@@ -1,9 +1,8 @@
 // Operations plane: the in-sim admin endpoint, per-session introspection,
-// reconfiguration verbs (idempotent under retransmission), barrier-cut
-// metrics snapshots, and the packet-sampling flight recorder.
+// reconfiguration verbs (idempotent under retransmission), metrics
+// snapshots, and the packet-sampling flight recorder.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -29,27 +28,19 @@ TestbedConfig ops_config() {
   return cfg;
 }
 
-// Drives the testbed through the windowed parallel runner (required for
-// snapshot barriers to fire; plain sim().run_until never quiesces shards).
-void drive(Testbed& tb, SimDuration d) {
-  tb.net.run_parallel_until(tb.net.sim().now() + d);
-}
-
 // --- snapshots ---------------------------------------------------------------
 
 TEST(Ops, SnapshotRoundTripCarriesRegistryMetrics) {
   Testbed tb(ops_config());
-  tb.net.shards().enable_time_barriers();
   OpsClient admin(*tb.client, tb.addrs.control);
   telemetry::MetricsRegistry::global().counter("ops_test.pings").inc(7);
 
   std::optional<OpsSnapshotReply> reply;
   admin.request_snapshot("ops_test.",
                          [&](const OpsSnapshotReply& r) { reply = r; });
-  drive(tb, milliseconds(200));
+  tb.net.sim().run_until(tb.net.sim().now() + milliseconds(200));
 
   ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(reply->shard_count, 1u);
   EXPECT_GT(reply->barrier_time, 0);
   // The digest carried on the wire matches the samples carried on the wire.
   EXPECT_EQ(reply->digest, ops_snapshot_digest(reply->samples));
@@ -62,17 +53,38 @@ TEST(Ops, SnapshotRoundTripCarriesRegistryMetrics) {
   EXPECT_EQ(tb.ops->snapshots_served(), 1u);
 }
 
-TEST(Ops, SnapshotBarrierLandsAfterRequestByLookahead) {
+// Snapshot and get-alerts requests are answered when the testbed is driven
+// by plain sim().run_until, each 1 ms after it reaches the endpoint.
+TEST(Ops, RequestsAreAnsweredUnderPlainRunUntil) {
   Testbed tb(ops_config());
-  tb.net.shards().enable_time_barriers();
+  std::vector<SimTime> arrivals;  // ops requests reaching the endpoint
+  for (const auto& link : tb.net.links()) {
+    link->add_tap([&tb, &arrivals](const Packet& p, const Node&,
+                                   const Node& to) {
+      Port sport = 0;
+      Port dport = 0;
+      if (&to == tb.control &&
+          peek_ports(static_cast<std::uint8_t>(p.ip.proto), p.l4, sport,
+                     dport) &&
+          dport == kOpsPort) {
+        arrivals.push_back(to.sim().now());
+      }
+    });
+  }
   OpsClient admin(*tb.client, tb.addrs.control);
-  std::optional<OpsSnapshotReply> reply;
-  admin.request_snapshot("", [&](const OpsSnapshotReply& r) { reply = r; });
-  drive(tb, milliseconds(500));
-  ASSERT_TRUE(reply.has_value());
-  // The cut is at request arrival + lookahead — past the send time.
-  EXPECT_GT(reply->barrier_time, tb.net.shards().lookahead());
-  EXPECT_EQ(tb.net.shards().barriers_fired(), 1u);
+  std::optional<OpsSnapshotReply> snap;
+  std::optional<OpsAlertsReply> alerts;
+  admin.request_snapshot("", [&](const OpsSnapshotReply& r) { snap = r; });
+  admin.request_alerts([&](const OpsAlertsReply& r) { alerts = r; });
+  tb.net.sim().run_until(tb.net.sim().now() + milliseconds(200));
+
+  ASSERT_EQ(arrivals.size(), 2u);
+  ASSERT_TRUE(snap.has_value());
+  ASSERT_TRUE(alerts.has_value());
+  EXPECT_EQ(snap->barrier_time, arrivals[0] + milliseconds(1));
+  EXPECT_EQ(alerts->barrier_time, arrivals[1] + milliseconds(1));
+  EXPECT_EQ(tb.ops->snapshots_served(), 1u);
+  EXPECT_EQ(tb.ops->alerts_served(), 1u);
 }
 
 // --- session introspection ---------------------------------------------------
@@ -83,13 +95,12 @@ TEST(Ops, SessionQueryJoinsDeploymentLeaseAndSpans) {
   Testbed tb(cfg);
   ASSERT_TRUE(tb.deploy(tb.standard_pvnc("alice-phone")).ok);
   tb.ops->set_scoreboard(nullptr);  // reputation defaults apply
-  tb.net.shards().enable_time_barriers();
 
   OpsClient admin(*tb.client, tb.addrs.control);
   std::optional<OpsSessionInfo> info;
   admin.query_session("alice-phone", 8,
                       [&](const OpsSessionInfo& i) { info = i; });
-  drive(tb, milliseconds(200));
+  tb.net.sim().run_until(tb.net.sim().now() + milliseconds(200));
 
   ASSERT_TRUE(info.has_value());
   EXPECT_TRUE(info->found);
@@ -106,11 +117,10 @@ TEST(Ops, SessionQueryJoinsDeploymentLeaseAndSpans) {
 
 TEST(Ops, SessionQueryForUnknownDeviceReportsNotFound) {
   Testbed tb(ops_config());
-  tb.net.shards().enable_time_barriers();
   OpsClient admin(*tb.client, tb.addrs.control);
   std::optional<OpsSessionInfo> info;
   admin.query_session("nobody", 4, [&](const OpsSessionInfo& i) { info = i; });
-  drive(tb, milliseconds(200));
+  tb.net.sim().run_until(tb.net.sim().now() + milliseconds(200));
   ASSERT_TRUE(info.has_value());
   EXPECT_FALSE(info->found);
 }
@@ -119,7 +129,6 @@ TEST(Ops, SessionQueryForUnknownDeviceReportsNotFound) {
 
 TEST(Ops, InjectRuleInstallsThroughControllerAndAudits) {
   Testbed tb(ops_config());
-  tb.net.shards().enable_time_barriers();
   OpsClient admin(*tb.client, tb.addrs.control);
 
   OpsReconfigRequest rq;
@@ -133,7 +142,7 @@ TEST(Ops, InjectRuleInstallsThroughControllerAndAudits) {
   rq.rule.actions.push_back(drop);
   std::optional<OpsReconfigReply> rep;
   admin.send_reconfig(rq, [&](const OpsReconfigReply& r) { rep = r; });
-  drive(tb, milliseconds(300));
+  tb.net.sim().run_until(tb.net.sim().now() + milliseconds(300));
 
   ASSERT_TRUE(rep.has_value());
   EXPECT_TRUE(rep->ok);
@@ -150,7 +159,6 @@ TEST(Ops, InjectRuleInstallsThroughControllerAndAudits) {
 
 TEST(Ops, ReconfigRetransmissionIsIdempotent) {
   Testbed tb(ops_config());
-  tb.net.shards().enable_time_barriers();
   OpsClient admin(*tb.client, tb.addrs.control);
   int wipes = 0;
   tb.ops->register_cache("dns", [&wipes] {
@@ -167,14 +175,14 @@ TEST(Ops, ReconfigRetransmissionIsIdempotent) {
     ++replies;
     last = r;
   });
-  drive(tb, milliseconds(200));
+  tb.net.sim().run_until(tb.net.sim().now() + milliseconds(200));
   ASSERT_EQ(replies, 1);
   EXPECT_TRUE(last.ok);
   EXPECT_EQ(last.detail, "5 entries from 1 caches");
 
   // The admin's reply was lost (as far as it knows): byte-identical resend.
   ASSERT_TRUE(admin.retransmit(seq));
-  drive(tb, milliseconds(200));
+  tb.net.sim().run_until(tb.net.sim().now() + milliseconds(200));
   EXPECT_EQ(replies, 2);           // cached reply re-served...
   EXPECT_EQ(wipes, 1);             // ...but the wipe ran exactly once
   EXPECT_EQ(last.detail, "5 entries from 1 caches");
@@ -187,7 +195,6 @@ TEST(Ops, ForcedPromotionFlipsDeploymentToStandby) {
   Testbed tb(ops_config());
   ASSERT_TRUE(tb.deploy(tb.standard_pvnc("alice-phone")).ok);
   ASSERT_FALSE(tb.server->deployment_view("alice-phone").promoted);
-  tb.net.shards().enable_time_barriers();
 
   OpsClient admin(*tb.client, tb.addrs.control);
   OpsReconfigRequest rq;
@@ -195,7 +202,7 @@ TEST(Ops, ForcedPromotionFlipsDeploymentToStandby) {
   rq.device_id = "alice-phone";
   std::optional<OpsReconfigReply> rep;
   admin.send_reconfig(rq, [&](const OpsReconfigReply& r) { rep = r; });
-  drive(tb, milliseconds(300));
+  tb.net.sim().run_until(tb.net.sim().now() + milliseconds(300));
 
   ASSERT_TRUE(rep.has_value());
   EXPECT_TRUE(rep->ok);
@@ -205,7 +212,7 @@ TEST(Ops, ForcedPromotionFlipsDeploymentToStandby) {
   // A second (non-retransmitted, fresh-seq) promote is an idempotent no-op.
   rep.reset();
   admin.send_reconfig(rq, [&](const OpsReconfigReply& r) { rep = r; });
-  drive(tb, milliseconds(300));
+  tb.net.sim().run_until(tb.net.sim().now() + milliseconds(300));
   ASSERT_TRUE(rep.has_value());
   EXPECT_TRUE(rep->ok);
   EXPECT_FALSE(rep->applied);
@@ -215,7 +222,6 @@ TEST(Ops, QuarantineOverrideForcesAndClearsLatch) {
   Testbed tb(ops_config());
   HostScoreboard sb;
   tb.ops->set_scoreboard(&sb);
-  tb.net.shards().enable_time_barriers();
   OpsClient admin(*tb.client, tb.addrs.control);
   const std::string host = tb.addrs.standby.to_string();
 
@@ -225,7 +231,7 @@ TEST(Ops, QuarantineOverrideForcesAndClearsLatch) {
   rq.quarantine = 1;
   std::optional<OpsReconfigReply> rep;
   admin.send_reconfig(rq, [&](const OpsReconfigReply& r) { rep = r; });
-  drive(tb, milliseconds(200));
+  tb.net.sim().run_until(tb.net.sim().now() + milliseconds(200));
   ASSERT_TRUE(rep.has_value());
   EXPECT_TRUE(rep->applied);
   EXPECT_TRUE(sb.quarantined(host, tb.net.sim().now()));
@@ -233,7 +239,7 @@ TEST(Ops, QuarantineOverrideForcesAndClearsLatch) {
   rq.quarantine = 0;
   rep.reset();
   admin.send_reconfig(rq, [&](const OpsReconfigReply& r) { rep = r; });
-  drive(tb, milliseconds(200));
+  tb.net.sim().run_until(tb.net.sim().now() + milliseconds(200));
   ASSERT_TRUE(rep.has_value());
   EXPECT_TRUE(rep->applied);
   EXPECT_FALSE(sb.quarantined(host, tb.net.sim().now()));
@@ -241,14 +247,13 @@ TEST(Ops, QuarantineOverrideForcesAndClearsLatch) {
 
 TEST(Ops, SamplingRateVerbUpdatesTheFlightRecorder) {
   Testbed tb(ops_config());
-  tb.net.shards().enable_time_barriers();
   OpsClient admin(*tb.client, tb.addrs.control);
   OpsReconfigRequest rq;
   rq.verb = OpsVerb::kSetSamplingRate;
   rq.sample_interval = 99;
   std::optional<OpsReconfigReply> rep;
   admin.send_reconfig(rq, [&](const OpsReconfigReply& r) { rep = r; });
-  drive(tb, milliseconds(200));
+  tb.net.sim().run_until(tb.net.sim().now() + milliseconds(200));
   ASSERT_TRUE(rep.has_value());
   EXPECT_TRUE(rep->applied);
   EXPECT_EQ(tb.flight_recorder->sample_interval(), 99u);
@@ -256,7 +261,7 @@ TEST(Ops, SamplingRateVerbUpdatesTheFlightRecorder) {
   // Same value again: round-trips ok but reports nothing changed.
   rep.reset();
   admin.send_reconfig(rq, [&](const OpsReconfigReply& r) { rep = r; });
-  drive(tb, milliseconds(200));
+  tb.net.sim().run_until(tb.net.sim().now() + milliseconds(200));
   ASSERT_TRUE(rep.has_value());
   EXPECT_TRUE(rep->ok);
   EXPECT_FALSE(rep->applied);
@@ -269,7 +274,6 @@ TEST(Ops, UnwiredVerbsFailCleanly) {
   tb.ops->set_controller(nullptr);
   tb.ops->set_deployment_server(nullptr);
   tb.ops->set_flight_recorder(nullptr);
-  tb.net.shards().enable_time_barriers();
   OpsClient admin(*tb.client, tb.addrs.control);
   for (const OpsVerb verb :
        {OpsVerb::kInjectRule, OpsVerb::kPromoteStandby,
@@ -278,7 +282,7 @@ TEST(Ops, UnwiredVerbsFailCleanly) {
     rq.verb = verb;
     std::optional<OpsReconfigReply> rep;
     admin.send_reconfig(rq, [&](const OpsReconfigReply& r) { rep = r; });
-    drive(tb, milliseconds(300));
+    tb.net.sim().run_until(tb.net.sim().now() + milliseconds(300));
     ASSERT_TRUE(rep.has_value()) << to_string(verb);
     EXPECT_FALSE(rep->ok) << to_string(verb);
     EXPECT_FALSE(rep->applied) << to_string(verb);
@@ -287,14 +291,14 @@ TEST(Ops, UnwiredVerbsFailCleanly) {
 
 // --- flight recorder ---------------------------------------------------------
 
-// Pushes `n` pings from the testbed client to the web server. Each drive
-// must cover the full client->web path (8ms access + 2ms backhaul + 10ms
-// server link): run_parallel_until does not advance the clock past pending
-// future events, so a drive shorter than the path latency delivers nothing.
+// Pushes `n` pings from the testbed client to the web server. Each run must
+// cover the full client->web path (8ms access + 2ms backhaul + 10ms server
+// link): run_until leaves the clock at the last event while later ones are
+// pending, so a run shorter than the path latency delivers nothing.
 void ping(Testbed& tb, int n) {
   for (int i = 0; i < n; ++i) {
     tb.client->send_udp(tb.addrs.web, 4000, 4001, Bytes(64, 0xAB));
-    drive(tb, milliseconds(30));
+    tb.net.sim().run_until(tb.net.sim().now() + milliseconds(30));
   }
 }
 
@@ -302,7 +306,6 @@ TEST(Ops, FlightRecorderSamplesEveryBurstAtIntervalOne) {
   TestbedConfig cfg = ops_config();
   cfg.flight.sample_interval = 1;
   Testbed tb(cfg);
-  tb.net.shards().enable_time_barriers();
   ping(tb, 5);
   const FlightRecorder::Stats st = tb.flight_recorder->stats();
   EXPECT_GT(st.packets_seen, 0u);
@@ -324,7 +327,6 @@ TEST(Ops, FlightRecorderIntervalZeroDisablesSampling) {
   TestbedConfig cfg = ops_config();
   cfg.flight.sample_interval = 0;
   Testbed tb(cfg);
-  tb.net.shards().enable_time_barriers();
   ping(tb, 5);
   const FlightRecorder::Stats st = tb.flight_recorder->stats();
   EXPECT_GT(st.packets_seen, 0u);
@@ -392,7 +394,6 @@ TEST(Ops, FlightRecorderRingStaysBounded) {
   cfg.flight.ring_capacity = 8;
   cfg.flight.per_flow_cap = 1000;  // admit everything; the ring must bound
   Testbed tb(cfg);
-  tb.net.shards().enable_time_barriers();
   ping(tb, 30);
   const FlightRecorder::Stats st = tb.flight_recorder->stats();
   EXPECT_GT(st.packets_admitted, 8u);
@@ -404,7 +405,6 @@ TEST(Ops, FlightRecorderReservoirCapsHeavyFlows) {
   cfg.flight.sample_interval = 1;
   cfg.flight.per_flow_cap = 4;
   Testbed tb(cfg);
-  tb.net.shards().enable_time_barriers();
   ping(tb, 40);  // one heavy flow, sampled at every hop
   const FlightRecorder::Stats st = tb.flight_recorder->stats();
   // Algorithm R: after the cap the flow is admitted with p = cap/seen, so a
@@ -417,104 +417,16 @@ TEST(Ops, TraceDumpRoundTripsChromeJson) {
   TestbedConfig cfg = ops_config();
   cfg.flight.sample_interval = 1;
   Testbed tb(cfg);
-  tb.net.shards().enable_time_barriers();
   ping(tb, 3);
   OpsClient admin(*tb.client, tb.addrs.control);
   std::optional<OpsTraceDumpReply> dump;
   admin.request_trace([&](const OpsTraceDumpReply& d) { dump = d; });
-  drive(tb, milliseconds(200));
+  tb.net.sim().run_until(tb.net.sim().now() + milliseconds(200));
   ASSERT_TRUE(dump.has_value());
   EXPECT_GT(dump->samples, 0u);
   EXPECT_NE(dump->trace_json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(dump->trace_json.find("\"ph\": \"i\""), std::string::npos);
   EXPECT_NE(dump->trace_json.find("\"hops\""), std::string::npos);
-}
-
-// --- parallel: snapshot consistency across shard counts ----------------------
-
-// A 4-shard run and a 1-shard run of the same scripted workload must hand
-// the admin byte-identical metric deltas at the same barrier. (Named *Ops*
-// so the TSan CI job picks it up alongside the other parallel suites.)
-class OpsParallel : public ::testing::Test {};
-
-struct ShardedProbe {
-  bool replied = false;
-  SimTime barrier = 0;
-  std::uint64_t delta_digest = 0;
-};
-
-ShardedProbe sharded_snapshot(std::size_t shards, const std::string& tag) {
-  Network net(/*seed=*/11, shards, /*lookahead=*/milliseconds(1));
-  net.set_build_shard(0);
-  Host& ops_host = net.add_node<Host>("ops-" + tag, Ipv4Addr(10, 9, 0, 1));
-  Host& admin_host =
-      net.add_node<Host>("admin-" + tag, Ipv4Addr(10, 9, 0, 2));
-  LinkParams p;
-  p.rate = Rate::mbps(100);
-  p.latency = milliseconds(1);
-  net.connect(admin_host, ops_host, p);
-  // A second traffic pair on the last shard: its deliveries bump the link
-  // counters the snapshot must cut consistently.
-  net.set_build_shard(shards - 1);
-  Host& a = net.add_node<Host>("a-" + tag, Ipv4Addr(10, 9, 1, 1));
-  Host& b = net.add_node<Host>("b-" + tag, Ipv4Addr(10, 9, 1, 2));
-  net.connect(a, b, p);
-  b.bind_udp(7, [](Ipv4Addr, Port, Port, const Bytes&) {});
-  for (int i = 0; i < 50; ++i) {
-    net.shards().shard(shards - 1).schedule_at(
-        milliseconds(2) + i * microseconds(700), SimCategory::kWorkload,
-        [&a, &b] { a.send_udp(b.addr(), 7, 7, Bytes(100, 0x5A)); });
-  }
-  net.set_build_shard(0);
-  OpsEndpoint endpoint(ops_host);
-  OpsClient admin(admin_host, ops_host.addr());
-  net.shards().enable_time_barriers();
-
-  const std::string prefix = "netsim.link.";
-  std::map<std::pair<std::string, std::string>, std::uint64_t> base;
-  for (const telemetry::MetricSample& s :
-       telemetry::MetricsRegistry::global().snapshot().samples) {
-    if (s.name.rfind(prefix, 0) == 0) {
-      base[{s.name, s.instance}] = s.counter_value;
-    }
-  }
-
-  // The request must leave the admin host at the same simulated instant in
-  // every configuration: after run_parallel_until the clock position is
-  // shard-count-dependent (1 shard lands on the deadline, N shards on a
-  // window boundary), so the send is scripted at an absolute time instead
-  // of issued from test code between runs.
-  ShardedProbe probe;
-  std::optional<OpsSnapshotReply> reply;
-  net.shards().shard(0).schedule_at(
-      milliseconds(10), SimCategory::kPvnControl, [&admin, &prefix, &reply] {
-        admin.request_snapshot(prefix,
-                               [&reply](const OpsSnapshotReply& r) { reply = r; });
-      });
-  net.run_parallel_until(milliseconds(60));
-  net.run_parallel();  // drain so gauges read zero for the next run
-  if (!reply.has_value()) return probe;
-  probe.replied = true;
-  probe.barrier = reply->barrier_time;
-  std::vector<OpsMetricSample> deltas = reply->samples;
-  for (OpsMetricSample& s : deltas) {
-    const auto it = base.find({s.name, s.instance});
-    if (it != base.end()) s.counter_value -= it->second;
-  }
-  probe.delta_digest = ops_snapshot_digest(deltas);
-  return probe;
-}
-
-TEST_F(OpsParallel, SnapshotDeltasAgreeAcrossShardCounts) {
-  // Distinct node-name tags keep the runs' link metric instances shared:
-  // the same topology names mean the same registry cells, so the delta
-  // subtraction isolates each run's own traffic.
-  const ShardedProbe one = sharded_snapshot(1, "x");
-  const ShardedProbe four = sharded_snapshot(4, "x");
-  ASSERT_TRUE(one.replied);
-  ASSERT_TRUE(four.replied);
-  EXPECT_EQ(one.barrier, four.barrier);
-  EXPECT_EQ(one.delta_digest, four.delta_digest);
 }
 
 // --- telemetry-visible counters ----------------------------------------------
