@@ -130,11 +130,13 @@ void ChaosRunner::apply_planted(PlantedBug bug) {
       if (!tb_->agents.empty()) tb_->agents[0]->stop_session();
       break;
     case PlantedBug::kMemoryLeak: {
-      // An instance no deployment owns: as if a teardown path forgot one.
+      // A chain no deployment owns: as if a teardown path forgot one.
       if (!tb_->a.store || !tb_->a.mbox) break;
-      auto orphan = tb_->a.store->make("tracker-blocker", {});
-      if (orphan) {
-        tb_->a.mbox->instantiate(std::move(orphan), [](Middlebox*) {});
+      std::vector<std::unique_ptr<Middlebox>> orphan;
+      orphan.push_back(tb_->a.store->make("tracker-blocker", {}));
+      if (orphan.back()) {
+        tb_->a.mbox->build_chain("chain:orphan", std::move(orphan),
+                                 [](Chain*) {});
       }
       break;
     }

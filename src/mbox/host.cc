@@ -1,6 +1,7 @@
 #include "mbox/host.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace pvn {
 
@@ -58,6 +59,11 @@ void Chain::append(Middlebox* mbox) {
       &reg.counter("mbox.module.dropped", mbox->name())});
 }
 
+void Chain::append(std::unique_ptr<Middlebox> mbox) {
+  append(mbox.get());
+  owned_.push_back(std::move(mbox));
+}
+
 std::vector<Packet> Chain::process(Packet pkt, SimTime now,
                                    SimDuration& delay) {
   packets_.inc();
@@ -102,77 +108,100 @@ MboxHost::MboxHost(Simulator& sim, MboxHostConfig cfg) : sim_(&sim), cfg_(cfg) {
 
 MboxHost::~MboxHost() { withdraw_gauges(); }
 
+void MboxHost::charge(int n) {
+  instances_ += n;
+  memory_in_use_ += n * cfg_.memory_per_instance;
+  m_instances_->add(n);
+  m_memory_in_use_->add(n * cfg_.memory_per_instance);
+}
+
 void MboxHost::withdraw_gauges() {
   m_memory_in_use_->add(-memory_in_use_);
-  m_instances_->add(-static_cast<std::int64_t>(owned_.size()));
+  m_instances_->add(-instances_);
 }
 
-void MboxHost::instantiate(std::unique_ptr<Middlebox> mbox,
-                           std::function<void(Middlebox*)> ready) {
-  instantiate(std::move(mbox), std::move(ready), telemetry::TraceContext{},
-              {});
-}
+// A chain under construction. Its module events share it; the last one to
+// fire frees it, and with it whatever a failed build reserved.
+struct MboxHost::Build {
+  std::unique_ptr<Chain> chain;
+  std::vector<std::unique_ptr<Middlebox>> reserved;  // in chain order
+  std::function<void(Chain*)> done;  // empty once fired
+  std::size_t pending = 0;           // module events yet to fire
+  int epoch = 0;                     // crashes_ when the build began
+  bool failed = false;
+};
 
-void MboxHost::instantiate(std::unique_ptr<Middlebox> mbox,
-                           std::function<void(Middlebox*)> ready,
+void MboxHost::build_chain(const std::string& id,
+                           std::vector<std::unique_ptr<Middlebox>> modules,
+                           std::function<void(Chain*)> done,
                            const telemetry::TraceContext& trace,
                            std::string_view node) {
-  // The span closes when the readiness event fires, so its extent is the
-  // instantiation delay itself. shared_ptr: Span is move-only, the callback
-  // is a copyable std::function.
-  std::shared_ptr<telemetry::Span> span;
-  if (trace.valid()) {
-    span = std::make_shared<telemetry::Span>(
-        telemetry::SpanRecorder::global().start(
-            "mbox_instantiate", "mbox", mbox != nullptr ? mbox->name() : "",
-            trace, node));
-  }
-  if (span != nullptr) {
-    auto inner = std::move(ready);
-    ready = [span, inner = std::move(inner)](Middlebox* m) {
-      span->finish();
-      inner(m);
-    };
-  }
-  if (crashed_ ||
-      memory_in_use_ + cfg_.memory_per_instance > cfg_.memory_budget) {
-    m_instantiation_failures_->inc();
-    sim_->schedule_after(0, SimCategory::kMbox,
-                         [ready = std::move(ready)] { ready(nullptr); });
+  auto build = std::make_shared<Build>();
+  build->chain = std::make_unique<Chain>(id, cfg_.per_packet_delay);
+  build->done = std::move(done);
+  build->pending = modules.size();
+  build->epoch = crashes_;
+  if (modules.empty()) {
+    settle(*build);
     return;
   }
-  memory_in_use_ += cfg_.memory_per_instance;
-  Middlebox* raw = mbox.get();
-  owned_.push_back(std::move(mbox));
-  m_instantiations_->inc();
-  m_memory_in_use_->add(cfg_.memory_per_instance);
-  m_instances_->add(1);
-  // A crash between now and the readiness event frees the instance; deliver
-  // nullptr instead of the dangling pointer in that case.
-  const int gen = crashes_;
-  sim_->schedule_after(cfg_.instantiation_delay, SimCategory::kMbox,
-                       [this, gen, raw, ready = std::move(ready)] {
-                         ready(gen == crashes_ ? raw : nullptr);
-                       });
+  for (std::unique_ptr<Middlebox>& mbox : modules) {
+    // The span closes when the module's event fires, so its extent is the
+    // instantiation delay itself.
+    telemetry::Span span;
+    if (trace.valid()) {
+      span = telemetry::SpanRecorder::global().start(
+          "mbox_instantiate", "mbox", mbox->name(), trace, node);
+    }
+    const bool fits = !crashed_ && memory_in_use_ + cfg_.memory_per_instance <=
+                                       cfg_.memory_budget;
+    if (fits) {
+      charge(1);
+      m_instantiations_->inc();
+      build->reserved.push_back(std::move(mbox));
+    } else {
+      m_instantiation_failures_->inc();
+    }
+    sim_->schedule_after(fits ? cfg_.instantiation_delay : 0,
+                         SimCategory::kMbox,
+                         [this, build, fits, span = std::move(span)]() mutable {
+                           span.finish();
+                           land(*build, fits);
+                         });
+  }
 }
 
-bool MboxHost::destroy(Middlebox* mbox) {
-  const auto it = std::find_if(
-      owned_.begin(), owned_.end(),
-      [mbox](const std::unique_ptr<Middlebox>& p) { return p.get() == mbox; });
-  if (it == owned_.end()) return false;
-  owned_.erase(it);
-  memory_in_use_ -= cfg_.memory_per_instance;
-  m_memory_in_use_->add(-cfg_.memory_per_instance);
-  m_instances_->add(-1);
-  return true;
+void MboxHost::land(Build& build, bool up) {
+  // A module that did not fit fails the build, and so does the first event
+  // after a crash, which freed what the build reserved.
+  if ((!up || build.epoch != crashes_) && !build.failed) {
+    build.failed = true;
+    std::exchange(build.done, nullptr)(nullptr);
+  }
+  if (--build.pending == 0) settle(build);
+}
+
+void MboxHost::settle(Build& build) {
+  if (build.failed) {
+    if (build.epoch == crashes_) {
+      charge(-static_cast<int>(build.reserved.size()));
+    }
+    return;
+  }
+  for (std::unique_ptr<Middlebox>& mbox : build.reserved) {
+    build.chain->append(std::move(mbox));
+  }
+  Chain* chain = build.chain.get();
+  destroy_chain(chain->id());  // a chain of the same id gives way
+  chains_[chain->id()] = std::move(build.chain);
+  std::exchange(build.done, nullptr)(chain);
 }
 
 Chain& MboxHost::create_chain(const std::string& id) {
-  auto chain = std::make_unique<Chain>(id, cfg_.per_packet_delay);
-  Chain& ref = *chain;
-  chains_[id] = std::move(chain);
-  return ref;
+  destroy_chain(id);
+  auto& chain = chains_[id];
+  chain = std::make_unique<Chain>(id, cfg_.per_packet_delay);
+  return *chain;
 }
 
 Chain* MboxHost::chain(const std::string& id) {
@@ -181,7 +210,11 @@ Chain* MboxHost::chain(const std::string& id) {
 }
 
 bool MboxHost::destroy_chain(const std::string& id) {
-  return chains_.erase(id) > 0;
+  const auto it = chains_.find(id);
+  if (it == chains_.end()) return false;
+  charge(-static_cast<int>(it->second->instances()));
+  chains_.erase(it);
+  return true;
 }
 
 void MboxHost::crash() {
@@ -189,8 +222,8 @@ void MboxHost::crash() {
   crashed_ = true;
   ++crashes_;
   withdraw_gauges();
-  owned_.clear();
   chains_.clear();
+  instances_ = 0;
   memory_in_use_ = 0;
   m_crashes_->inc();
   if (crash_listener_) crash_listener_();

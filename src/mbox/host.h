@@ -30,8 +30,13 @@ class Chain : public PacketProcessor {
   Chain(std::string id, SimDuration per_packet_delay);
 
   const std::string& id() const { return id_; }
+  // Appends a module the caller owns.
   void append(Middlebox* mbox);
+  // Appends a module the chain owns from now on (what MboxHost builds).
+  void append(std::unique_ptr<Middlebox> mbox);
   const std::vector<Middlebox*>& modules() const { return modules_; }
+  // How many of modules() the chain owns.
+  std::size_t instances() const { return owned_.size(); }
 
   std::vector<Packet> process(Packet pkt, SimTime now,
                               SimDuration& delay) override;
@@ -50,6 +55,7 @@ class Chain : public PacketProcessor {
   std::string id_;
   SimDuration per_packet_delay_;
   std::vector<Middlebox*> modules_;
+  std::vector<std::unique_ptr<Middlebox>> owned_;
   std::vector<ModuleCells> module_cells_;
   std::vector<MboxFinding> findings_;
   telemetry::Tally packets_;
@@ -66,56 +72,69 @@ class MboxHost {
   MboxHost(const MboxHost&) = delete;
   MboxHost& operator=(const MboxHost&) = delete;
 
-  // Instantiates a middlebox (charging instantiation delay + memory).
-  // `ready` fires with the instance pointer, or nullptr if the host is out
-  // of memory or crashed. The host owns the instance.
-  void instantiate(std::unique_ptr<Middlebox> mbox,
-                   std::function<void(Middlebox*)> ready);
-  // Traced variant: when `trace` is valid, the instantiation delay — the
-  // dominant cost of a deploy — is recorded as an "mbox_instantiate" span
-  // stitched under the caller's trace, on `node`'s track.
-  void instantiate(std::unique_ptr<Middlebox> mbox,
-                   std::function<void(Middlebox*)> ready,
-                   const telemetry::TraceContext& trace,
-                   std::string_view node);
+  // Builds chain `id` from `modules`, in order. Each module reserves
+  // memory now and comes up one instantiation delay later; a module that
+  // does not fit the budget, or meets a crashed host, fails at once.
+  // `done` fires once: with the chain, which the host then holds and which
+  // owns its instances, when every module is up; or with nullptr at the
+  // first failure, a crash before the modules land included. The modules
+  // that did come up are released when they land. When `trace` is valid,
+  // each instantiation delay — the dominant cost of a deploy — is recorded
+  // as an "mbox_instantiate" span stitched under it, on `node`'s track.
+  void build_chain(const std::string& id,
+                   std::vector<std::unique_ptr<Middlebox>> modules,
+                   std::function<void(Chain*)> done,
+                   const telemetry::TraceContext& trace = {},
+                   std::string_view node = {});
 
-  // Tears down an instance, releasing its memory.
-  bool destroy(Middlebox* mbox);
-
-  // Creates an empty chain with the configured per-packet base delay.
+  // Creates an empty chain, with the configured per-packet base delay, for
+  // modules the caller owns and appends: nothing is instantiated or charged.
   Chain& create_chain(const std::string& id);
+  // The chain `id` this host holds; nullptr once destroyed or lost to a
+  // crash.
   Chain* chain(const std::string& id);
+  // Frees chain `id` and the instances it owns. A no-op returning false for
+  // a chain the host does not hold.
   bool destroy_chain(const std::string& id);
 
   // Fault injection: drops every instance and chain on the floor (memory
-  // returns to zero, like a machine losing power) and refuses new
-  // instantiations until restart(). The crash listener fires synchronously
-  // so the control plane can unregister now-dead chain processors from the
-  // dataplane before another packet is diverted to them.
+  // returns to zero, like a machine losing power), fails the builds in
+  // flight and refuses new instantiations until restart(). The crash
+  // listener fires synchronously so the control plane can unregister
+  // now-dead chain processors from the dataplane before another packet is
+  // diverted to them.
   void crash();
   void restart() { crashed_ = false; }
   bool crashed() const { return crashed_; }
-  int crashes() const { return crashes_; }
   void set_crash_listener(std::function<void()> listener) {
     crash_listener_ = std::move(listener);
   }
 
   std::int64_t memory_in_use() const { return memory_in_use_; }
   std::int64_t memory_budget() const { return cfg_.memory_budget; }
-  int instances() const { return static_cast<int>(owned_.size()); }
+  int instances() const { return instances_; }
   const MboxHostConfig& config() const { return cfg_; }
 
  private:
+  struct Build;
+  // One module's instantiation event; `up` is false for a module that never
+  // got its memory.
+  void land(Build& build, bool up);
+  // Every module event has fired (or there were none): hands the chain
+  // over, or releases what a failed build reserved.
+  void settle(Build& build);
+  // Reserves (n > 0) or releases (n < 0) memory for n instances.
+  void charge(int n);
   // Takes this host's instances and memory out of the process-wide gauges.
   void withdraw_gauges();
 
   Simulator* sim_;
   MboxHostConfig cfg_;
-  std::vector<std::unique_ptr<Middlebox>> owned_;
   std::map<std::string, std::unique_ptr<Chain>> chains_;
+  int instances_ = 0;  // reserved or up, in builds and chains
   std::int64_t memory_in_use_ = 0;
   bool crashed_ = false;
-  int crashes_ = 0;
+  int crashes_ = 0;  // tells a build whether a crash freed what it reserved
   std::function<void()> crash_listener_;
   // Aggregate telemetry; hosts carry no name, so there is no instance label.
   // The gauges sum over live hosts: each host adds and subtracts its own

@@ -110,7 +110,7 @@ void PvnClient::start_discovery_round() {
   DiscoveryMessage dm;
   dm.seq = ++seq_;  // fresh seq per round: stale offers are ignored
   dm.device_id = pvnc_.name;
-  dm.standards = cfg_.standards;
+  dm.standards = kPvnStandards;
   dm.modules = pvnc_.module_names();
   dm.est_memory_bytes = pvnc_.est_memory_bytes();
   const Bytes dm_bytes =

@@ -87,7 +87,6 @@ struct SessionConfig {
 };
 
 struct ClientConfig {
-  std::vector<std::string> standards = {"openflow-lite", "mbox-v1"};
   SimDuration offer_wait = milliseconds(250);  // collect offers this long
   SimDuration deploy_timeout = seconds(5);     // overall deploy deadline
   Constraints constraints;

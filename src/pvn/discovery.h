@@ -27,6 +27,10 @@ namespace pvn {
 
 constexpr Port kPvnPort = 3030;
 
+// The PVNC standards every client asks for and every server speaks.
+inline const std::vector<std::string> kPvnStandards = {"openflow-lite",
+                                                       "mbox-v1"};
+
 enum class PvnMsgType : std::uint8_t {
   kDiscovery = 1,
   kOffer = 2,
@@ -65,7 +69,7 @@ const char* to_string(NackCode code);
 struct DiscoveryMessage {
   std::uint32_t seq = 0;  // incremented per discovery attempt (§3.1)
   std::string device_id;
-  std::vector<std::string> standards;  // e.g. {"openflow-lite", "mbox-v1"}
+  std::vector<std::string> standards;  // e.g. kPvnStandards
   std::vector<std::string> modules;    // requested module names
   std::int64_t est_memory_bytes = 0;
 

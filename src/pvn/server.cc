@@ -1,12 +1,26 @@
 #include "pvn/server.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "mbox/checkpoint.h"
 #include "proto/http.h"
 #include "pvn/standby.h"
 
 namespace pvn {
+namespace {
+
+// The retry-after hint of a kBusy or kOutOfMemory NACK.
+constexpr SimDuration kBusyRetryAfter = milliseconds(500);
+// Spacing of the follow-up sweeps that drain a capped expiry backlog.
+constexpr SimDuration kSweepDrainInterval = milliseconds(10);
+// How long a migrating deploy waits for the old server's kStateTransfer
+// before acking with a cold chain.
+constexpr SimDuration kHandoffTimeout = milliseconds(500);
+// Consecutive contradicting checkpoint acks that demote a standby pool.
+constexpr int kByzantineAckThreshold = 3;
+
+}  // namespace
 
 DeploymentServer::DeploymentServer(Host& host, PvnStore& store,
                                    MboxHost& mbox_host, Controller& controller,
@@ -34,9 +48,7 @@ DeploymentServer::DeploymentServer(Host& host, PvnStore& store,
 
 DeploymentServer::~DeploymentServer() {
   if (sweep_timer_ != kInvalidEventId) host_->sim().cancel(sweep_timer_);
-  for (auto& [device_id, dep] : deployments_) {
-    if (dep.ckpt_timer != kInvalidEventId) host_->sim().cancel(dep.ckpt_timer);
-  }
+  for (auto& [device_id, dep] : deployments_) stop_checkpoints(dep);
   for (auto& [device_id, ph] : pending_handoffs_) {
     if (ph.timer != kInvalidEventId) host_->sim().cancel(ph.timer);
   }
@@ -104,8 +116,8 @@ void DeploymentServer::handle_discovery(Ipv4Addr src, Port sport,
   // Standards must intersect.
   bool standards_ok = false;
   for (const std::string& s : dm.standards) {
-    if (std::find(cfg_.standards.begin(), cfg_.standards.end(), s) !=
-        cfg_.standards.end()) {
+    if (std::find(kPvnStandards.begin(), kPvnStandards.end(), s) !=
+        kPvnStandards.end()) {
       standards_ok = true;
       break;
     }
@@ -115,7 +127,7 @@ void DeploymentServer::handle_discovery(Ipv4Addr src, Port sport,
   Offer offer;
   offer.seq = dm.seq;
   offer.deployment_server = host_->addr();
-  offer.standards = cfg_.standards;
+  offer.standards = kPvnStandards;
   for (const std::string& module : dm.modules) {
     if (!store_->has(module)) continue;
     if (!cfg_.allowed_modules.empty() &&
@@ -234,8 +246,8 @@ void DeploymentServer::handle_deploy(Ipv4Addr src, Port sport,
     telemetry::SpanRecorder::global().instant("deploy_shed", "pvn",
                                               req.device_id, trace,
                                               host_->name());
-    nack(src, sport, req.seq, "server busy", NackCode::kBusy,
-         cfg_.busy_retry_after, trace);
+    nack(src, sport, req.seq, "server busy", NackCode::kBusy, kBusyRetryAfter,
+         trace);
     return;
   }
   // Validate against the store.
@@ -277,7 +289,7 @@ void DeploymentServer::handle_deploy(Ipv4Addr src, Port sport,
   if (mbox_host_->memory_in_use() + chain_cost >
       mbox_host_->memory_budget()) {
     nack(src, sport, req.seq, "out of middlebox memory",
-         NackCode::kOutOfMemory, cfg_.busy_retry_after, trace);
+         NackCode::kOutOfMemory, kBusyRetryAfter, trace);
     return;
   }
   // Tear down any previous deployment for this device.
@@ -301,7 +313,6 @@ void DeploymentServer::handle_deploy(Ipv4Addr src, Port sport,
   deployment->chain_id = chain_id;
   deployment->paid = price;
   deployment->seq = req.seq;
-  deployment->mbox_generation = mbox_host_->crashes();
   deployment->module_names = req.pvnc.module_names();
   deployment->required_modules = req.required_modules;
   deployment->request_bytes = req_bytes;
@@ -310,14 +321,20 @@ void DeploymentServer::handle_deploy(Ipv4Addr src, Port sport,
 
   pending_[req.device_id] = req_bytes;
 
-  // Instantiate the chain's modules (each charges instantiation delay).
-  auto remaining = std::make_shared<int>(0);
-  auto failed = std::make_shared<bool>(false);
-  Chain& chain = mbox_host_->create_chain(chain_id);
+  // Every refusal past this point: NACK and close the deploy span.
+  const auto fail = [this, src, sport, device_id = req.device_id,
+                     seq = req.seq, deploy_span](const std::string& reason,
+                                                 NackCode code,
+                                                 SimDuration retry_after) {
+    pending_.erase(device_id);
+    nack(src, sport, seq, reason, code, retry_after, deploy_span->context());
+    deploy_span->finish();
+  };
 
+  // Program the switch once the chain is up (each module charges the
+  // instantiation delay).
   const auto finish = [this, src, sport, req, deployment, chain_id, cookie,
-                       price, deploy_span, &chain]() {
-    // Program the switch.
+                       price, deploy_span, fail](Chain& chain) {
     telemetry::Span compile_span = telemetry::SpanRecorder::global().start(
         "compile", "pvn", req.device_id, deploy_span->context(),
         host_->name());
@@ -335,23 +352,27 @@ void DeploymentServer::handle_deploy(Ipv4Addr src, Port sport,
 
     SdnSwitch* sw = controller_->switch_by_name(cfg_.switch_name);
     if (sw == nullptr) {
-      if (deployment->mbox_generation == mbox_host_->crashes()) {
-        for (Middlebox* m : deployment->instances) mbox_host_->destroy(m);
-        mbox_host_->destroy_chain(deployment->chain_id);
-      }
-      pending_.erase(req.device_id);
-      nack(src, sport, req.seq, "no dataplane", NackCode::kUnavailable, 0,
-           deploy_span->context());
-      deploy_span->finish();
+      mbox_host_->destroy_chain(chain_id);
+      fail("no dataplane", NackCode::kUnavailable, 0);
       return;
     }
     sw->register_processor(chain_id, &chain);
+    // From here the switch diverts into the chain: a crash before the ack
+    // must unhook it at once and fail the deploy.
+    unacked_[chain_id] = [this, sw, chain_id, cookie, device_id = req.device_id,
+                          fail] {
+      sw->unregister_processor(chain_id);
+      controller_->remove_by_cookie(cookie);
+      cancel_handoff(device_id);
+      fail("middlebox host unavailable", NackCode::kUnavailable, 0);
+    };
     for (const MeterSpec& meter : compiled.meters) {
       controller_->add_meter(cfg_.switch_name, meter.id, meter.rate,
                              meter.burst_bytes);
     }
     const auto ack_deployment = [this, src, sport, req, deployment, price,
                                  deploy_span](bool state_restored) {
+      unacked_.erase(deployment->chain_id);
       if (cfg_.lease_duration > 0) {
         deployment->expires_at = host_->sim().now() + cfg_.lease_duration;
       }
@@ -381,6 +402,7 @@ void DeploymentServer::handle_deploy(Ipv4Addr src, Port sport,
     // is acked immediately with a cold chain.
     const auto after_rules = [this, req, chain_id, ack_deployment,
                               deploy_span] {
+      if (!unacked_.contains(chain_id)) return;  // a crash failed the deploy
       if (req.handoff_server.is_unspecified()) {
         ack_deployment(false);
       } else {
@@ -399,76 +421,37 @@ void DeploymentServer::handle_deploy(Ipv4Addr src, Port sport,
     if (compiled.rules.empty()) after_rules();
   };
 
-  // Make every instance before dispatching any: a store miss mid-chain must
-  // not strand instantiations already in flight.
-  std::vector<std::unique_ptr<Middlebox>> to_instantiate;
-  for (const PvncModule& module : req.pvnc.chain) {
+  std::vector<std::unique_ptr<Middlebox>> modules;
+  if (const std::string missing = make_modules(req.pvnc, modules);
+      !missing.empty()) {
+    fail("cannot instantiate " + missing, NackCode::kInvalidPvnc, 0);
+    return;
+  }
+  mbox_host_->build_chain(
+      chain_id, std::move(modules),
+      [this, fail, finish](Chain* chain) {
+        if (chain != nullptr) {
+          finish(*chain);
+        } else if (mbox_host_->crashed()) {
+          fail("middlebox host unavailable", NackCode::kUnavailable, 0);
+        } else {
+          fail("out of middlebox memory", NackCode::kOutOfMemory,
+               kBusyRetryAfter);
+        }
+      },
+      deploy_span->context(), host_->name());
+}
+
+std::string DeploymentServer::make_modules(
+    const Pvnc& pvnc, std::vector<std::unique_ptr<Middlebox>>& out) const {
+  for (const PvncModule& module : pvnc.chain) {
     if (module.store_name == skip_module_) continue;  // dishonest ISP model
     std::unique_ptr<Middlebox> instance =
         store_->make(module.store_name, module.params);
-    if (instance == nullptr) {
-      mbox_host_->destroy_chain(chain_id);
-      pending_.erase(req.device_id);
-      nack(src, sport, req.seq, "cannot instantiate " + module.store_name,
-           NackCode::kInvalidPvnc, 0, deploy_span->context());
-      deploy_span->finish();
-      return;
-    }
-    to_instantiate.push_back(std::move(instance));
+    if (instance == nullptr) return module.store_name;
+    out.push_back(std::move(instance));
   }
-  *remaining = static_cast<int>(to_instantiate.size());
-  if (to_instantiate.empty()) {
-    finish();
-    return;
-  }
-  const int generation = mbox_host_->crashes();
-  for (std::unique_ptr<Middlebox>& instance : to_instantiate) {
-    mbox_host_->instantiate(
-        std::move(instance),
-        [this, remaining, failed, deployment, finish, src, sport, req,
-         deploy_span, generation](Middlebox* mbox) {
-          const bool live = generation == mbox_host_->crashes();
-          if (mbox == nullptr) {
-            if (!*failed) {
-              *failed = true;
-              pending_.erase(req.device_id);
-              nack(src, sport, req.seq,
-                   mbox_host_->crashed() ? "middlebox host unavailable"
-                                         : "out of middlebox memory",
-                   mbox_host_->crashed() ? NackCode::kUnavailable
-                                         : NackCode::kOutOfMemory,
-                   mbox_host_->crashed() ? SimDuration{0}
-                                         : cfg_.busy_retry_after,
-                   deploy_span->context());
-              deploy_span->finish();
-            }
-          } else if (*failed) {
-            // A sibling already failed the deploy; releasing this instance
-            // here (instead of dropping the pointer) is what keeps a
-            // rejected deploy from permanently leaking middlebox memory.
-            if (live) mbox_host_->destroy(mbox);
-          } else {
-            deployment->instances.push_back(mbox);
-          }
-          if (--*remaining > 0) return;
-          if (*failed) {
-            // Reclaim the partial chain once the last sibling reports in.
-            if (live) {
-              for (Middlebox* m : deployment->instances) {
-                mbox_host_->destroy(m);
-              }
-              mbox_host_->destroy_chain(deployment->chain_id);
-            }
-            return;
-          }
-          // Preserve chain order: instances may be appended out of
-          // order only if instantiation delays differ; they do not.
-          Chain* chain = mbox_host_->chain(deployment->chain_id);
-          for (Middlebox* m : deployment->instances) chain->append(m);
-          finish();
-        },
-        deploy_span->context(), host_->name());
-  }
+  return "";
 }
 
 void DeploymentServer::teardown_device(const std::string& device_id) {
@@ -476,28 +459,12 @@ void DeploymentServer::teardown_device(const std::string& device_id) {
   const auto it = deployments_.find(device_id);
   if (it == deployments_.end()) return;
   Deployment& dep = it->second;
-  if (dep.ckpt_timer != kInvalidEventId) {
-    host_->sim().cancel(dep.ckpt_timer);
-    dep.ckpt_timer = kInvalidEventId;
-  }
   controller_->remove_by_cookie(dep.cookie);
   if (SdnSwitch* sw = controller_->switch_by_name(cfg_.switch_name)) {
     sw->unregister_processor(dep.chain_id);
   }
-  // A MboxHost crash already destroyed older-generation chains/instances;
-  // destroying them again would touch freed memory.
-  if (dep.mbox_generation == mbox_host_->crashes()) {
-    for (Middlebox* m : dep.instances) mbox_host_->destroy(m);
-    mbox_host_->destroy_chain(dep.chain_id);
-  }
-  if (dep.standby_pool >= 0 &&
-      dep.standby_pool < static_cast<int>(pools_.size())) {
-    MboxHost* standby = pools_[dep.standby_pool].host;
-    if (dep.standby_generation == standby->crashes()) {
-      for (Middlebox* m : dep.standby_instances) standby->destroy(m);
-      standby->destroy_chain(dep.chain_id);
-    }
-  }
+  mbox_host_->destroy_chain(dep.chain_id);
+  release_standby(dep);
   deployments_.erase(it);
 }
 
@@ -571,22 +538,17 @@ bool DeploymentServer::force_promote(const std::string& device_id) {
   const auto it = deployments_.find(device_id);
   if (it == deployments_.end()) return false;
   Deployment& dep = it->second;
-  if (dep.promoted) return true;  // already on the standby: idempotent
-  MboxHost* standby_mbox =
-      dep.standby_pool >= 0 ? pools_[dep.standby_pool].host : nullptr;
-  if (!dep.standby_ready || standby_mbox == nullptr ||
-      dep.standby_generation != standby_mbox->crashes()) {
-    return false;
-  }
-  Chain* standby = standby_mbox->chain(dep.chain_id);
+  // The primary stays healthy; the switch just stops using it.
+  return dep.promoted || promote(device_id, dep);
+}
+
+bool DeploymentServer::promote(const std::string& device_id, Deployment& dep) {
+  Chain* standby = dep.standby_ready
+                       ? pools_[dep.standby_pool].host->chain(dep.chain_id)
+                       : nullptr;
   if (standby == nullptr) return false;
-  // Same sequence as the crash path in on_mbox_crash, minus the teardown of
-  // the primary (which is still healthy — the switch just stops using it).
   dep.promoted = true;
-  if (dep.ckpt_timer != kInvalidEventId) {
-    host_->sim().cancel(dep.ckpt_timer);
-    dep.ckpt_timer = kInvalidEventId;
-  }
+  stop_checkpoints(dep);
   // The promotion is a child span of the owning deploy trace, so a stitched
   // get-trace shows where the session's chain moved and why.
   telemetry::Span promo = telemetry::SpanRecorder::global().start(
@@ -603,49 +565,29 @@ bool DeploymentServer::force_promote(const std::string& device_id) {
 void DeploymentServer::on_mbox_crash() {
   // Runs synchronously from MboxHost::crash(): the chains are gone, so
   // first unhook their (now dangling) processors from the dataplane.
+  for (auto& [chain_id, fail] : std::exchange(unacked_, {})) fail();
   SdnSwitch* sw = controller_->switch_by_name(cfg_.switch_name);
   std::vector<std::string> to_teardown;
   for (auto& [device_id, dep] : deployments_) {
-    if (dep.mbox_generation == mbox_host_->crashes()) continue;  // unaffected
     if (dep.promoted) continue;  // already running on the standby host
+    if (mbox_host_->chain(dep.chain_id) != nullptr) continue;  // unaffected
     if (sw != nullptr) sw->unregister_processor(dep.chain_id);
     // Warm standby first: promote it through the controller so the client
     // sees one control-RTT of elevated latency instead of losing the chain.
-    MboxHost* standby_mbox =
-        dep.standby_pool >= 0 ? pools_[dep.standby_pool].host : nullptr;
-    if (dep.standby_ready && standby_mbox != nullptr &&
-        dep.standby_generation == standby_mbox->crashes()) {
-      if (Chain* standby = standby_mbox->chain(dep.chain_id)) {
-        dep.promoted = true;
-        if (dep.ckpt_timer != kInvalidEventId) {
-          host_->sim().cancel(dep.ckpt_timer);
-          dep.ckpt_timer = kInvalidEventId;
-        }
-        telemetry::Span promo = telemetry::SpanRecorder::global().start(
-            "standby_promotion", "pvn", device_id, dep.trace, host_->name());
-        controller_->promote_chain(cfg_.switch_name, dep.chain_id, standby);
-        standby_promotions_.inc();
-        telemetry::SpanRecorder::global().instant("standby_promoted", "pvn",
-                                                  device_id, promo.context(),
-                                                  host_->name());
-        promo.finish();
-        continue;
-      }
-    }
+    if (promote(device_id, dep)) continue;
     if (degrade_or_flag_teardown(device_id, dep)) {
       to_teardown.push_back(device_id);
     }
   }
-  for (const std::string& device_id : to_teardown) {
-    chains_lost_.inc();
-    const auto dit = deployments_.find(device_id);
-    telemetry::SpanRecorder::global().instant(
-        "chain_lost", "pvn", device_id,
-        dit != deployments_.end() ? dit->second.trace
-                                  : telemetry::TraceContext{},
-        host_->name());
-    teardown_device(device_id);
-  }
+  for (const std::string& device_id : to_teardown) lose_chain(device_id);
+}
+
+void DeploymentServer::lose_chain(const std::string& device_id) {
+  chains_lost_.inc();
+  telemetry::SpanRecorder::global().instant(
+      "chain_lost", "pvn", device_id, deployments_.at(device_id).trace,
+      host_->name());
+  teardown_device(device_id);
 }
 
 bool DeploymentServer::degrade_or_flag_teardown(const std::string& device_id,
@@ -720,9 +662,7 @@ void DeploymentServer::sweep() {
   }
   if (backlog && sweep_timer_ == kInvalidEventId) {
     sweep_timer_ = host_->sim().schedule_after(
-        cfg_.sweep_drain_interval > 0 ? cfg_.sweep_drain_interval
-                                      : milliseconds(10),
-        SimCategory::kPvnControl, [this] {
+        kSweepDrainInterval, SimCategory::kPvnControl, [this] {
           sweep_timer_ = kInvalidEventId;
           sweep();
         });
@@ -744,67 +684,36 @@ int DeploymentServer::pick_standby_pool() const {
 void DeploymentServer::setup_standby(const std::string& device_id) {
   const int pool = pick_standby_pool();
   if (pool < 0) return;
-  MboxHost* standby = pools_[pool].host;
   const auto it = deployments_.find(device_id);
   if (it == deployments_.end()) return;
   Deployment& dep = it->second;
   dep.standby_pool = pool;
-  dep.standby_generation = standby->crashes();
+  std::vector<std::unique_ptr<Middlebox>> modules;
+  if (!make_modules(dep.pvnc, modules).empty()) {
+    return;  // store changed under us; no spare
+  }
+  MboxHost* standby = pools_[pool].host;
   const std::string chain_id = dep.chain_id;
-
-  std::vector<std::unique_ptr<Middlebox>> instances;
-  for (const PvncModule& module : dep.pvnc.chain) {
-    if (module.store_name == skip_module_) continue;  // mirror the primary
-    std::unique_ptr<Middlebox> instance =
-        store_->make(module.store_name, module.params);
-    if (instance == nullptr) return;  // store changed under us; no spare
-    instances.push_back(std::move(instance));
-  }
-  standby->create_chain(chain_id);
-  if (instances.empty()) {
-    dep.standby_ready = true;
-    standbys_ready_.inc();
-    arm_checkpoint(device_id);
-    return;
-  }
-  auto remaining = std::make_shared<int>(static_cast<int>(instances.size()));
-  auto failed = std::make_shared<bool>(false);
-  auto acc = std::make_shared<std::vector<Middlebox*>>();
-  const int generation = standby->crashes();
-  for (std::unique_ptr<Middlebox>& instance : instances) {
-    standby->instantiate(
-        std::move(instance),
-        [this, device_id, chain_id, remaining, failed, acc, generation,
-         standby, pool](Middlebox* mbox) {
-          if (mbox == nullptr) {
-            *failed = true;  // standby pool crashed or out of memory
-          } else {
-            acc->push_back(mbox);
-          }
-          if (--*remaining > 0) return;
-          if (generation != standby->crashes()) return;  // crash freed them
-          const auto dit = deployments_.find(device_id);
-          if (*failed || dit == deployments_.end() ||
-              dit->second.chain_id != chain_id ||
-              dit->second.standby_pool != pool) {
-            // Deployment vanished meanwhile (teardown / redeploy) or the
-            // mirror is partial: release the spare capacity.
-            for (Middlebox* m : *acc) standby->destroy(m);
-            standby->destroy_chain(chain_id);
-            return;
-          }
-          Chain* chain = standby->chain(chain_id);
-          for (Middlebox* m : *acc) chain->append(m);
-          dit->second.standby_instances = *acc;
-          dit->second.standby_ready = true;
-          standbys_ready_.inc();
-          telemetry::SpanRecorder::global().instant(
-              "standby_ready", "pvn", device_id, dit->second.trace,
-              host_->name());
-          arm_checkpoint(device_id);
-        },
-        dep.trace, host_->name());
-  }
+  standby->build_chain(
+      chain_id, std::move(modules),
+      [this, device_id, chain_id, standby, pool](Chain* chain) {
+        if (chain == nullptr) return;  // standby pool crashed or out of memory
+        const auto dit = deployments_.find(device_id);
+        if (dit == deployments_.end() || dit->second.chain_id != chain_id ||
+            dit->second.standby_pool != pool) {
+          // Deployment vanished meanwhile (teardown / redeploy) or moved
+          // its mirror: release the spare capacity.
+          standby->destroy_chain(chain_id);
+          return;
+        }
+        dit->second.standby_ready = true;
+        standbys_ready_.inc();
+        telemetry::SpanRecorder::global().instant(
+            "standby_ready", "pvn", device_id, dit->second.trace,
+            host_->name());
+        arm_checkpoint(device_id);
+      },
+      dep.trace, host_->name());
 }
 
 void DeploymentServer::arm_checkpoint(const std::string& device_id) {
@@ -827,10 +736,8 @@ void DeploymentServer::stream_checkpoint(const std::string& device_id) {
   if (it == deployments_.end()) return;
   Deployment& dep = it->second;
   if (dep.promoted || !dep.standby_ready || dep.degraded) return;
-  if (dep.mbox_generation != mbox_host_->crashes()) return;  // primary gone
-  if (dep.standby_pool < 0) return;
   Chain* chain = mbox_host_->chain(dep.chain_id);
-  if (chain == nullptr) return;
+  if (chain == nullptr) return;  // primary gone
   const ChainCheckpoint ckpt = capture_chain(*chain, ++dep.ckpt_seq,
                                              host_->sim().now(),
                                              &dep.ckpt_digests);
@@ -851,23 +758,30 @@ void DeploymentServer::stream_checkpoint(const std::string& device_id) {
   arm_checkpoint(device_id);
 }
 
+void DeploymentServer::stop_checkpoints(Deployment& dep) {
+  if (dep.ckpt_timer == kInvalidEventId) return;
+  host_->sim().cancel(dep.ckpt_timer);
+  dep.ckpt_timer = kInvalidEventId;
+}
+
+void DeploymentServer::release_standby(Deployment& dep) {
+  stop_checkpoints(dep);
+  if (dep.standby_pool >= 0) {
+    pools_[dep.standby_pool].host->destroy_chain(dep.chain_id);
+  }
+  dep.standby_ready = false;
+  dep.standby_pool = -1;
+}
+
 void DeploymentServer::on_standby_crash(int pool) {
   // Runs synchronously from the standby MboxHost's crash().
-  MboxHost* standby = pools_[pool].host;
   SdnSwitch* sw = controller_->switch_by_name(cfg_.switch_name);
   std::vector<std::string> to_teardown;
   std::vector<std::string> to_remirror;
   for (auto& [device_id, dep] : deployments_) {
-    if (dep.standby_pool != pool) continue;
-    if (dep.standby_instances.empty() && !dep.standby_ready) continue;
-    if (dep.standby_generation == standby->crashes()) continue;
-    if (dep.ckpt_timer != kInvalidEventId) {
-      host_->sim().cancel(dep.ckpt_timer);
-      dep.ckpt_timer = kInvalidEventId;
-    }
-    dep.standby_ready = false;
-    dep.standby_instances.clear();
-    dep.standby_pool = -1;
+    // A mirror still being built fails on its own when its modules land.
+    if (dep.standby_pool != pool || !dep.standby_ready) continue;
+    release_standby(dep);
     standbys_lost_.inc();
     if (!dep.promoted) {
       // Primary still serving: just lost the spare. Re-mirror onto another
@@ -881,16 +795,7 @@ void DeploymentServer::on_standby_crash(int pool) {
       to_teardown.push_back(device_id);
     }
   }
-  for (const std::string& device_id : to_teardown) {
-    chains_lost_.inc();
-    const auto dit = deployments_.find(device_id);
-    telemetry::SpanRecorder::global().instant(
-        "chain_lost", "pvn", device_id,
-        dit != deployments_.end() ? dit->second.trace
-                                  : telemetry::TraceContext{},
-        host_->name());
-    teardown_device(device_id);
-  }
+  for (const std::string& device_id : to_teardown) lose_chain(device_id);
   for (const std::string& device_id : to_remirror) {
     setup_standby(device_id);
   }
@@ -908,7 +813,7 @@ void DeploymentServer::begin_handoff(const DeployRequest& req,
   ph.ack = std::move(ack);
   ph.trace = trace;
   ph.timer = host_->sim().schedule_after(
-      cfg_.handoff_timeout, SimCategory::kPvnControl,
+      kHandoffTimeout, SimCategory::kPvnControl,
       [this, device_id, trace] {
         const auto it = pending_handoffs_.find(device_id);
         if (it == pending_handoffs_.end()) return;
@@ -946,11 +851,9 @@ void DeploymentServer::handle_state_request(
     // The authoritative chain: the standby if traffic was promoted there,
     // otherwise the primary (unless it died or was bypassed).
     Chain* chain = nullptr;
-    if (dep.promoted && dep.standby_pool >= 0 &&
-        dep.standby_generation == pools_[dep.standby_pool].host->crashes()) {
+    if (dep.promoted && dep.standby_pool >= 0) {
       chain = pools_[dep.standby_pool].host->chain(dep.chain_id);
-    } else if (!dep.promoted && !dep.degraded &&
-               dep.mbox_generation == mbox_host_->crashes()) {
+    } else if (!dep.promoted && !dep.degraded) {
       chain = mbox_host_->chain(dep.chain_id);
     }
     if (chain != nullptr) {
@@ -1000,7 +903,6 @@ void DeploymentServer::handle_state_transfer(
 }
 
 void DeploymentServer::handle_state_ack(const StateAck& sa) {
-  if (cfg_.byzantine_ack_threshold <= 0) return;  // cross-check disabled
   const auto it = deployments_.find(sa.device_id);
   if (it == deployments_.end()) return;
   Deployment& dep = it->second;
@@ -1016,7 +918,7 @@ void DeploymentServer::handle_state_ack(const StateAck& sa) {
   // ack could be a duplicated datagram's replay rejection; a run of them
   // with no consistent ack in between is a lying or broken standby.
   bad_state_acks_.inc();
-  if (++pool.bad_acks >= cfg_.byzantine_ack_threshold) {
+  if (++pool.bad_acks >= kByzantineAckThreshold) {
     demote_pool(dep.standby_pool, "state acks contradict streamed state");
   }
 }
@@ -1034,17 +936,7 @@ void DeploymentServer::demote_pool(int pool, const std::string& why) {
     // would turn a detection into an outage. It keeps serving (degraded
     // trust) until the session ends.
     if (dep.promoted) continue;
-    if (dep.ckpt_timer != kInvalidEventId) {
-      host_->sim().cancel(dep.ckpt_timer);
-      dep.ckpt_timer = kInvalidEventId;
-    }
-    if (dep.standby_generation == p.host->crashes()) {
-      for (Middlebox* m : dep.standby_instances) p.host->destroy(m);
-      p.host->destroy_chain(dep.chain_id);
-    }
-    dep.standby_instances.clear();
-    dep.standby_ready = false;
-    dep.standby_pool = -1;
+    release_standby(dep);
     to_remirror.push_back(device_id);
   }
   // Re-mirror the stranded deployments onto the next healthy pool. The

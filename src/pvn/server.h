@@ -60,7 +60,6 @@ struct StandbyPoolConfig {
 };
 
 struct ServerConfig {
-  std::vector<std::string> standards = {"openflow-lite", "mbox-v1"};
   // Modules this network will deploy; empty = everything in the store.
   // Models the "partial PVN configuration" case (§3.3).
   std::set<std::string> allowed_modules;
@@ -91,26 +90,18 @@ struct ServerConfig {
   // Period of the incremental checkpoint stream; bounds the staleness of
   // promoted state. <= 0 disables streaming (cold standby).
   SimDuration checkpoint_interval = milliseconds(200);
-  // Migration: how long to wait for the old server's kStateTransfer before
-  // acking the deployment with a cold chain.
-  SimDuration handoff_timeout = milliseconds(500);
 
   // --- robustness (overload control + Byzantine standbys) --------------
   // Bounded pending-work queue: at most this many deployments in flight at
-  // once; excess requests are shed with kBusy + busy_retry_after instead of
-  // being silently queued without bound. 0 = unbounded (no shedding).
+  // once; excess requests are shed with kBusy and a 500 ms retry-after
+  // instead of being silently queued without bound. 0 = unbounded (no
+  // shedding).
   std::size_t max_pending_deploys = 0;
-  SimDuration busy_retry_after = milliseconds(500);
   // Lease-sweep amortization: tear down at most this many expired
   // deployments per sweep tick (0 = unbounded); the backlog drains on
-  // follow-up ticks spaced sweep_drain_interval apart, so a mass expiry
-  // cannot monopolize the event loop.
+  // follow-up ticks 10 ms apart, so a mass expiry cannot monopolize the
+  // event loop.
   std::size_t max_expiries_per_sweep = 0;
-  SimDuration sweep_drain_interval = milliseconds(10);
-  // Demote a standby pool after this many checkpoint acks whose digest
-  // contradicts what was sent (or that report the state unapplied).
-  // <= 0 disables the Byzantine cross-check.
-  int byzantine_ack_threshold = 3;
 };
 
 class DeploymentServer {
@@ -197,25 +188,23 @@ class DeploymentServer {
   bool force_promote(const std::string& device_id);
 
  private:
+  // One acked deployment. Its chains live on the mbox hosts under
+  // chain_id; a host's chain(chain_id) is nullptr once a crash freed it.
   struct Deployment {
     std::string cookie;
     std::string chain_id;
-    std::vector<Middlebox*> instances;
     double paid = 0.0;
     // Resilience bookkeeping.
     std::uint32_t seq = 0;       // deploy request seq, for deduplication
     Bytes request_bytes;         // encoded request; a duplicate must match it
     Bytes ack_bytes;             // cached ack, re-sent on duplicate requests
     SimTime expires_at = 0;      // 0 = no lease
-    int mbox_generation = 0;     // MboxHost::crashes() at instantiation
     bool degraded = false;
     std::vector<std::string> module_names;
     std::vector<std::string> required_modules;  // from the client
     // Survivability bookkeeping.
-    Pvnc pvnc;                   // retained to instantiate the standby chain
-    std::vector<Middlebox*> standby_instances;
+    Pvnc pvnc;                   // retained to build the standby chain
     int standby_pool = -1;       // index into pools_; -1 = no standby
-    int standby_generation = 0;  // standby host crashes() at instantiation
     bool standby_ready = false;
     bool promoted = false;       // traffic now runs on the standby chain
     std::uint64_t ckpt_seq = 0;
@@ -268,13 +257,21 @@ class DeploymentServer {
             NackCode code = NackCode::kUnspecified, SimDuration retry_after = 0,
             const telemetry::TraceContext& trace = {});
 
-  // Removes a device's deployment: flow rules, chain processor, middlebox
-  // instances (unless the MboxHost crash already destroyed them).
+  // Makes `pvnc`'s modules from the store, minus the one a cheating server
+  // skips. Returns the name of a module the store cannot make, or "".
+  std::string make_modules(const Pvnc& pvnc,
+                           std::vector<std::unique_ptr<Middlebox>>& out) const;
+  // Removes a device's deployment: flow rules, chain processor, and the
+  // primary and standby chains their hosts still hold.
   void teardown_device(const std::string& device_id);
-  // Invoked synchronously from MboxHost::crash(): unregisters the now-dead
-  // chain processors, then promotes each deployment's warm standby when one
-  // is ready, degrading or tearing down the rest.
+  // Invoked synchronously from MboxHost::crash(): fails the deploys whose
+  // chain is registered but not yet acked, unregisters the now-dead chain
+  // processors, then promotes each deployment's warm standby when one is
+  // ready, degrading or tearing down the rest.
   void on_mbox_crash();
+  // Counts a deployment whose live chain died beyond repair, and tears it
+  // down.
+  void lose_chain(const std::string& device_id);
   void arm_sweep();
   void sweep();
 
@@ -284,6 +281,13 @@ class DeploymentServer {
   void setup_standby(const std::string& device_id);
   void arm_checkpoint(const std::string& device_id);
   void stream_checkpoint(const std::string& device_id);
+  void stop_checkpoints(Deployment& dep);
+  // Re-points `dep`'s traffic at its ready warm standby through the
+  // controller; false when there is none or its host lost the chain.
+  bool promote(const std::string& device_id, Deployment& dep);
+  // Drops `dep`'s warm standby: stops the checkpoint stream and frees the
+  // standby chain if its host still holds it.
+  void release_standby(Deployment& dep);
   // First pool that is present, healthy, and not demoted; -1 if none.
   int pick_standby_pool() const;
   bool standby_available() const { return pick_standby_pool() >= 0; }
@@ -319,6 +323,10 @@ class DeploymentServer {
   std::vector<StandbyPool> pools_;  // cfg_.standbys with a non-null host
   std::map<std::string, Deployment> deployments_;  // by device id
   std::map<std::string, Bytes> pending_;  // in-flight deploys, encoded request
+  // Deploys whose chain the switch already diverts to but whose ack is not
+  // out (rules installing, or a migration waiting for its handoff), by
+  // chain id: each entry fails its deploy when the mbox host crashes.
+  std::map<std::string, std::function<void()>> unacked_;
   std::map<std::string, PendingHandoff> pending_handoffs_;  // by device id
   std::uint32_t state_seq_ = 0;  // StateRequest sequence numbers
   std::uint64_t chain_seq_ = 0;

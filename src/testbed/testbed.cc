@@ -168,9 +168,7 @@ Testbed::Testbed(TestbedConfig cfg) : net(cfg.seed), cfg_(cfg) {
   scfg.price_multiplier = cfg.price_multiplier;
   scfg.lease_duration = cfg.lease_duration;
   scfg.max_pending_deploys = cfg.max_pending_deploys;
-  scfg.busy_retry_after = cfg.busy_retry_after;
   scfg.max_expiries_per_sweep = cfg.max_expiries_per_sweep;
-  scfg.sweep_drain_interval = cfg.sweep_drain_interval;
   if (cfg.standby) {
     scfg.checkpoint_interval = cfg.checkpoint_interval;
     scfg.standbys.push_back({standby_mbox.get(), addrs.standby});
@@ -183,7 +181,11 @@ Testbed::Testbed(TestbedConfig cfg) : net(cfg.seed), cfg_(cfg) {
                                               *controller, *ledger, scfg);
 
   dhcp = std::make_unique<DhcpServer>(*control, Ipv4Addr(10, 0, 0, 50), 100);
-  dhcp->advertise_pvn(addrs.control, "openflow-lite,mbox-v1");
+  std::string standards;  // the DHCP option's comma-separated form
+  for (const std::string& s : kPvnStandards) {
+    standards += (standards.empty() ? "" : ",") + s;
+  }
+  dhcp->advertise_pvn(addrs.control, standards);
 
   // --- resilience harness ---
   faults = std::make_unique<FaultInjector>(net);

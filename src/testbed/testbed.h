@@ -59,9 +59,7 @@ struct TestbedConfig {
   MboxHostConfig mbox;
   // Overload control (ServerConfig pass-throughs, see server.h).
   std::size_t max_pending_deploys = 0;
-  SimDuration busy_retry_after = milliseconds(500);
   std::size_t max_expiries_per_sweep = 0;
-  SimDuration sweep_drain_interval = milliseconds(10);
   // Operations plane: an OpsEndpoint on the control host (port kOpsPort)
   // wired to the controller, deployment server, global span recorder, and a
   // flight recorder tapping every link.

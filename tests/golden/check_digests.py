@@ -5,20 +5,24 @@
 
 reads the outputs the CI bench-quick job leaves in build/bench: the
 quick-mode summaries of e15, e20 and e22
-(BENCH_dataplane.json, BENCH_ops.json, BENCH_tracing.json) and the stdout of
+(BENCH_dataplane.json, BENCH_ops.json, BENCH_tracing.json), the stdout of
 the seed-1 and seed-5 pvnbench smoke runs, saved as
-pvnbench_<workload>_seed<seed>.txt. It prints every pinned value that moved
+pvnbench_<workload>_seed<seed>.txt, and the stdout of the quick-mode e16,
+e18, e19 and e21 runs and of the five examples, saved as stdout_<name>.txt
+and pinned as a SHA-256 prefix each. It prints every pinned value that moved
 and exits 1 if any did.
 
     python3 tests/golden/check_digests.py --dir build/bench --run --write
 
-regenerates the file. --run first produces those outputs: it runs the three
-benches in quick mode from --dir (build them in Release first) and the six
-pvnbench smoke runs. --write then stores the values instead of comparing
-them. A change that moves a pinned value says why in CHANGES.md.
+regenerates the file. --run first produces those outputs: it runs the seven
+benches in quick mode from --dir and the examples from the sibling
+examples/ directory (build both in Release first), and the six pvnbench
+smoke runs. --write then stores the values instead of comparing them. A
+change that moves a pinned value says why in CHANGES.md.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import re
@@ -31,10 +35,20 @@ GOLDEN = os.path.join(HERE, "digests.json")
 WORKLOADS = ("fleet_churn", "chain_web", "tunnel_mix")
 SEEDS = (1, 5)
 BENCHES = ("bench_e15_dataplane", "bench_e20_ops", "bench_e22_tracing")
+# Whole-stdout pins: the runs that drive the crash, standby, migration and
+# Byzantine paths, and the examples.
+STDOUT_BENCHES = ("bench_e16_resilience", "bench_e18_survivability",
+                  "bench_e19_adversarial", "bench_e21_chaos")
+EXAMPLES = ("quickstart", "secure_roaming", "selective_redirection",
+            "audit_demo", "pvn_store")
 
 
 def pvnbench_output(out_dir, workload, seed):
     return os.path.join(out_dir, "pvnbench_%s_seed%d.txt" % (workload, seed))
+
+
+def stdout_output(out_dir, name):
+    return os.path.join(out_dir, "stdout_%s.txt" % name)
 
 
 def run_producers(out_dir):
@@ -44,6 +58,12 @@ def run_producers(out_dir):
         # leaves its summary behind, and the digests do not depend on it.
         subprocess.run([os.path.join(out_dir, exe)], cwd=out_dir, env=env,
                        stdout=subprocess.DEVNULL)
+    examples_dir = os.path.join(os.path.dirname(out_dir), "examples")
+    for name in STDOUT_BENCHES + EXAMPLES:
+        exe = os.path.join(examples_dir if name in EXAMPLES else out_dir, name)
+        with open(stdout_output(out_dir, name), "w") as out:
+            subprocess.run([exe], cwd=out_dir, env=env, stdout=out,
+                           check=True)
     for seed in SEEDS:
         for w in WORKLOADS:
             with open(pvnbench_output(out_dir, w, seed), "w") as out:
@@ -80,6 +100,10 @@ def observe(out_dir):
     e22 = load_summary(out_dir, "tracing")
     for kind in ("alerts", "trace"):
         values["e22.%s_digest" % kind] = str(e22["%s_digest" % kind])
+    for name in STDOUT_BENCHES + EXAMPLES:
+        with open(stdout_output(out_dir, name), "rb") as f:
+            values["stdout.%s" % name] = hashlib.sha256(
+                f.read()).hexdigest()[:16]
     return values
 
 

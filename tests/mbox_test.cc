@@ -43,18 +43,28 @@ class NopMbox : public Middlebox {
   std::string name_ = "nop";
 };
 
+// `n` fresh NopMbox modules for MboxHost::build_chain.
+std::vector<std::unique_ptr<Middlebox>> nops(int n) {
+  std::vector<std::unique_ptr<Middlebox>> modules;
+  for (int i = 0; i < n; ++i) modules.push_back(std::make_unique<NopMbox>());
+  return modules;
+}
+
 TEST(MboxHost, InstantiationChargesClickOsDelay) {
   Simulator sim;
   MboxHost host(sim);
-  Middlebox* got = nullptr;
+  Chain* got = nullptr;
   SimTime ready_at = -1;
-  host.instantiate(std::make_unique<NopMbox>(), [&](Middlebox* m) {
-    got = m;
+  host.build_chain("c", nops(1), [&](Chain* c) {
+    got = c;
     ready_at = sim.now();
   });
+  EXPECT_EQ(host.memory_in_use(), 6 * kMiB);  // reserved up front
   sim.run();
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(ready_at, milliseconds(30));  // the [24] number
+  EXPECT_EQ(host.chain("c"), got);
+  EXPECT_EQ(got->modules().size(), 1u);
   EXPECT_EQ(host.memory_in_use(), 6 * kMiB);
   EXPECT_EQ(host.instances(), 1);
 }
@@ -66,24 +76,104 @@ TEST(MboxHost, MemoryBudgetRejectsOverflow) {
   MboxHost host(sim, cfg);
   int ok = 0, failed = 0;
   for (int i = 0; i < 3; ++i) {
-    host.instantiate(std::make_unique<NopMbox>(), [&](Middlebox* m) {
-      (m != nullptr ? ok : failed) += 1;
+    host.build_chain(std::to_string(i), nops(1), [&](Chain* c) {
+      (c != nullptr ? ok : failed) += 1;
     });
   }
   sim.run();
   EXPECT_EQ(ok, 2);
   EXPECT_EQ(failed, 1);
+  EXPECT_EQ(host.chain("2"), nullptr);
 }
 
 TEST(MboxHost, DestroyReleasesMemory) {
   Simulator sim;
   MboxHost host(sim);
-  Middlebox* got = nullptr;
-  host.instantiate(std::make_unique<NopMbox>(), [&](Middlebox* m) { got = m; });
+  host.build_chain("c", nops(2), [](Chain*) {});
   sim.run();
-  EXPECT_TRUE(host.destroy(got));
+  ASSERT_EQ(host.memory_in_use(), 12 * kMiB);
+  EXPECT_TRUE(host.destroy_chain("c"));
   EXPECT_EQ(host.memory_in_use(), 0);
-  EXPECT_FALSE(host.destroy(got));
+  EXPECT_EQ(host.instances(), 0);
+  EXPECT_EQ(host.chain("c"), nullptr);
+  EXPECT_FALSE(host.destroy_chain("c"));
+}
+
+// A chain that runs out of memory at module k fails at that instant, once;
+// the k-1 modules reserved before it are released when they land.
+TEST(MboxHost, BuildOutOfMemoryFailsOnceAndReleasesWhatLanded) {
+  Simulator sim;
+  MboxHostConfig cfg;
+  cfg.memory_budget = 24 * kMiB;  // 4 instances
+  MboxHost host(sim, cfg);
+  host.build_chain("base", nops(1), [](Chain*) {});
+  sim.run();
+  const std::int64_t before = host.memory_in_use();
+  ASSERT_EQ(before, 6 * kMiB);
+
+  int calls = 0;
+  Chain* got = nullptr;
+  SimTime failed_at = -1;
+  const SimTime start = sim.now();
+  host.build_chain("big", nops(5), [&](Chain* c) {  // module 4 does not fit
+    ++calls;
+    got = c;
+    failed_at = sim.now();
+  });
+  sim.run_until(start + milliseconds(1));
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(got, nullptr);
+  EXPECT_EQ(failed_at, start);
+  EXPECT_EQ(host.memory_in_use(), 24 * kMiB);  // modules 1-3 still landing
+  sim.run();
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(host.memory_in_use(), before);
+  EXPECT_EQ(host.instances(), 1);
+  EXPECT_EQ(host.chain("big"), nullptr);
+  EXPECT_NE(host.chain("base"), nullptr);
+}
+
+// A crash mid-build fails the build once, when its modules land, and a
+// build started after the restart keeps the memory it reserved.
+TEST(MboxHost, CrashMidBuildFiresDoneOnce) {
+  Simulator sim;
+  MboxHost host(sim);
+  int calls = 0;
+  Chain* got = nullptr;
+  host.build_chain("c", nops(3), [&](Chain* c) {
+    ++calls;
+    got = c;
+  });
+  sim.run_until(milliseconds(10));
+  host.crash();
+  EXPECT_EQ(host.memory_in_use(), 0);
+  EXPECT_EQ(calls, 0);
+  host.restart();
+  Chain* after = nullptr;
+  host.build_chain("after", nops(1), [&](Chain* c) { after = c; });
+  sim.run_until(milliseconds(31));
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(got, nullptr);
+  EXPECT_EQ(host.chain("c"), nullptr);
+  EXPECT_EQ(host.memory_in_use(), 6 * kMiB);  // "after"'s reservation
+  sim.run();
+  EXPECT_EQ(calls, 1);
+  ASSERT_NE(after, nullptr);
+  EXPECT_EQ(host.memory_in_use(), 6 * kMiB);
+  EXPECT_EQ(host.instances(), 1);
+}
+
+TEST(MboxHost, DestroyChainAfterCrashReturnsFalse) {
+  Simulator sim;
+  MboxHost host(sim);
+  host.build_chain("c", nops(2), [](Chain*) {});
+  sim.run();
+  ASSERT_NE(host.chain("c"), nullptr);
+  host.crash();
+  EXPECT_EQ(host.chain("c"), nullptr);
+  EXPECT_FALSE(host.destroy_chain("c"));
+  EXPECT_EQ(host.memory_in_use(), 0);
+  EXPECT_EQ(host.instances(), 0);
 }
 
 // The mbox.host.* gauges carry no instance label, so they must sum over the
@@ -98,18 +188,16 @@ TEST(MboxHost, GaugesSumOverLiveHosts) {
   {
     MboxHost a(sim);
     MboxHost b(sim);
-    Middlebox* b_first = nullptr;
-    a.instantiate(std::make_unique<NopMbox>(), [](Middlebox*) {});
-    b.instantiate(std::make_unique<NopMbox>(),
-                  [&](Middlebox* m) { b_first = m; });
-    b.instantiate(std::make_unique<NopMbox>(), [](Middlebox*) {});
+    a.build_chain("a", nops(1), [](Chain*) {});
+    b.build_chain("b1", nops(1), [](Chain*) {});
+    b.build_chain("b2", nops(1), [](Chain*) {});
     sim.run();
     EXPECT_EQ(instances.value() - instances0, 3);
     EXPECT_EQ(memory.value() - memory0, 18 * kMiB);
     a.crash();
     EXPECT_EQ(instances.value() - instances0, 2);
     EXPECT_EQ(memory.value() - memory0, 12 * kMiB);
-    ASSERT_TRUE(b.destroy(b_first));
+    ASSERT_TRUE(b.destroy_chain("b1"));
     EXPECT_EQ(instances.value() - instances0, 1);
     EXPECT_EQ(memory.value() - memory0, 6 * kMiB);
   }

@@ -454,5 +454,102 @@ TEST(Survivability, MigrationSurvivesAnUnreachableOldServer) {
   EXPECT_EQ(tb.b.server->handoff_timeouts(), 1u);
 }
 
+// --- An mbox host crash between rule install and ack -------------------------
+
+std::size_t rules_with_cookie(SdnSwitch& sw, const std::string& cookie) {
+  std::size_t n = 0;
+  for (int t = 0; t < sw.table_count(); ++t) {
+    for (const FlowRule& rule : sw.table(t).rules()) {
+      if (rule.cookie == cookie) ++n;
+    }
+  }
+  return n;
+}
+
+// Advances `sim` in 0.1 ms steps until `host` starts building a chain;
+// returns the end of that step.
+SimTime run_until_build_starts(Simulator& sim, const MboxHost& host) {
+  SimTime t = sim.now();
+  while (host.memory_in_use() == 0) sim.run_until(t += microseconds(100));
+  return t;
+}
+
+// The chain is up, so the switch already diverts to it, but its rules need
+// one control RTT (2 ms) before the ack: a crash then fails the deploy.
+TEST(Survivability, MboxCrashWhileRulesInstallFailsTheDeploy) {
+  Testbed tb;
+  PvnClient agent(*tb.client, tb.standard_pvnc("alice-phone"));
+  DeployOutcome outcome;
+  bool done = false;
+  agent.discover_and_deploy(tb.addrs.control, [&](const DeployOutcome& o) {
+    outcome = o;
+    done = true;
+  });
+  const SimTime started = run_until_build_starts(tb.net.sim(), *tb.mbox_host);
+  tb.net.sim().run_until(started + microseconds(30050));
+  ASSERT_EQ(tb.server->deployments_active(), 0u);
+  tb.mbox_host->crash();
+  tb.net.sim().run_until(tb.net.sim().now() + seconds(1));
+
+  ASSERT_TRUE(done);
+  EXPECT_FALSE(outcome.ok);
+  EXPECT_EQ(outcome.nack_code, NackCode::kUnavailable);
+  EXPECT_EQ(outcome.failure, "nack: middlebox host unavailable");
+  EXPECT_EQ(tb.server->deployments_active(), 0u);
+  EXPECT_EQ(tb.server->deployments_total(), 0u);  // no ack went out
+  // The crash came after the rules were sent, and they are gone again.
+  EXPECT_GT(tb.controller->rules_installed(), 0u);
+  EXPECT_EQ(rules_with_cookie(*tb.access_sw, "pvn:alice-phone"), 0u);
+  // Device traffic is no longer diverted to the freed chain.
+  tb.client->send_udp(tb.addrs.web, 5000, 80, to_bytes("GET / HTTP/1.1"));
+  tb.net.sim().run_until(tb.net.sim().now() + milliseconds(100));
+  EXPECT_EQ(tb.access_sw->stats().diverted_mbox, 0u);
+}
+
+// A migration whose old server is down waits up to 500 ms for the handoff
+// with its new chain registered; a crash in that wait fails the deploy.
+TEST(Survivability, MboxCrashDuringMigrationHandoffFailsTheDeploy) {
+  RoamingTestbed tb;
+  PvnClient agent(*tb.client, tb.roaming_pvnc());
+  agent.start_session(tb.addrs.control_a);
+  tb.net.sim().run_until(seconds(1));
+  ASSERT_EQ(agent.state(), SessionState::kActive);
+
+  tb.faults->crash_node(*tb.control_a);
+  tb.re_attach();
+  DeployOutcome outcome;
+  bool done = false;
+  agent.migrate(tb.addrs.control_b, milliseconds(300),
+                [&](const DeployOutcome& o) {
+                  outcome = o;
+                  done = true;
+                });
+  const SimTime crash_at =
+      run_until_build_starts(tb.net.sim(), *tb.b.mbox) + milliseconds(130);
+  // This packet reaches switch B (8 ms access latency) 1 ms after the
+  // crash, before the rule removal lands: it must miss the freed chain.
+  tb.net.sim().schedule_at(crash_at - milliseconds(7), [&] {
+    tb.client->send_udp(tb.addrs.web, 5000, 80, to_bytes("GET / HTTP/1.1"));
+  });
+  bool in_window = false;
+  tb.net.sim().schedule_at(crash_at, [&] {
+    in_window = tb.b.server->deployments_active() == 0 &&
+                rules_with_cookie(*tb.sw_b, "pvn:alice-phone") > 0;
+    tb.b.mbox->crash();
+  });
+  tb.net.sim().run_until(crash_at + seconds(2));
+
+  ASSERT_TRUE(in_window);
+  ASSERT_TRUE(done);
+  EXPECT_FALSE(outcome.ok);
+  EXPECT_EQ(outcome.nack_code, NackCode::kUnavailable);
+  EXPECT_EQ(tb.sw_b->stats().diverted_mbox, 0u);
+  EXPECT_GT(tb.sw_b->stats().dropped_rule, 0u);  // matched, no processor
+  EXPECT_EQ(tb.b.server->deployments_active(), 0u);
+  EXPECT_EQ(tb.b.server->deployments_total(), 0u);
+  EXPECT_EQ(tb.b.server->handoff_timeouts(), 0u);  // cancelled, never acked
+  EXPECT_EQ(rules_with_cookie(*tb.sw_b, "pvn:alice-phone"), 0u);
+}
+
 }  // namespace
 }  // namespace pvn
