@@ -150,26 +150,35 @@ void InvariantAuditor::audit_quiescent() {
   }
 
   // memory-leak: every instance in a primary pool is owned by some live,
-  // unpromoted deployment (degraded ones may hold fewer — never more).
-  const auto check_pool = [&](const PopulationTestbed::AccessNet& an,
-                              const char* name) {
-    if (!an.server || !an.mbox) return;
-    std::size_t expected = 0;
+  // unpromoted deployment (degraded ones may hold fewer — never more), and
+  // every instance in a standby pool by a deployment whose mirror points
+  // there (each network here has one standby pool, pool 0).
+  const auto check_pools = [&](const PopulationTestbed::AccessNet& an,
+                               const char* name) {
+    if (!an.server) return;
+    std::size_t primary = 0;
+    std::size_t mirrored = 0;
     for (const std::string& dev : an.server->deployed_devices()) {
       const auto view = an.server->deployment_view(dev);
-      if (!view.found || view.promoted) continue;
-      expected += view.modules.size();
+      if (!view.found) continue;
+      if (!view.promoted) primary += view.modules.size();
+      if (view.standby_pool == 0) mirrored += view.modules.size();
     }
-    const int instances = an.mbox->instances();
-    if (instances > static_cast<int>(expected)) {
+    const auto check = [&](const MboxHost* host, const char* pool,
+                           std::size_t expected) {
+      if (host == nullptr || host->instances() <= static_cast<int>(expected)) {
+        return;
+      }
       flag("memory-leak",
-           std::string(name) + " primary pool holds " +
-               std::to_string(instances) + " instances but deployments " +
-               "account for only " + std::to_string(expected));
-    }
+           std::string(name) + " " + pool + " pool holds " +
+               std::to_string(host->instances()) + " instances but " +
+               "deployments account for only " + std::to_string(expected));
+    };
+    check(an.mbox.get(), "primary", primary);
+    check(an.standby_mbox.get(), "standby", mirrored);
   };
-  check_pool(tb_->a, "net-a");
-  check_pool(tb_->b, "net-b");
+  check_pools(tb_->a, "net-a");
+  check_pools(tb_->b, "net-b");
 
   // standby-shape: standby state can only exist where standbys are wired.
   if (tb_->standby_host_a == nullptr) {

@@ -21,8 +21,9 @@
 //   * stuck-session — every agent reconverged to kActive (an agent parked
 //                     in fallback with healthy servers available is a bug).
 //   * memory-leak   — each primary mbox pool holds at most the instances
-//                     its server's live deployments account for (orphaned
-//                     instances mean teardown leaked).
+//                     its server's live deployments account for, and each
+//                     standby pool at most those of the mirrors that point
+//                     at it (orphaned instances mean teardown leaked).
 //   * standby-shape — standby/promotion flags only appear when the scenario
 //                     wired standby pools.
 //

@@ -2,51 +2,24 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 #include <unordered_map>
 
 #include "netsim/link.h"
 #include "netsim/names.h"
 #include "netsim/network.h"
+#include "telemetry/export.h"
 #include "util/hash.h"
 
 namespace pvn {
 namespace {
 
+using telemetry::append;
+using telemetry::json_escape;
+
 std::size_t round_up_pow2(std::size_t n) {
   std::size_t p = 1;
   while (p < n) p <<= 1;
   return p;
-}
-
-void append(std::string& out, const char* fmt, ...) {
-  char buf[256];
-  va_list ap;
-  va_start(ap, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
-  va_end(ap);
-  if (n > 0) out.append(buf, std::min<std::size_t>(n, sizeof(buf) - 1));
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          append(out, "\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace

@@ -6,6 +6,24 @@
 #include "tunnel/vpn.h"
 
 namespace pvn {
+namespace {
+
+// The first deploy retransmission timeout; later ones grow by
+// RetryPolicy::backoff.
+constexpr SimDuration kDeployRto = milliseconds(400);
+// Sessions renew every lease / kRenewDivisor.
+constexpr int kRenewDivisor = 3;
+// Renewal periods are jittered uniformly in [1-j, 1+j].
+constexpr double kRenewJitter = 0.1;
+// Unanswered renewals before failover.
+constexpr int kRenewMissLimit = 2;
+// Growth of the rediscovery delay per fallback attempt.
+constexpr double kFallbackBackoff = 1.5;
+// Consecutive kBusy NAKs from one server before it is reported to the
+// scoreboard as a NAK flood.
+constexpr int kNakFloodStreak = 3;
+
+}  // namespace
 
 const char* to_string(SessionState s) {
   switch (s) {
@@ -66,12 +84,11 @@ SimDuration PvnClient::jittered(SimDuration base, int attempt) const {
 }
 
 SimDuration PvnClient::renew_delay() const {
-  const int div = std::max(1, cfg_.session.renew_divisor);
-  double d = static_cast<double>(lease_) / div;
-  // Desynchronize: clients deployed the same instant must not renew in
-  // lockstep every period (thundering herd at the server).
-  const double j = cfg_.session.renew_jitter;
-  if (j > 0.0) d *= rng_.uniform(1.0 - j, 1.0 + j);
+  double d = static_cast<double>(lease_) / kRenewDivisor;
+  // Desynchronize: without this a fleet of clients deployed in the same
+  // instant renews in lockstep forever, hammering the server with a
+  // synchronized burst each period.
+  d *= rng_.uniform(1.0 - kRenewJitter, 1.0 + kRenewJitter);
   return static_cast<SimDuration>(d);
 }
 
@@ -200,7 +217,7 @@ void PvnClient::on_packet(const Bytes& payload) {
 bool PvnClient::accept_offer(const Offer& offer) {
   if (!cfg_.vet_offers) return true;
   const OfferDefect defect =
-      vet_offer(offer, pvnc_.est_memory_bytes(), cfg_.offer_bounds,
+      vet_offer(offer, pvnc_.est_memory_bytes(), OfferBounds{},
                 host_->sim().now());
   if (defect == OfferDefect::kNone) return true;
   ++offers_rejected_;
@@ -370,7 +387,7 @@ void PvnClient::send_deploy_request() {
 
   if (deploy_attempt_ >= cfg_.retry.max_deploy_attempts) return;  // deadline decides
   rto_timer_ = host_->sim().schedule_after(
-      jittered(cfg_.retry.deploy_rto, deploy_attempt_),
+      jittered(kDeployRto, deploy_attempt_),
       SimCategory::kPvnControl, [this] {
         rto_timer_ = kInvalidEventId;
         if (!in_progress_ || !awaiting_ack_) return;
@@ -407,7 +424,7 @@ void PvnClient::account_deploy_result(const DeployOutcome& outcome) {
     // A busy server is behaving — unless it sheds everything forever. A
     // run of kBusy with no success in between is reported as a NAK flood.
     int& streak = busy_streaks_[server];
-    if (++streak >= cfg_.nak_flood_streak && cfg_.scoreboard != nullptr) {
+    if (++streak >= kNakFloodStreak && cfg_.scoreboard != nullptr) {
       streak = 0;
       cfg_.scoreboard->report(server, Misbehavior::kNakFlood, now);
     }
@@ -593,7 +610,7 @@ void PvnClient::enter_fallback() {
     fallback_delay_ = cfg_.session.fallback_retry;
   } else {
     const auto scaled = static_cast<SimDuration>(
-        static_cast<double>(fallback_delay_) * cfg_.session.fallback_backoff);
+        static_cast<double>(fallback_delay_) * kFallbackBackoff);
     fallback_delay_ = std::min(scaled, cfg_.session.fallback_retry_max);
   }
   SimDuration delay = fallback_delay_;
@@ -614,7 +631,7 @@ void PvnClient::enter_fallback() {
 
 void PvnClient::send_renew() {
   if (!session_ || state_ != SessionState::kActive) return;
-  if (renew_misses_ >= cfg_.session.renew_miss_limit) {
+  if (renew_misses_ >= kRenewMissLimit) {
     // The server has stopped answering: treat the PVN as lost. A host that
     // acked the deployment but then ignores the lease it granted (blackhole)
     // broke its word — charge it as an audit failure so a shared scoreboard

@@ -63,26 +63,21 @@ struct DeployOutcome {
   int offers_vetted_out = 0;
 };
 
-// Retransmission parameters. Delays grow by `backoff` per attempt and are
-// jittered uniformly in [1-jitter, 1+jitter] to avoid lockstep retries.
+// Retransmission parameters. Deploy retransmissions start 400 ms apart;
+// delays grow by `backoff` per attempt and are jittered uniformly in
+// [1-jitter, 1+jitter] to avoid lockstep retries.
 struct RetryPolicy {
   int max_discovery_rounds = 3;
   int max_deploy_attempts = 3;
-  SimDuration deploy_rto = milliseconds(400);
   double backoff = 2.0;
   double jitter = 0.2;
 };
 
-// Session-mode (lease + failover) parameters.
+// Session-mode (lease + failover) parameters. A session renews its lease
+// every third of it, jittered by ±10%, and fails over after two unanswered
+// renewals; rediscovery delays grow 1.5x per attempt up to the maximum.
 struct SessionConfig {
-  int renew_divisor = 3;        // renew every lease_duration / renew_divisor
-  // Renewal periods are jittered uniformly in [1-j, 1+j]. Without this a
-  // fleet of clients deployed in the same instant renews in lockstep
-  // forever, hammering the server with a synchronized burst each period.
-  double renew_jitter = 0.1;
-  int renew_miss_limit = 2;     // unanswered renewals before failover
   SimDuration fallback_retry = seconds(5);   // first rediscovery delay
-  double fallback_backoff = 1.5;
   SimDuration fallback_retry_max = seconds(40);
 };
 
@@ -98,9 +93,8 @@ struct ClientConfig {
   SessionConfig session;
 
   // --- untrusted-host defenses ----------------------------------------
-  // Sanity bounds every collected offer must pass before negotiation.
-  // Defaults are generous; honest servers in this repo stay well inside.
-  OfferBounds offer_bounds;
+  // Every collected offer must pass OfferBounds' sanity bounds before
+  // negotiation; honest servers in this repo stay well inside them.
   bool vet_offers = true;
   // Shared reputation over deployment servers (keyed by the server address
   // string). Optional: when set, bogus offers and misbehavior are reported
@@ -111,9 +105,6 @@ struct ClientConfig {
   // via use_breaker so the default client behaves exactly as before.
   bool use_breaker = false;
   CircuitBreakerConfig breaker;
-  // Consecutive kBusy NAKs from one server before it is reported to the
-  // scoreboard as a NAK flood.
-  int nak_flood_streak = 3;
   // Additional deployment servers to probe each discovery round (competing
   // access networks); their offers join the same auction.
   std::vector<Ipv4Addr> extra_servers;

@@ -36,22 +36,20 @@ DeploymentServer::DeploymentServer(Host& host, PvnStore& store,
                                    const Bytes& payload) {
     on_packet(src, sport, payload);
   });
-  mbox_host_->set_crash_listener([this] { on_mbox_crash(); });
   for (const StandbyPoolConfig& pc : cfg_.standbys) {
     if (pc.host != nullptr) pools_.push_back({pc.host, pc.addr, false, 0});
   }
-  for (std::size_t i = 0; i < pools_.size(); ++i) {
-    pools_[i].host->set_crash_listener(
-        [this, i] { on_standby_crash(static_cast<int>(i)); });
+  mbox_host_->set_crash_listener([this] { on_host_crash(*mbox_host_); });
+  for (StandbyPool& pool : pools_) {
+    pool.host->set_crash_listener(
+        [this, host = pool.host] { on_host_crash(*host); });
   }
 }
 
 DeploymentServer::~DeploymentServer() {
   if (sweep_timer_ != kInvalidEventId) host_->sim().cancel(sweep_timer_);
   for (auto& [device_id, dep] : deployments_) stop_checkpoints(dep);
-  for (auto& [device_id, ph] : pending_handoffs_) {
-    if (ph.timer != kInvalidEventId) host_->sim().cancel(ph.timer);
-  }
+  for (auto& [device_id, dep] : inflight_) host_->sim().cancel(dep.handoff_timer);
   mbox_host_->set_crash_listener(nullptr);
   for (StandbyPool& pool : pools_) pool.host->set_crash_listener(nullptr);
   host_->unbind_udp(kPvnPort);
@@ -231,8 +229,8 @@ void DeploymentServer::handle_deploy(Ipv4Addr src, Port sport,
     host_->send_udp(src, kPvnPort, sport, it->second.ack_bytes);
     return;
   }
-  if (const auto p = pending_.find(req.device_id);
-      p != pending_.end() && p->second == req_bytes) {
+  if (const auto it = inflight_.find(req.device_id);
+      it != inflight_.end() && it->second.request_bytes == req_bytes) {
     duplicates_.inc();
     return;  // the in-flight deployment will answer
   }
@@ -240,8 +238,8 @@ void DeploymentServer::handle_deploy(Ipv4Addr src, Port sport,
   // requests get an explicit kBusy NAK with a retry-after hint — the flash
   // crowd backs off instead of retransmitting into silence.
   if (cfg_.max_pending_deploys > 0 &&
-      pending_.size() >= cfg_.max_pending_deploys &&
-      !pending_.contains(req.device_id)) {
+      inflight_.size() >= cfg_.max_pending_deploys &&
+      !inflight_.contains(req.device_id)) {
     sheds_.inc();
     telemetry::SpanRecorder::global().instant("deploy_shed", "pvn",
                                               req.device_id, trace,
@@ -292,154 +290,158 @@ void DeploymentServer::handle_deploy(Ipv4Addr src, Port sport,
          NackCode::kOutOfMemory, kBusyRetryAfter, trace);
     return;
   }
-  // Tear down any previous deployment for this device.
+  // Tear down any previous deployment for this device, and abandon a
+  // different deploy of it still in flight.
   teardown_device(req.device_id);
 
+  Deployment& dep = inflight_[req.device_id];
   // Spans the instantiate -> compile -> program-switch -> ack pipeline on
   // the server's side of the session track, stitched under the client's
-  // deploy phase via the request frame's TraceContext. shared_ptr: the
-  // continuations live in copyable std::functions, and Span is move-only.
-  auto deploy_span = std::make_shared<telemetry::Span>(
-      telemetry::SpanRecorder::global().start("server_deploy", "pvn",
-                                              req.device_id, trace,
-                                              host_->name()));
-
-  const std::string chain_id =
-      "chain:" + req.device_id + ":" + std::to_string(chain_seq_++);
-  const std::string cookie = "pvn:" + req.device_id;
-
-  auto deployment = std::make_shared<Deployment>();
-  deployment->cookie = cookie;
-  deployment->chain_id = chain_id;
-  deployment->paid = price;
-  deployment->seq = req.seq;
-  deployment->module_names = req.pvnc.module_names();
-  deployment->required_modules = req.required_modules;
-  deployment->request_bytes = req_bytes;
-  deployment->pvnc = req.pvnc;
-  deployment->trace = deploy_span->context();
-
-  pending_[req.device_id] = req_bytes;
-
-  // Every refusal past this point: NACK and close the deploy span.
-  const auto fail = [this, src, sport, device_id = req.device_id,
-                     seq = req.seq, deploy_span](const std::string& reason,
-                                                 NackCode code,
-                                                 SimDuration retry_after) {
-    pending_.erase(device_id);
-    nack(src, sport, seq, reason, code, retry_after, deploy_span->context());
-    deploy_span->finish();
-  };
-
-  // Program the switch once the chain is up (each module charges the
-  // instantiation delay).
-  const auto finish = [this, src, sport, req, deployment, chain_id, cookie,
-                       price, deploy_span, fail](Chain& chain) {
-    telemetry::Span compile_span = telemetry::SpanRecorder::global().start(
-        "compile", "pvn", req.device_id, deploy_span->context(),
-        host_->name());
-    DeploymentContext ctx;
-    ctx.device = src;
-    ctx.client_port = cfg_.client_port_for ? cfg_.client_port_for(src)
-                                           : cfg_.switch_client_port;
-    ctx.wan_port = cfg_.switch_wan_port;
-    ctx.chain_id = chain_id;
-    ctx.cookie = cookie;
-    ctx.control = host_->addr();
-    ctx.control_port = cfg_.switch_control_port;
-    const CompiledPvnc compiled = compile_pvnc(req.pvnc, ctx);
-    compile_span.finish();
-
-    SdnSwitch* sw = controller_->switch_by_name(cfg_.switch_name);
-    if (sw == nullptr) {
-      mbox_host_->destroy_chain(chain_id);
-      fail("no dataplane", NackCode::kUnavailable, 0);
-      return;
-    }
-    sw->register_processor(chain_id, &chain);
-    // From here the switch diverts into the chain: a crash before the ack
-    // must unhook it at once and fail the deploy.
-    unacked_[chain_id] = [this, sw, chain_id, cookie, device_id = req.device_id,
-                          fail] {
-      sw->unregister_processor(chain_id);
-      controller_->remove_by_cookie(cookie);
-      cancel_handoff(device_id);
-      fail("middlebox host unavailable", NackCode::kUnavailable, 0);
-    };
-    for (const MeterSpec& meter : compiled.meters) {
-      controller_->add_meter(cfg_.switch_name, meter.id, meter.rate,
-                             meter.burst_bytes);
-    }
-    const auto ack_deployment = [this, src, sport, req, deployment, price,
-                                 deploy_span](bool state_restored) {
-      unacked_.erase(deployment->chain_id);
-      if (cfg_.lease_duration > 0) {
-        deployment->expires_at = host_->sim().now() + cfg_.lease_duration;
-      }
-      DeployAck ack;
-      ack.seq = req.seq;
-      ack.chain_id = deployment->chain_id;
-      ack.lease_duration = cfg_.lease_duration;
-      ack.standby = standby_available();
-      ack.state_restored = state_restored;
-      deployment->ack_bytes =
-          wrap(PvnMsgType::kDeployAck, ack.encode(), deploy_span->context());
-      deployments_[req.device_id] = *deployment;
-      pending_.erase(req.device_id);
-      deploy_count_.inc();
-      if (price > 0.0) {
-        ledger_->charge(host_->sim().now(), req.device_id, cfg_.network_name,
-                        price, "pvn deployment " + deployment->chain_id);
-      }
-      host_->send_udp(src, kPvnPort, sport, deployment->ack_bytes, 0,
-                      deployment->trace.trace_id);
-      deploy_span->finish();
-      arm_sweep();
-      setup_standby(req.device_id);
-    };
-    // Once the dataplane is programmed: a migrating device (handoff_server
-    // set) first pulls its session state from the old server; everyone else
-    // is acked immediately with a cold chain.
-    const auto after_rules = [this, req, chain_id, ack_deployment,
-                              deploy_span] {
-      if (!unacked_.contains(chain_id)) return;  // a crash failed the deploy
-      if (req.handoff_server.is_unspecified()) {
-        ack_deployment(false);
-      } else {
-        begin_handoff(req, chain_id, ack_deployment, deploy_span->context());
-      }
-    };
-    auto pending = std::make_shared<int>(static_cast<int>(compiled.rules.size()));
-    for (const auto& [table, rule] : compiled.rules) {
-      controller_->install_rule(cfg_.switch_name, table, rule,
-                                [pending, after_rules](bool ok) {
-                                  (void)ok;
-                                  if (--*pending > 0) return;
-                                  after_rules();  // all rules in
-                                });
-    }
-    if (compiled.rules.empty()) after_rules();
-  };
+  // deploy phase via the request frame's TraceContext.
+  dep.span = telemetry::SpanRecorder::global().start(
+      "server_deploy", "pvn", req.device_id, trace, host_->name());
+  dep.chain_id = "chain:" + req.device_id + ":" + std::to_string(chain_seq_++);
+  dep.cookie = "pvn:" + req.device_id;
+  dep.reply_addr = src;
+  dep.reply_port = sport;
+  dep.price = price;
+  dep.handoff_server = req.handoff_server;
+  dep.handoff_chain_id = req.handoff_chain_id;
+  dep.seq = req.seq;
+  dep.required_modules = req.required_modules;
+  dep.request_bytes = req_bytes;
+  dep.pvnc = req.pvnc;
 
   std::vector<std::unique_ptr<Middlebox>> modules;
   if (const std::string missing = make_modules(req.pvnc, modules);
       !missing.empty()) {
-    fail("cannot instantiate " + missing, NackCode::kInvalidPvnc, 0);
+    fail(req.device_id, "cannot instantiate " + missing,
+         NackCode::kInvalidPvnc, 0);
     return;
   }
+  // Each module charges the instantiation delay.
+  const std::string chain_id = dep.chain_id;
+  const telemetry::TraceContext deploy_trace = dep.trace();
   mbox_host_->build_chain(
       chain_id, std::move(modules),
-      [this, fail, finish](Chain* chain) {
-        if (chain != nullptr) {
-          finish(*chain);
-        } else if (mbox_host_->crashed()) {
-          fail("middlebox host unavailable", NackCode::kUnavailable, 0);
-        } else {
-          fail("out of middlebox memory", NackCode::kOutOfMemory,
-               kBusyRetryAfter);
-        }
+      [this, device_id = req.device_id, chain_id](Chain* chain) {
+        on_chain_built(device_id, chain_id, chain);
       },
-      deploy_span->context(), host_->name());
+      deploy_trace, host_->name());
+}
+
+DeploymentServer::Deployment* DeploymentServer::in_flight(
+    const std::string& device_id, const std::string& chain_id) {
+  const auto it = inflight_.find(device_id);
+  return it != inflight_.end() && it->second.chain_id == chain_id
+             ? &it->second
+             : nullptr;
+}
+
+void DeploymentServer::on_chain_built(const std::string& device_id,
+                                      const std::string& chain_id,
+                                      Chain* chain) {
+  Deployment* dep = in_flight(device_id, chain_id);
+  if (dep == nullptr) {
+    // Abandoned while building: free what landed.
+    if (chain != nullptr) mbox_host_->destroy_chain(chain_id);
+    return;
+  }
+  if (chain == nullptr) {
+    if (dep->primary_crashed) {
+      fail(device_id, "middlebox host unavailable", NackCode::kUnavailable, 0);
+    } else {
+      fail(device_id, "out of middlebox memory", NackCode::kOutOfMemory,
+           kBusyRetryAfter);
+    }
+    return;
+  }
+  telemetry::Span compile_span = telemetry::SpanRecorder::global().start(
+      "compile", "pvn", device_id, dep->trace(), host_->name());
+  DeploymentContext ctx;
+  ctx.device = dep->reply_addr;
+  ctx.client_port = cfg_.client_port_for ? cfg_.client_port_for(ctx.device)
+                                         : cfg_.switch_client_port;
+  ctx.wan_port = cfg_.switch_wan_port;
+  ctx.chain_id = chain_id;
+  ctx.cookie = dep->cookie;
+  ctx.control = host_->addr();
+  ctx.control_port = cfg_.switch_control_port;
+  const CompiledPvnc compiled = compile_pvnc(dep->pvnc, ctx);
+  compile_span.finish();
+
+  SdnSwitch* sw = controller_->switch_by_name(cfg_.switch_name);
+  if (sw == nullptr) {
+    mbox_host_->destroy_chain(chain_id);
+    fail(device_id, "no dataplane", NackCode::kUnavailable, 0);
+    return;
+  }
+  // From here the switch diverts into the chain: a crash before the ack
+  // must unhook it at once and fail the deploy.
+  sw->register_processor(chain_id, chain);
+  dep->phase = Deployment::Phase::kInstalling;
+  for (const MeterSpec& meter : compiled.meters) {
+    controller_->add_meter(cfg_.switch_name, meter.id, meter.rate,
+                           meter.burst_bytes);
+  }
+  // compile_pvnc always emits the divert and forwarding rules, so the last
+  // rule's callback moves the deploy on.
+  dep->rules_pending = compiled.rules.size();
+  for (const auto& [table, rule] : compiled.rules) {
+    controller_->install_rule(cfg_.switch_name, table, rule,
+                              [this, device_id, chain_id](bool) {
+                                on_rule_installed(device_id, chain_id);
+                              });
+  }
+}
+
+void DeploymentServer::on_rule_installed(const std::string& device_id,
+                                         const std::string& chain_id) {
+  Deployment* dep = in_flight(device_id, chain_id);
+  if (dep == nullptr || --dep->rules_pending > 0) return;
+  // The dataplane is programmed: a migrating device first pulls its session
+  // state from the old server; everyone else is acked with a cold chain.
+  if (dep->handoff_server.is_unspecified()) {
+    ack(device_id, false);
+  } else {
+    begin_handoff(device_id, *dep);
+  }
+}
+
+void DeploymentServer::ack(const std::string& device_id, bool state_restored) {
+  auto node = inflight_.extract(device_id);
+  Deployment& dep = node.mapped();
+  dep.phase = Deployment::Phase::kLive;
+  if (cfg_.lease_duration > 0) {
+    dep.expires_at = host_->sim().now() + cfg_.lease_duration;
+  }
+  DeployAck ack_msg;
+  ack_msg.seq = dep.seq;
+  ack_msg.chain_id = dep.chain_id;
+  ack_msg.lease_duration = cfg_.lease_duration;
+  ack_msg.standby = standby_available();
+  ack_msg.state_restored = state_restored;
+  dep.ack_bytes = wrap(PvnMsgType::kDeployAck, ack_msg.encode(), dep.trace());
+  deploy_count_.inc();
+  if (dep.price > 0.0) {
+    ledger_->charge(host_->sim().now(), device_id, cfg_.network_name,
+                    dep.price, "pvn deployment " + dep.chain_id);
+  }
+  host_->send_udp(dep.reply_addr, kPvnPort, dep.reply_port, dep.ack_bytes, 0,
+                  dep.trace().trace_id);
+  dep.span.finish();
+  deployments_.insert(std::move(node));
+  arm_sweep();
+  setup_standby(device_id);
+}
+
+void DeploymentServer::fail(const std::string& device_id,
+                            const std::string& reason, NackCode code,
+                            SimDuration retry_after) {
+  const auto it = inflight_.find(device_id);
+  nack(it->second.reply_addr, it->second.reply_port, it->second.seq, reason,
+       code, retry_after, it->second.trace());
+  inflight_.erase(it);  // closes the deploy span
 }
 
 std::string DeploymentServer::make_modules(
@@ -455,17 +457,25 @@ std::string DeploymentServer::make_modules(
 }
 
 void DeploymentServer::teardown_device(const std::string& device_id) {
-  cancel_handoff(device_id);
+  if (const auto it = inflight_.find(device_id); it != inflight_.end()) {
+    unhook(it->second);
+    inflight_.erase(it);
+  }
   const auto it = deployments_.find(device_id);
   if (it == deployments_.end()) return;
-  Deployment& dep = it->second;
+  unhook(it->second);
+  release_standby(it->second);
+  deployments_.erase(it);
+}
+
+void DeploymentServer::unhook(Deployment& dep) {
+  if (dep.phase == Deployment::Phase::kBuilding) return;
   controller_->remove_by_cookie(dep.cookie);
   if (SdnSwitch* sw = controller_->switch_by_name(cfg_.switch_name)) {
     sw->unregister_processor(dep.chain_id);
   }
   mbox_host_->destroy_chain(dep.chain_id);
-  release_standby(dep);
-  deployments_.erase(it);
+  host_->sim().cancel(std::exchange(dep.handoff_timer, kInvalidEventId));
 }
 
 void DeploymentServer::handle_teardown(Ipv4Addr src, Port sport,
@@ -495,7 +505,7 @@ void DeploymentServer::handle_renew(Ipv4Addr src, Port sport,
     if (cfg_.lease_duration > 0) {
       dep.expires_at = host_->sim().now() + cfg_.lease_duration;
     }
-    if (dep.degraded) ack.degraded_modules = dep.module_names;
+    if (dep.degraded) ack.degraded_modules = dep.pvnc.module_names();
     renews_.inc();
   }
   host_->send_udp(src, kPvnPort, sport,
@@ -513,7 +523,7 @@ DeploymentServer::DeploymentView DeploymentServer::deployment_view(
   v.device_id = device_id;
   v.chain_id = dep.chain_id;
   v.switch_name = cfg_.switch_name;
-  v.modules = dep.module_names;
+  v.modules = dep.pvnc.module_names();
   if (dep.standby_pool >= 0 &&
       dep.standby_pool < static_cast<int>(pools_.size())) {
     v.standby_host = pools_[dep.standby_pool].addr.to_string();
@@ -552,7 +562,7 @@ bool DeploymentServer::promote(const std::string& device_id, Deployment& dep) {
   // The promotion is a child span of the owning deploy trace, so a stitched
   // get-trace shows where the session's chain moved and why.
   telemetry::Span promo = telemetry::SpanRecorder::global().start(
-      "standby_promotion", "pvn", device_id, dep.trace, host_->name());
+      "standby_promotion", "pvn", device_id, dep.trace(), host_->name());
   controller_->promote_chain(cfg_.switch_name, dep.chain_id, standby);
   standby_promotions_.inc();
   telemetry::SpanRecorder::global().instant("standby_promoted", "pvn",
@@ -562,54 +572,76 @@ bool DeploymentServer::promote(const std::string& device_id, Deployment& dep) {
   return true;
 }
 
-void DeploymentServer::on_mbox_crash() {
-  // Runs synchronously from MboxHost::crash(): the chains are gone, so
-  // first unhook their (now dangling) processors from the dataplane.
-  for (auto& [chain_id, fail] : std::exchange(unacked_, {})) fail();
+void DeploymentServer::on_host_crash(const MboxHost& host) {
+  // Runs synchronously from host.crash(): its chains are gone.
+  if (&host == mbox_host_) {
+    // A deploy still building fails when its modules land. One whose chain
+    // the switch already diverts into is unhooked now and NACKed, in chain
+    // id order.
+    std::vector<std::pair<std::string, std::string>> hooked;  // chain, device
+    for (auto& [device_id, dep] : inflight_) {
+      dep.primary_crashed = true;
+      if (dep.phase != Deployment::Phase::kBuilding) {
+        hooked.emplace_back(dep.chain_id, device_id);
+      }
+    }
+    std::sort(hooked.begin(), hooked.end());
+    for (const auto& [chain_id, device_id] : hooked) {
+      unhook(inflight_.at(device_id));
+      fail(device_id, "middlebox host unavailable", NackCode::kUnavailable, 0);
+    }
+  }
   SdnSwitch* sw = controller_->switch_by_name(cfg_.switch_name);
   std::vector<std::string> to_teardown;
+  std::vector<std::string> to_remirror;
   for (auto& [device_id, dep] : deployments_) {
-    if (dep.promoted) continue;  // already running on the standby host
-    if (mbox_host_->chain(dep.chain_id) != nullptr) continue;  // unaffected
+    if (dep.standby_pool >= 0 && pools_[dep.standby_pool].host == &host) {
+      // The standby chain is gone, ready or still building.
+      release_standby(dep);
+      standbys_lost_.inc();
+      if (!dep.promoted) {  // the primary still serves: re-mirror
+        to_remirror.push_back(device_id);
+        continue;
+      }
+    } else if (dep.promoted || &host != mbox_host_) {
+      continue;  // the live chain runs on another host
+    }
+    // The live chain died. Warm standby first: promote it through the
+    // controller so the client sees one control-RTT of elevated latency
+    // instead of losing the chain.
     if (sw != nullptr) sw->unregister_processor(dep.chain_id);
-    // Warm standby first: promote it through the controller so the client
-    // sees one control-RTT of elevated latency instead of losing the chain.
-    if (promote(device_id, dep)) continue;
-    if (degrade_or_flag_teardown(device_id, dep)) {
+    if (!promote(device_id, dep) && degrade_or_flag_teardown(device_id, dep)) {
       to_teardown.push_back(device_id);
     }
   }
-  for (const std::string& device_id : to_teardown) lose_chain(device_id);
-}
-
-void DeploymentServer::lose_chain(const std::string& device_id) {
-  chains_lost_.inc();
-  telemetry::SpanRecorder::global().instant(
-      "chain_lost", "pvn", device_id, deployments_.at(device_id).trace,
-      host_->name());
-  teardown_device(device_id);
+  for (const std::string& device_id : to_teardown) {
+    chains_lost_.inc();
+    telemetry::SpanRecorder::global().instant(
+        "chain_lost", "pvn", device_id, deployments_.at(device_id).trace(),
+        host_->name());
+    teardown_device(device_id);
+  }
+  for (const std::string& device_id : to_remirror) setup_standby(device_id);
 }
 
 bool DeploymentServer::degrade_or_flag_teardown(const std::string& device_id,
                                                 Deployment& dep) {
   // Can the deployment limp along without its chain? Only if no module
   // the client marked as required just died.
-  bool required_lost = false;
+  const std::vector<std::string> modules = dep.pvnc.module_names();
   for (const std::string& module : dep.required_modules) {
-    if (std::find(dep.module_names.begin(), dep.module_names.end(), module) !=
-        dep.module_names.end()) {
-      required_lost = true;
-      break;
+    if (std::find(modules.begin(), modules.end(), module) != modules.end()) {
+      return true;
     }
   }
-  if (required_lost || dep.degraded) return true;
+  if (dep.degraded) return true;
   // Graceful degradation: strip only the chain-divert rules so traffic
   // flows past the dead chain; policies (drop/rate/mark) stay.
   dep.degraded = true;
   controller_->bypass_chain(dep.cookie, dep.chain_id);
   degraded_.inc();
   telemetry::SpanRecorder::global().instant("chain_degraded", "pvn",
-                                            device_id, dep.trace,
+                                            device_id, dep.trace(),
                                             host_->name());
   return false;
 }
@@ -652,11 +684,8 @@ void DeploymentServer::sweep() {
                                                 expired.size());
   for (const std::string& device_id : expired) {
     leases_expired_.inc();
-    const auto dit = deployments_.find(device_id);
     telemetry::SpanRecorder::global().instant(
-        "lease_expired", "pvn", device_id,
-        dit != deployments_.end() ? dit->second.trace
-                                  : telemetry::TraceContext{},
+        "lease_expired", "pvn", device_id, deployments_.at(device_id).trace(),
         host_->name());
     teardown_device(device_id);
   }
@@ -709,11 +738,11 @@ void DeploymentServer::setup_standby(const std::string& device_id) {
         dit->second.standby_ready = true;
         standbys_ready_.inc();
         telemetry::SpanRecorder::global().instant(
-            "standby_ready", "pvn", device_id, dit->second.trace,
+            "standby_ready", "pvn", device_id, dit->second.trace(),
             host_->name());
         arm_checkpoint(device_id);
       },
-      dep.trace, host_->name());
+      dep.trace(), host_->name());
 }
 
 void DeploymentServer::arm_checkpoint(const std::string& device_id) {
@@ -753,15 +782,13 @@ void DeploymentServer::stream_checkpoint(const std::string& device_id) {
   checkpoints_streamed_.inc();
   checkpoint_bytes_.inc(xfer.checkpoint.size());
   host_->send_udp(pools_[dep.standby_pool].addr, kPvnPort, kPvnStandbyPort,
-                  wrap(PvnMsgType::kStateTransfer, xfer.encode(), dep.trace),
-                  0, dep.trace.trace_id);
+                  wrap(PvnMsgType::kStateTransfer, xfer.encode(), dep.trace()),
+                  0, dep.trace().trace_id);
   arm_checkpoint(device_id);
 }
 
 void DeploymentServer::stop_checkpoints(Deployment& dep) {
-  if (dep.ckpt_timer == kInvalidEventId) return;
-  host_->sim().cancel(dep.ckpt_timer);
-  dep.ckpt_timer = kInvalidEventId;
+  host_->sim().cancel(std::exchange(dep.ckpt_timer, kInvalidEventId));
 }
 
 void DeploymentServer::release_standby(Deployment& dep) {
@@ -773,69 +800,30 @@ void DeploymentServer::release_standby(Deployment& dep) {
   dep.standby_pool = -1;
 }
 
-void DeploymentServer::on_standby_crash(int pool) {
-  // Runs synchronously from the standby MboxHost's crash().
-  SdnSwitch* sw = controller_->switch_by_name(cfg_.switch_name);
-  std::vector<std::string> to_teardown;
-  std::vector<std::string> to_remirror;
-  for (auto& [device_id, dep] : deployments_) {
-    // A mirror still being built fails on its own when its modules land.
-    if (dep.standby_pool != pool || !dep.standby_ready) continue;
-    release_standby(dep);
-    standbys_lost_.inc();
-    if (!dep.promoted) {
-      // Primary still serving: just lost the spare. Re-mirror onto another
-      // healthy pool when one exists.
-      to_remirror.push_back(device_id);
-      continue;
-    }
-    // The live (promoted) chain died with the standby host.
-    if (sw != nullptr) sw->unregister_processor(dep.chain_id);
-    if (degrade_or_flag_teardown(device_id, dep)) {
-      to_teardown.push_back(device_id);
-    }
-  }
-  for (const std::string& device_id : to_teardown) lose_chain(device_id);
-  for (const std::string& device_id : to_remirror) {
-    setup_standby(device_id);
-  }
-}
-
-void DeploymentServer::begin_handoff(const DeployRequest& req,
-                                     const std::string& chain_id,
-                                     std::function<void(bool)> ack,
-                                     const telemetry::TraceContext& trace) {
-  cancel_handoff(req.device_id);  // a newer deploy supersedes a stale pull
-  const std::string device_id = req.device_id;
-  PendingHandoff ph;
-  ph.chain_id = chain_id;
-  ph.seq = ++state_seq_;
-  ph.ack = std::move(ack);
-  ph.trace = trace;
-  ph.timer = host_->sim().schedule_after(
+void DeploymentServer::begin_handoff(const std::string& device_id,
+                                     Deployment& dep) {
+  dep.phase = Deployment::Phase::kHandoff;
+  dep.handoff_seq = ++state_seq_;
+  dep.handoff_timer = host_->sim().schedule_after(
       kHandoffTimeout, SimCategory::kPvnControl,
-      [this, device_id, trace] {
-        const auto it = pending_handoffs_.find(device_id);
-        if (it == pending_handoffs_.end()) return;
-        auto ack_fn = std::move(it->second.ack);
-        it->second.timer = kInvalidEventId;
-        pending_handoffs_.erase(it);
+      [this, device_id, chain_id = dep.chain_id] {
+        Deployment* d = in_flight(device_id, chain_id);
+        if (d == nullptr) return;
+        d->handoff_timer = kInvalidEventId;
         handoff_timeouts_.inc();
-        telemetry::SpanRecorder::global().instant("handoff_timeout", "pvn",
-                                                  device_id, trace,
-                                                  host_->name());
-        ack_fn(false);  // old server unreachable: ack with a cold chain
+        telemetry::SpanRecorder::global().instant(
+            "handoff_timeout", "pvn", device_id, d->trace(), host_->name());
+        ack(device_id, false);  // old server unreachable: ack with a cold chain
       });
   StateRequest sr;
-  sr.seq = ph.seq;
-  sr.device_id = req.device_id;
-  sr.chain_id = req.handoff_chain_id;
-  pending_handoffs_[device_id] = std::move(ph);
+  sr.seq = dep.handoff_seq;
+  sr.device_id = device_id;
+  sr.chain_id = dep.handoff_chain_id;
   telemetry::SpanRecorder::global().instant("handoff_begin", "pvn", device_id,
-                                            trace, host_->name());
-  host_->send_udp(req.handoff_server, kPvnPort, kPvnPort,
-                  wrap(PvnMsgType::kStateRequest, sr.encode(), trace), 0,
-                  trace.trace_id);
+                                            dep.trace(), host_->name());
+  host_->send_udp(dep.handoff_server, kPvnPort, kPvnPort,
+                  wrap(PvnMsgType::kStateRequest, sr.encode(), dep.trace()), 0,
+                  dep.trace().trace_id);
 }
 
 void DeploymentServer::handle_state_request(
@@ -874,18 +862,21 @@ void DeploymentServer::handle_state_request(
 
 void DeploymentServer::handle_state_transfer(
     const StateTransfer& xfer, const telemetry::TraceContext& trace) {
-  const auto it = pending_handoffs_.find(xfer.device_id);
-  if (it == pending_handoffs_.end() || it->second.seq != xfer.seq) return;
-  PendingHandoff ph = std::move(it->second);
-  pending_handoffs_.erase(it);
-  if (ph.timer != kInvalidEventId) host_->sim().cancel(ph.timer);
+  const auto it = inflight_.find(xfer.device_id);
+  if (it == inflight_.end() ||
+      it->second.phase != Deployment::Phase::kHandoff ||
+      it->second.handoff_seq != xfer.seq) {
+    return;
+  }
+  Deployment& dep = it->second;
+  host_->sim().cancel(std::exchange(dep.handoff_timer, kInvalidEventId));
   bool restored = false;
   if (xfer.ok) {
     // Restore matches modules by name, so the old chain's snapshot applies
     // to the freshly deployed chain even though the chain ids differ. A
     // corrupted checkpoint decodes to nullopt: the new chain stays cold.
     if (const auto ckpt = ChainCheckpoint::decode(xfer.checkpoint)) {
-      if (Chain* chain = mbox_host_->chain(ph.chain_id)) {
+      if (Chain* chain = mbox_host_->chain(dep.chain_id)) {
         restored = restore_chain(*chain, *ckpt) > 0;
       }
     }
@@ -897,9 +888,9 @@ void DeploymentServer::handle_state_transfer(
     // pending deploy's own context.
     telemetry::SpanRecorder::global().instant(
         "handoff_complete", "pvn", xfer.device_id,
-        trace.valid() ? trace : ph.trace, host_->name());
+        trace.valid() ? trace : dep.trace(), host_->name());
   }
-  ph.ack(restored);
+  ack(xfer.device_id, restored);
 }
 
 void DeploymentServer::handle_state_ack(const StateAck& sa) {
@@ -943,23 +934,12 @@ void DeploymentServer::demote_pool(int pool, const std::string& why) {
   // active sessions never notice: their primaries keep serving throughout.
   for (const std::string& device_id : to_remirror) {
     setup_standby(device_id);
-    const auto dit = deployments_.find(device_id);
-    if (dit != deployments_.end() && dit->second.standby_pool >= 0) {
-      standbys_remirrored_.inc();
-      telemetry::SpanRecorder::global().instant(
-          "standby_remirrored", "pvn", device_id, dit->second.trace,
-          host_->name());
-    }
+    const Deployment& dep = deployments_.at(device_id);
+    if (dep.standby_pool < 0) continue;
+    standbys_remirrored_.inc();
+    telemetry::SpanRecorder::global().instant(
+        "standby_remirrored", "pvn", device_id, dep.trace(), host_->name());
   }
-}
-
-void DeploymentServer::cancel_handoff(const std::string& device_id) {
-  const auto it = pending_handoffs_.find(device_id);
-  if (it == pending_handoffs_.end()) return;
-  if (it->second.timer != kInvalidEventId) {
-    host_->sim().cancel(it->second.timer);
-  }
-  pending_handoffs_.erase(it);
 }
 
 }  // namespace pvn

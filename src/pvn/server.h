@@ -9,8 +9,8 @@
 //   - Deployment requests are idempotent: a byte-identical retransmission of
 //     an already acked (device, seq) request re-sends the cached ack instead
 //     of deploying twice; retransmissions of one still in flight are simply
-//     dropped. A *different* request reusing a seq (a fresh client session)
-//     is a redeployment, not a duplicate.
+//     dropped. Any *different* request (a fresh client session) redeploys,
+//     replacing the device's deployment or abandoning its deploy in flight.
 //   - With ServerConfig::lease_duration > 0 every deployment is a lease.
 //     Clients renew with kLeaseRenew; a periodic sweep tears down expired
 //     deployments and reclaims their middlebox memory, so a crashed client
@@ -131,7 +131,7 @@ class DeploymentServer {
   std::uint64_t handoff_timeouts() const { return handoff_timeouts_.value(); }
   // Robustness telemetry.
   std::uint64_t deploys_shed() const { return sheds_.value(); }
-  std::size_t pending_deploys() const { return pending_.size(); }
+  std::size_t pending_deploys() const { return inflight_.size(); }
   std::uint64_t sweep_ticks() const { return sweep_ticks_; }
   std::uint64_t max_swept_per_tick() const { return max_swept_per_tick_; }
   std::uint64_t bad_state_acks() const { return bad_state_acks_.value(); }
@@ -188,19 +188,41 @@ class DeploymentServer {
   bool force_promote(const std::string& device_id);
 
  private:
-  // One acked deployment. Its chains live on the mbox hosts under
-  // chain_id; a host's chain(chain_id) is nullptr once a crash freed it.
+  // One deployment, from admission to teardown: kBuilding -> kInstalling
+  // [-> kHandoff] in inflight_, then kLive once the ack moves its map node
+  // into deployments_. Its chains live on the mbox hosts under chain_id; a
+  // host's chain(chain_id) is nullptr once a crash freed it.
   struct Deployment {
+    enum class Phase {
+      kBuilding,    // the primary chain's modules are instantiating
+      kInstalling,  // the switch diverts into the chain; rules going in
+      kHandoff,     // waiting for the old server's checkpoint (migration)
+      kLive,        // acked
+    };
+    Phase phase = Phase::kBuilding;
     std::string cookie;
     std::string chain_id;
-    double paid = 0.0;
+    // The request being answered: where the ack or NACK goes, the price
+    // the ack charges, and for a migration where the session's state is.
+    Ipv4Addr reply_addr;
+    Port reply_port = 0;
+    double price = 0.0;
+    Ipv4Addr handoff_server;  // unspecified: not a migration
+    std::string handoff_chain_id;
+    bool primary_crashed = false;  // since admission; fails the build
+    std::size_t rules_pending = 0;   // kInstalling
+    std::uint32_t handoff_seq = 0;   // kHandoff: the StateRequest's seq
+    EventId handoff_timer = kInvalidEventId;
+    // The server_deploy span, open until the deploy is answered. Its
+    // context is the trace that everything later done to the deployment
+    // (checkpoint stream, promotion, lease expiry, chain loss) joins.
+    telemetry::Span span;
     // Resilience bookkeeping.
     std::uint32_t seq = 0;       // deploy request seq, for deduplication
     Bytes request_bytes;         // encoded request; a duplicate must match it
     Bytes ack_bytes;             // cached ack, re-sent on duplicate requests
     SimTime expires_at = 0;      // 0 = no lease
     bool degraded = false;
-    std::vector<std::string> module_names;
     std::vector<std::string> required_modules;  // from the client
     // Survivability bookkeeping.
     Pvnc pvnc;                   // retained to build the standby chain
@@ -214,10 +236,7 @@ class DeploymentServer {
     // matched against the standby's kStateAck.
     std::uint32_t last_sent_seq = 0;
     Digest last_sent_digest;
-    // Causal tracing: the server_deploy span's child context. Everything
-    // that later happens to this deployment (checkpoint stream, promotion,
-    // lease expiry, chain loss) stitches into the owning deploy trace.
-    telemetry::TraceContext trace;
+    const telemetry::TraceContext& trace() const { return span.context(); }
   };
 
   // Runtime state of one standby pool.
@@ -226,15 +245,6 @@ class DeploymentServer {
     Ipv4Addr addr;
     bool byzantine = false;  // demoted: never selected again
     int bad_acks = 0;        // consecutive contradicting StateAcks
-  };
-
-  // A deployment waiting for the old server's checkpoint (live migration).
-  struct PendingHandoff {
-    std::string chain_id;        // the NEW chain to restore into
-    std::uint32_t seq = 0;       // StateRequest seq, matches the reply
-    std::function<void(bool)> ack;  // ack_deployment(state_restored)
-    EventId timer = kInvalidEventId;
-    telemetry::TraceContext trace;  // the in-flight deploy's trace
   };
 
   void on_packet(Ipv4Addr src, Port sport, const Bytes& payload);
@@ -257,21 +267,40 @@ class DeploymentServer {
             NackCode code = NackCode::kUnspecified, SimDuration retry_after = 0,
             const telemetry::TraceContext& trace = {});
 
+  // --- the steps of an in-flight deploy ----------------------------------
+  // Each looks its entry up by device and chain id, so a step of a deploy
+  // that was abandoned or superseded meanwhile finds nothing and stops.
+  Deployment* in_flight(const std::string& device_id,
+                        const std::string& chain_id);
+  // The primary chain landed (or failed): compile and program the switch.
+  void on_chain_built(const std::string& device_id, const std::string& chain_id,
+                      Chain* chain);
+  void on_rule_installed(const std::string& device_id,
+                         const std::string& chain_id);
+  // Migration: fetch the old server's final checkpoint before acking.
+  void begin_handoff(const std::string& device_id, Deployment& dep);
+  // Answers the in-flight deploy and moves it into deployments_.
+  void ack(const std::string& device_id, bool state_restored);
+  // NACKs the in-flight deploy and releases its admission slot.
+  void fail(const std::string& device_id, const std::string& reason,
+            NackCode code, SimDuration retry_after);
+
   // Makes `pvnc`'s modules from the store, minus the one a cheating server
   // skips. Returns the name of a module the store cannot make, or "".
   std::string make_modules(const Pvnc& pvnc,
                            std::vector<std::unique_ptr<Middlebox>>& out) const;
-  // Removes a device's deployment: flow rules, chain processor, and the
-  // primary and standby chains their hosts still hold.
+  // Removes a device's deployment, or abandons its deploy in flight: rules,
+  // chain processor, handoff wait, and the chains the hosts still hold. A
+  // chain still building is freed when it lands.
   void teardown_device(const std::string& device_id);
-  // Invoked synchronously from MboxHost::crash(): fails the deploys whose
-  // chain is registered but not yet acked, unregisters the now-dead chain
-  // processors, then promotes each deployment's warm standby when one is
-  // ready, degrading or tearing down the rest.
-  void on_mbox_crash();
-  // Counts a deployment whose live chain died beyond repair, and tears it
-  // down.
-  void lose_chain(const std::string& device_id);
+  // Takes `dep`'s primary chain out of the dataplane and frees it; ends a
+  // handoff wait. A no-op while the chain is still building.
+  void unhook(Deployment& dep);
+  // Runs synchronously from the crash() of the primary or of a standby
+  // pool. A deployment whose live chain died promotes, degrades or is torn
+  // down; one that lost only its spare, ready or building, re-mirrors. On
+  // the primary it also fails the deploys in flight.
+  void on_host_crash(const MboxHost& host);
   void arm_sweep();
   void sweep();
 
@@ -298,21 +327,13 @@ class DeploymentServer {
   // the affected deployments onto the next healthy pool. Active sessions
   // (still running on their primaries) are untouched.
   void demote_pool(int pool, const std::string& why);
-  // Standby host crash: promoted deployments lose their chain (degrade or
-  // teardown); unpromoted ones just lose the warm spare.
-  void on_standby_crash(int pool);
   // Degrades `dep` in place when every lost module was optional; returns
   // true when the deployment must be torn down instead.
   bool degrade_or_flag_teardown(const std::string& device_id, Deployment& dep);
-  // Migration: fetch the old server's final checkpoint before acking.
-  void begin_handoff(const DeployRequest& req, const std::string& chain_id,
-                     std::function<void(bool)> ack,
-                     const telemetry::TraceContext& trace);
   void handle_state_request(Ipv4Addr src, Port sport, const StateRequest& sr,
                             const telemetry::TraceContext& trace);
   void handle_state_transfer(const StateTransfer& xfer,
                              const telemetry::TraceContext& trace);
-  void cancel_handoff(const std::string& device_id);
 
   Host* host_;
   PvnStore* store_;
@@ -321,13 +342,11 @@ class DeploymentServer {
   Ledger* ledger_;
   ServerConfig cfg_;
   std::vector<StandbyPool> pools_;  // cfg_.standbys with a non-null host
-  std::map<std::string, Deployment> deployments_;  // by device id
-  std::map<std::string, Bytes> pending_;  // in-flight deploys, encoded request
-  // Deploys whose chain the switch already diverts to but whose ack is not
-  // out (rules installing, or a migration waiting for its handoff), by
-  // chain id: each entry fails its deploy when the mbox host crashes.
-  std::map<std::string, std::function<void()>> unacked_;
-  std::map<std::string, PendingHandoff> pending_handoffs_;  // by device id
+  // By device id. A device has an entry in at most one of the two: a
+  // deploy tears down the device's deployment before it enters inflight_,
+  // and leaves inflight_ by its ack, its NACK or its abandonment.
+  std::map<std::string, Deployment> deployments_;
+  std::map<std::string, Deployment> inflight_;  // admitted, not yet acked
   std::uint32_t state_seq_ = 0;  // StateRequest sequence numbers
   std::uint64_t chain_seq_ = 0;
   EventId sweep_timer_ = kInvalidEventId;

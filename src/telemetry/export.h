@@ -7,12 +7,22 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "telemetry/metrics.h"
 #include "telemetry/span.h"
 #include "util/sim.h"
 
 namespace pvn::telemetry {
+
+// The body of a JSON string literal holding `s`: quotes, backslashes and
+// control characters escaped. Every JSON writer in the tree uses it.
+std::string json_escape(std::string_view s);
+
+// printf-style formatting appended to `out`; output past 511 bytes of one
+// call is cut.
+void append(std::string& out, const char* fmt, ...)
+    __attribute__((format(printf, 2, 3)));
 
 // Prometheus text exposition format. Dots in metric names become
 // underscores; instances render as an {instance="..."} label; histograms

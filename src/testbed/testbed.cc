@@ -1,6 +1,12 @@
 #include "testbed/testbed.h"
 
 namespace pvn {
+namespace {
+
+// The wan <-> cloud gateway link's latency on top of server_link's.
+constexpr SimDuration kCloudExtraLatency = milliseconds(40);
+
+}  // namespace
 
 Testbed::Testbed(TestbedConfig cfg) : net(cfg.seed), cfg_(cfg) {
   // --- nodes ---
@@ -40,7 +46,7 @@ Testbed::Testbed(TestbedConfig cfg) : net(cfg.seed), cfg_(cfg) {
   net.connect(*wan, *tracker, cfg.server_link);  // wan p4
   net.connect(*wan, *malicious, cfg.server_link);// wan p5
   LinkParams cloud_link = cfg.server_link;
-  cloud_link.latency = cfg.server_link.latency + cfg.cloud_extra_latency;
+  cloud_link.latency = cfg.server_link.latency + kCloudExtraLatency;
   net.connect(*wan, *cloud_gw, cloud_link);      // wan p6
 
   // --- routing ---

@@ -38,7 +38,6 @@ struct TestbedConfig {
   LinkParams access;       // client <-> switch
   LinkParams backhaul;     // switch <-> wan router
   LinkParams server_link;  // wan router <-> each server
-  SimDuration cloud_extra_latency = milliseconds(40);  // wan <-> cloud
   std::uint64_t seed = 1;
   // Provider behaviour knobs.
   std::set<std::string> allowed_modules;  // empty = all

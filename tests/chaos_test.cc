@@ -10,6 +10,7 @@
 #include "chaos/runner.h"
 #include "chaos/schedule.h"
 #include "chaos/shrinker.h"
+#include "telemetry/metrics.h"
 
 namespace pvn {
 namespace {
@@ -218,6 +219,46 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// The memory-leak invariant covers standby pools as well: a chain there
+// that no deployment's mirror accounts for is flagged, as chain:orphan is
+// on a primary pool.
+TEST(ChaosAudit, OrphanChainOnAStandbyPoolIsAMemoryLeak) {
+  telemetry::MetricsRegistry::global().reset();
+  PopulationConfig pcfg;
+  pcfg.clients = 4;
+  pcfg.lease_duration = seconds(10);
+  pcfg.standbys = true;
+  pcfg.checkpoint_interval = milliseconds(200);
+  PopulationTestbed tb(pcfg);
+  tb.make_agents();
+  for (auto& agent : tb.agents) agent->start_session(tb.addrs.control_a);
+  tb.net.sim().run_until(seconds(3));
+
+  InvariantAuditor before(tb);
+  before.audit_quiescent();
+  for (const InvariantViolation& v : before.violations()) {
+    ADD_FAILURE() << v.invariant << ": " << v.detail;
+  }
+  ASSERT_GT(tb.a.standby_mbox->instances(), 0);  // the mirrors are up
+
+  std::vector<std::unique_ptr<Middlebox>> orphan;
+  orphan.push_back(tb.a.store->make("tracker-blocker", {}));
+  tb.a.standby_mbox->build_chain("chain:orphan", std::move(orphan),
+                                 [](Chain*) {});
+  tb.net.sim().run_until(seconds(4));
+
+  InvariantAuditor after(tb);
+  after.audit_quiescent();
+  bool flagged = false;
+  for (const InvariantViolation& v : after.violations()) {
+    if (v.invariant == "memory-leak" &&
+        v.detail.starts_with("net-a standby pool holds")) {
+      flagged = true;
+    }
+  }
+  EXPECT_TRUE(flagged) << "violations: " << after.violations().size();
+}
 
 // --- campaign --------------------------------------------------------------
 

@@ -7,14 +7,14 @@ reads the outputs the CI bench-quick job leaves in build/bench: the
 quick-mode summaries of e15, e20 and e22
 (BENCH_dataplane.json, BENCH_ops.json, BENCH_tracing.json), the stdout of
 the seed-1 and seed-5 pvnbench smoke runs, saved as
-pvnbench_<workload>_seed<seed>.txt, and the stdout of the quick-mode e16,
-e18, e19 and e21 runs and of the five examples, saved as stdout_<name>.txt
-and pinned as a SHA-256 prefix each. It prints every pinned value that moved
+pvnbench_<workload>_seed<seed>.txt, and the stdout of the quick-mode runs
+of A1, E4-E14, E16, E18, E19, E21 and Fig. 1a-c and of the five examples,
+saved as stdout_<name>.txt and pinned as a SHA-256 prefix each. It prints every pinned value that moved
 and exits 1 if any did.
 
     python3 tests/golden/check_digests.py --dir build/bench --run --write
 
-regenerates the file. --run first produces those outputs: it runs the seven
+regenerates the file. --run first produces those outputs: it runs the 22
 benches in quick mode from --dir and the examples from the sibling
 examples/ directory (build both in Release first), and the six pvnbench
 smoke runs. --write then stores the values instead of comparing them. A
@@ -35,10 +35,17 @@ GOLDEN = os.path.join(HERE, "digests.json")
 WORKLOADS = ("fleet_churn", "chain_web", "tunnel_mix")
 SEEDS = (1, 5)
 BENCHES = ("bench_e15_dataplane", "bench_e20_ops", "bench_e22_tracing")
-# Whole-stdout pins: the runs that drive the crash, standby, migration and
-# Byzantine paths, and the examples.
-STDOUT_BENCHES = ("bench_e16_resilience", "bench_e18_survivability",
-                  "bench_e19_adversarial", "bench_e21_chaos")
+# Whole-stdout pins: every experiment bench without a host-time gate (all
+# but e15, e17, e20 and e22), and the examples.
+STDOUT_BENCHES = ("bench_a1_tcp_ablation", "bench_e4_scalability",
+                  "bench_e5_tunnel_overhead", "bench_e6_split_tcp",
+                  "bench_e7_throttling", "bench_e8_discovery", "bench_e9_pii",
+                  "bench_e10_tls", "bench_e11_dns", "bench_e12_prefetch",
+                  "bench_e13_audit", "bench_e14_negotiation",
+                  "bench_e16_resilience", "bench_e18_survivability",
+                  "bench_e19_adversarial", "bench_e21_chaos",
+                  "bench_fig1a_pvnc", "bench_fig1b_deployment",
+                  "bench_fig1c_redirection")
 EXAMPLES = ("quickstart", "secure_roaming", "selective_redirection",
             "audit_demo", "pvn_store")
 

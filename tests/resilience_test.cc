@@ -392,7 +392,6 @@ TEST(Resilience, OfferExpiringBeforeRetransmitRestartsDiscovery) {
 
   ClientConfig ccfg;
   ccfg.retry.max_discovery_rounds = 2;
-  ccfg.retry.deploy_rto = milliseconds(400);
   const DeployOutcome out = tb.deploy(tb.standard_pvnc(), ccfg);
   EXPECT_FALSE(out.ok);
   EXPECT_EQ(out.failure, "offer expired before deployment");

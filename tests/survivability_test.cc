@@ -551,5 +551,206 @@ TEST(Survivability, MboxCrashDuringMigrationHandoffFailsTheDeploy) {
   EXPECT_EQ(rules_with_cookie(*tb.sw_b, "pvn:alice-phone"), 0u);
 }
 
+// --- One in-flight entry per device ----------------------------------------
+
+// Speaks the deploy protocol from one client port, so a test can send what
+// a PvnClient never would (overlapping requests, a re-send after a
+// teardown) and see every reply.
+class RawDeployer {
+ public:
+  RawDeployer(Host& host, Ipv4Addr server) : host_(&host), server_(server) {
+    host.bind_udp(kPort, [this](Ipv4Addr, Port, Port, const Bytes& payload) {
+      const auto frame = unwrap_frame(payload);
+      if (!frame) return;
+      if (frame->type == PvnMsgType::kDeployAck) {
+        if (const auto ack = DeployAck::decode(frame->body)) acks.push_back(*ack);
+      } else if (frame->type == PvnMsgType::kDeployNack) {
+        if (const auto n = DeployNack::decode(frame->body)) nacks.push_back(*n);
+      }
+    });
+  }
+  ~RawDeployer() { host_->unbind_udp(kPort); }
+
+  void deploy(const DeployRequest& req) {
+    host_->send_udp(server_, kPort, kPvnPort,
+                    wrap(PvnMsgType::kDeployRequest, req.encode(), {}));
+  }
+  void teardown(const std::string& device_id) {
+    Teardown td;
+    td.device_id = device_id;
+    host_->send_udp(server_, kPort, kPvnPort,
+                    wrap(PvnMsgType::kTeardown, td.encode(), {}));
+  }
+
+  std::vector<DeployAck> acks;
+  std::vector<DeployNack> nacks;
+
+ private:
+  static constexpr Port kPort = 4040;
+  Host* host_;
+  Ipv4Addr server_;
+};
+
+DeployRequest standard_request(const Testbed& tb, std::uint32_t seq) {
+  DeployRequest req;
+  req.seq = seq;
+  req.device_id = "alice-phone";
+  req.pvnc = tb.standard_pvnc();
+  req.payment = 1e6;
+  return req;
+}
+
+// A second, different request for the device while the first chain is
+// still building supersedes it: one ack, one chain, nothing left after the
+// teardown.
+TEST(Survivability, OverlappingDeploysAckOnlyTheNewest) {
+  Testbed tb;
+  RawDeployer raw(*tb.client, tb.addrs.control);
+  raw.deploy(standard_request(tb, 1));
+  const SimTime first_build =
+      run_until_build_starts(tb.net.sim(), *tb.mbox_host);
+  tb.net.sim().run_until(first_build + milliseconds(10));
+  raw.deploy(standard_request(tb, 2));
+  tb.net.sim().run_until(seconds(1));
+
+  ASSERT_EQ(raw.acks.size(), 1u);
+  EXPECT_EQ(raw.acks[0].seq, 2u);
+  EXPECT_TRUE(raw.nacks.empty());
+  EXPECT_EQ(tb.server->deployments_active(), 1u);
+  EXPECT_EQ(tb.server->deployments_total(), 1u);
+  EXPECT_EQ(tb.server->pending_deploys(), 0u);
+  EXPECT_EQ(tb.mbox_host->instances(), 4);
+
+  raw.teardown("alice-phone");
+  tb.net.sim().run_until(seconds(2));
+  EXPECT_EQ(tb.server->deployments_active(), 0u);
+  EXPECT_EQ(tb.mbox_host->instances(), 0);
+  EXPECT_EQ(tb.mbox_host->memory_in_use(), 0);
+}
+
+// A teardown while a migrating deploy waits for its state handoff abandons
+// it: no reply, nothing held, and the same request deploys when re-sent.
+TEST(Survivability, TeardownDuringHandoffAbandonsTheDeploy) {
+  Testbed tb;
+  RawDeployer raw(*tb.client, tb.addrs.control);
+  DeployRequest req = standard_request(tb, 1);
+  req.handoff_server = Ipv4Addr{192, 0, 2, 1};  // no route: never answers
+  req.handoff_chain_id = "chain:alice-phone:old";
+  raw.deploy(req);
+  tb.net.sim().run_until(milliseconds(200));  // built, rules in, waiting
+  ASSERT_EQ(tb.server->pending_deploys(), 1u);
+  ASSERT_EQ(tb.mbox_host->instances(), 4);
+  ASSERT_GT(rules_with_cookie(*tb.access_sw, "pvn:alice-phone"), 0u);
+
+  raw.teardown("alice-phone");
+  tb.net.sim().run_until(seconds(2));
+  EXPECT_TRUE(raw.acks.empty());
+  EXPECT_TRUE(raw.nacks.empty());
+  EXPECT_EQ(tb.server->pending_deploys(), 0u);
+  EXPECT_EQ(tb.server->handoff_timeouts(), 0u);
+  EXPECT_EQ(tb.mbox_host->instances(), 0);
+  EXPECT_EQ(rules_with_cookie(*tb.access_sw, "pvn:alice-phone"), 0u);
+
+  raw.deploy(req);
+  tb.net.sim().run_until(seconds(3));
+  ASSERT_EQ(raw.acks.size(), 1u);
+  EXPECT_EQ(raw.acks[0].seq, 1u);
+  EXPECT_FALSE(raw.acks[0].state_restored);
+  EXPECT_EQ(tb.server->duplicate_deploys(), 0u);
+  EXPECT_EQ(tb.server->handoff_timeouts(), 1u);
+  EXPECT_EQ(tb.server->deployments_active(), 1u);
+  EXPECT_EQ(tb.mbox_host->instances(), 4);
+}
+
+// A crash NACKs the deploys whose rules are still going in by chain id, so
+// chain:dev-10:1 before chain:dev-1:0.
+TEST(Survivability, MboxCrashNacksHookedDeploysInChainIdOrder) {
+  Testbed tb;
+  RawDeployer raw(*tb.client, tb.addrs.control);
+  for (const std::uint32_t n : {1u, 10u}) {
+    DeployRequest req = standard_request(tb, n);
+    req.device_id = "dev-" + std::to_string(n);
+    raw.deploy(req);
+  }
+  const SimTime started = run_until_build_starts(tb.net.sim(), *tb.mbox_host);
+  tb.net.sim().run_until(started + microseconds(30050));
+  ASSERT_EQ(tb.server->pending_deploys(), 2u);
+  ASSERT_EQ(tb.server->deployments_active(), 0u);
+  tb.mbox_host->crash();
+  tb.net.sim().run_until(tb.net.sim().now() + seconds(1));
+
+  EXPECT_TRUE(raw.acks.empty());
+  ASSERT_EQ(raw.nacks.size(), 2u);
+  EXPECT_EQ(raw.nacks[0].seq, 10u);
+  EXPECT_EQ(raw.nacks[1].seq, 1u);
+  EXPECT_EQ(raw.nacks[0].code, NackCode::kUnavailable);
+  EXPECT_EQ(tb.server->pending_deploys(), 0u);
+}
+
+// A crash that interrupts the build NACKs the deploy as unavailable, even
+// when the host is back up by the time the build reports.
+TEST(Survivability, MboxCrashAndRestartMidBuildNacksUnavailable) {
+  Testbed tb;
+  PvnClient agent(*tb.client, tb.standard_pvnc("alice-phone"));
+  DeployOutcome outcome;
+  bool done = false;
+  agent.discover_and_deploy(tb.addrs.control, [&](const DeployOutcome& o) {
+    outcome = o;
+    done = true;
+  });
+  const SimTime started = run_until_build_starts(tb.net.sim(), *tb.mbox_host);
+  tb.net.sim().schedule_at(started + milliseconds(10),
+                           [&] { tb.mbox_host->crash(); });
+  tb.net.sim().schedule_at(started + milliseconds(15),
+                           [&] { tb.mbox_host->restart(); });
+  tb.net.sim().run_until(started + seconds(1));
+
+  ASSERT_TRUE(done);
+  EXPECT_FALSE(outcome.ok);
+  EXPECT_EQ(outcome.nack_code, NackCode::kUnavailable);
+  EXPECT_EQ(outcome.failure, "nack: middlebox host unavailable");
+  EXPECT_EQ(outcome.retry_after, 0);
+  EXPECT_EQ(tb.server->pending_deploys(), 0u);
+  EXPECT_EQ(tb.mbox_host->memory_in_use(), 0);
+}
+
+// A standby pool that crashes while the mirror is still building loses the
+// spare like a ready one: it is counted and re-mirrored on the next pool,
+// and a later primary crash promotes it.
+TEST(Survivability, StandbyCrashMidMirrorBuildRemirrors) {
+  TestbedConfig cfg;
+  cfg.standby = true;
+  cfg.extra_standby_pools = 1;
+  cfg.lease_duration = seconds(2);
+  cfg.checkpoint_interval = milliseconds(100);
+  Testbed tb(cfg);
+  PvnClient agent(*tb.client, stateful_pvnc());
+  agent.set_fallback(tb.device_tunnel.get());
+  agent.start_session(tb.addrs.control);
+  const SimTime mirror =
+      run_until_build_starts(tb.net.sim(), *tb.standby_mbox);
+  tb.net.sim().schedule_at(mirror + milliseconds(10),
+                           [&] { tb.standby_mbox->crash(); });
+  tb.net.sim().schedule_at(mirror + milliseconds(20),
+                           [&] { tb.standby_mbox->restart(); });
+  tb.net.sim().run_until(seconds(5));
+
+  ASSERT_EQ(agent.state(), SessionState::kActive);
+  const auto view = tb.server->deployment_view("alice-phone");
+  ASSERT_TRUE(view.found);
+  EXPECT_EQ(view.standby_pool, 1);
+  EXPECT_TRUE(view.standby_ready);
+  EXPECT_EQ(tb.server->standbys_lost(), 1u);
+  EXPECT_EQ(tb.standby_mbox->instances(), 0);
+  EXPECT_EQ(tb.extra_standby_mboxes[0]->instances(), 3);
+
+  tb.mbox_host->crash();
+  tb.net.sim().run_until(seconds(6));
+  EXPECT_EQ(tb.server->standby_promotions(), 1u);
+  EXPECT_EQ(tb.server->degraded_deployments(), 0u);
+  EXPECT_TRUE(tb.server->deployment_view("alice-phone").promoted);
+  EXPECT_EQ(agent.state(), SessionState::kActive);
+}
+
 }  // namespace
 }  // namespace pvn
