@@ -1,7 +1,5 @@
 #include "mbox/proxies.h"
 
-#include "util/digest.h"
-
 namespace pvn {
 
 // --- SplitTcpProxy ------------------------------------------------------------
@@ -156,64 +154,6 @@ void PrefetchingProxy::prefetch(const std::vector<std::string>& paths) {
 void PrefetchingProxy::respond(TcpConnection& client,
                                const HttpResponse& resp) {
   client.send(resp.serialize());
-}
-
-Bytes PrefetchingProxy::serialize_cache() const {
-  ByteWriter w;
-  w.u16(static_cast<std::uint16_t>(cache_.size()));
-  for (const auto& [path, resp] : cache_) {
-    w.str(path);
-    w.u16(static_cast<std::uint16_t>(resp.status));
-    w.str(resp.reason);
-    w.u16(static_cast<std::uint16_t>(resp.headers.size()));
-    for (const auto& [name, value] : resp.headers) {
-      w.str(name);
-      w.str(value);
-    }
-    w.blob(resp.body);
-  }
-  w.u64(hits_);
-  w.u64(misses_);
-  Bytes out = std::move(w).take();
-  const Bytes mac = digest_of(out).to_bytes();
-  out.insert(out.end(), mac.begin(), mac.end());
-  return out;
-}
-
-bool PrefetchingProxy::restore_cache(const Bytes& state) {
-  constexpr std::size_t kDigestSize = 32;
-  if (state.size() < kDigestSize) return false;
-  const Bytes payload(state.begin(), state.end() - kDigestSize);
-  const Bytes mac(state.end() - kDigestSize, state.end());
-  const auto want = Digest::from_bytes(mac);
-  if (!want || digest_of(payload) != *want) return false;
-
-  ByteReader r(payload);
-  std::map<std::string, HttpResponse> cache;
-  const std::uint16_t n = r.u16();
-  if (!r.ok()) return false;
-  for (std::uint16_t i = 0; i < n; ++i) {
-    const std::string path = r.str();
-    HttpResponse resp;
-    resp.status = r.u16();
-    resp.reason = r.str();
-    const std::uint16_t n_headers = r.u16();
-    if (!r.ok()) return false;
-    for (std::uint16_t h = 0; h < n_headers; ++h) {
-      const std::string name = r.str();
-      resp.headers.emplace_back(name, r.str());
-    }
-    resp.body = r.blob();
-    if (!r.ok()) return false;
-    cache[path] = std::move(resp);
-  }
-  const std::uint64_t hits = r.u64();
-  const std::uint64_t misses = r.u64();
-  if (!r.exhausted()) return false;
-  cache_ = std::move(cache);
-  hits_ = hits;
-  misses_ = misses;
-  return true;
 }
 
 void PrefetchingProxy::on_accept(TcpConnection& client) {

@@ -86,12 +86,6 @@ class PrefetchingProxy : public Host {
   // Warms the cache with these paths (runs upstream fetches immediately).
   void prefetch(const std::vector<std::string>& paths);
 
-  // Checkpointable cache (survivability layer): a standby proxy restores the
-  // warm cache instead of re-fetching. Same all-or-nothing contract as
-  // Middlebox::restore_state.
-  Bytes serialize_cache() const;
-  bool restore_cache(const Bytes& state);
-
   std::uint64_t cache_hits() const { return hits_; }
   std::uint64_t cache_misses() const { return misses_; }
   std::size_t cached_entries() const { return cache_.size(); }

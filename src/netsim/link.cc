@@ -34,10 +34,6 @@ void Link::register_metrics(Direction& dir, const std::string& instance) {
   dir.m_queued_bytes = &reg.gauge("netsim.link.queued_bytes", instance);
 }
 
-Node& Link::peer_of(const Node& n) const {
-  return &n == a_ ? *b_ : *a_;
-}
-
 int Link::port_at(const Node& n) const {
   return &n == a_ ? port_a_ : port_b_;
 }

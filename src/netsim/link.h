@@ -58,7 +58,6 @@ class Link {
   bool is_up() const { return up_; }
   void set_up(bool up) { up_ = up; }
 
-  Node& peer_of(const Node& n) const;
   int port_at(const Node& n) const;
   Node& end_a() const { return *a_; }
   Node& end_b() const { return *b_; }

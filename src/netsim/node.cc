@@ -8,8 +8,7 @@ namespace pvn {
 Node::Node(Network& net, std::string name)
     : net_(&net),
       sim_(&net.sim()),
-      name_(std::move(name)),
-      log_(name_) {}
+      name_(std::move(name)) {}
 
 Link* Node::port_link(int port) const {
   if (port < 0 || port >= static_cast<int>(ports_.size())) return nullptr;

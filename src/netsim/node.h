@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "netsim/packet.h"
-#include "util/log.h"
 #include "util/sim.h"
 
 namespace pvn {
@@ -52,9 +51,6 @@ class Node {
 
   std::uint64_t dropped_on_unwired_port() const { return unwired_drops_; }
 
- protected:
-  Logger& log() { return log_; }
-
  private:
   friend class Network;
   friend class Link;
@@ -68,7 +64,6 @@ class Node {
   bool up_ = true;
   std::uint64_t unwired_drops_ = 0;
   std::uint64_t down_drops_ = 0;
-  Logger log_;
 };
 
 }  // namespace pvn

@@ -193,12 +193,4 @@ std::vector<OpsAlert> HealthMonitor::alerts() const {
   return out;
 }
 
-std::vector<double> HealthMonitor::history(const std::string& rule) const {
-  for (const RuleState& st : rules_) {
-    if (st.rule.name != rule) continue;
-    return {st.values.begin(), st.values.end()};
-  }
-  return {};
-}
-
 }  // namespace pvn

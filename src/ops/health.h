@@ -86,9 +86,6 @@ class HealthMonitor {
   // given the same evaluate() history — digest this for determinism checks.
   std::vector<OpsAlert> alerts() const;
 
-  // Recent per-window values for one rule, oldest first (introspection).
-  std::vector<double> history(const std::string& rule) const;
-
   SimDuration window() const { return cfg_.window; }
   std::size_t windows_closed() const { return windows_closed_; }
   std::size_t rule_count() const { return rules_.size(); }

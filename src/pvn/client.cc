@@ -269,11 +269,6 @@ CircuitBreaker& PvnClient::breaker_for(const std::string& server) {
       .first->second;
 }
 
-const CircuitBreaker* PvnClient::breaker(const std::string& server) const {
-  const auto it = breakers_.find(server);
-  return it == breakers_.end() ? nullptr : &it->second;
-}
-
 void PvnClient::note_breaker_transition(const std::string& server,
                                         BreakerState before,
                                         const CircuitBreaker& b) {

@@ -177,9 +177,6 @@ class PvnClient {
   std::uint64_t offers_rejected() const { return offers_rejected_; }
   std::uint64_t offers_quarantined() const { return offers_quarantined_; }
   std::uint64_t busy_nacks() const { return busy_nacks_; }
-  // The breaker guarding `server` (address string); nullptr when the
-  // client has never attempted that server or breakers are disabled.
-  const CircuitBreaker* breaker(const std::string& server) const;
 
  private:
   void on_packet(const Bytes& payload);

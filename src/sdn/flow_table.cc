@@ -94,13 +94,6 @@ std::size_t FlowTable::remove_if(
   return removed;
 }
 
-void FlowTable::clear() {
-  slots_.clear();
-  free_.clear();
-  buckets_.clear();
-  by_cookie_.clear();
-}
-
 std::optional<std::uint8_t> FlowTable::hashable_mask(const FlowMatch& m) {
   std::uint8_t mask = 0;
   if (m.in_port) mask |= kFieldInPort;

@@ -14,30 +14,6 @@ PacketBurst PacketProcessor::process_burst(PacketBurst burst, SimTime now,
   return out;
 }
 
-std::string to_string(const Action& action) {
-  struct V {
-    std::string operator()(const ActOutput& a) {
-      return "output:" + std::to_string(a.port);
-    }
-    std::string operator()(const ActDrop&) { return "drop"; }
-    std::string operator()(const ActSetTos& a) {
-      return "set_tos:" + std::to_string(a.tos);
-    }
-    std::string operator()(const ActSetDst& a) {
-      return "set_dst:" + a.dst.to_string();
-    }
-    std::string operator()(const ActMbox& a) { return "mbox:" + a.chain_id; }
-    std::string operator()(const ActMeter& a) { return "meter:" + a.meter_id; }
-    std::string operator()(const ActGotoTable& a) {
-      return "goto:" + std::to_string(a.table);
-    }
-    std::string operator()(const ActTunnel& a) {
-      return "tunnel:" + a.gateway.to_string();
-    }
-  };
-  return std::visit(V{}, action);
-}
-
 SdnSwitch::SdnSwitch(Network& net, std::string name, int num_tables)
     : Node(net, std::move(name)),
       tables_(static_cast<std::size_t>(num_tables < 1 ? 1 : num_tables)),
@@ -77,14 +53,7 @@ void SdnSwitch::unregister_processor(const std::string& chain_id) {
 
 void SdnSwitch::handle_packet(Packet pkt, int in_port) {
   packets_in_.inc();
-  if (pipeline_latency_ > 0) {
-    sim().schedule_after(pipeline_latency_, SimCategory::kSwitch,
-                         [this, pkt = std::move(pkt), in_port]() mutable {
-                           run_pipeline(std::move(pkt), in_port, 0);
-                         });
-  } else {
-    run_pipeline(std::move(pkt), in_port, 0);
-  }
+  run_pipeline(std::move(pkt), in_port, 0);
 }
 
 void SdnSwitch::run_pipeline(Packet pkt, int in_port, int table_index) {

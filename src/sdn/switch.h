@@ -71,10 +71,6 @@ class SdnSwitch : public Node {
 
   SwitchStats stats() const;
 
-  // Per-pipeline-packet processing latency (models lookup cost). Charged
-  // once per ingress packet before actions execute.
-  void set_pipeline_latency(SimDuration d) { pipeline_latency_ = d; }
-
  private:
   void run_pipeline(Packet pkt, int in_port, int table_index);
   void execute(const ActionList& actions, std::size_t start, Packet pkt,
@@ -85,7 +81,6 @@ class SdnSwitch : public Node {
   std::map<std::string, PacketProcessor*> processors_;
   TunnelEncap tunnel_encap_;
   std::optional<int> default_port_;
-  SimDuration pipeline_latency_ = 0;
   // Per-switch counts, each also feeding sdn.switch.<field>{instance=name}.
   telemetry::Tally packets_in_;
   telemetry::Tally forwarded_;

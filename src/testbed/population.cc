@@ -4,15 +4,6 @@
 
 namespace pvn {
 
-const char* to_string(RogueMode mode) {
-  switch (mode) {
-    case RogueMode::kBogusOffers: return "bogus-offers";
-    case RogueMode::kNakFlood: return "nak-flood";
-    case RogueMode::kBlackhole: return "blackhole";
-  }
-  return "?";
-}
-
 RogueServer::RogueServer(Host& host, RogueMode mode)
     : host_(&host), mode_(mode) {
   host_->bind_udp(kPvnPort,

@@ -42,7 +42,6 @@ enum class RogueMode : std::uint8_t {
   // believes it is protected until the lease heartbeat catches the lie.
   kBlackhole,
 };
-const char* to_string(RogueMode mode);
 
 // A deployment server test double that wins auctions and misbehaves.
 class RogueServer {

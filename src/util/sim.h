@@ -54,7 +54,8 @@ constexpr EventId kInvalidEventId = 0;
 enum class SimCategory : std::uint8_t {
   kOther = 0,
   kLink,        // per-hop delivery / queue drain (netsim/link.cc)
-  kSwitch,      // SDN pipeline latency (sdn/switch.cc)
+  kSwitch,      // unscheduled since the switch lost its pipeline latency;
+                // pvnbench still prints its (zero) row
   kMbox,        // chain continuations, instantiation (mbox/)
   kPvnControl,  // discovery/deploy/lease timers (pvn/)
   kTunnel,      // tunnel endpoints (tunnel/)

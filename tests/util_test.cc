@@ -3,13 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdarg>
-#include <cstring>
 #include <memory>
 #include <vector>
 
 #include "util/bytes.h"
-#include "util/log.h"
 #include "util/digest.h"
 #include "util/rng.h"
 #include "util/sim.h"
@@ -570,46 +567,6 @@ TEST(Units, RateConstructors) {
   EXPECT_EQ(Rate::mbps(100).bits_per_second, 100'000'000);
   EXPECT_DOUBLE_EQ(Rate::mbps(100).mbps_value(), 100.0);
   EXPECT_EQ(Rate::gbps(1).bits_per_second, 1'000'000'000);
-}
-
-
-// --- Logger formatting -------------------------------------------------------
-
-// format_log_message takes a va_list; this shim lets tests call it variadic.
-std::size_t format_into(char* buf, std::size_t size, const char* fmt, ...)
-    PVN_PRINTF(3, 4);
-std::size_t format_into(char* buf, std::size_t size, const char* fmt, ...) {
-  std::va_list ap;
-  va_start(ap, fmt);
-  const std::size_t n = format_log_message(buf, size, fmt, ap);
-  va_end(ap);
-  return n;
-}
-
-TEST(LogFormat, FittingMessageIsUnchanged) {
-  char buf[64];
-  const std::size_t n = format_into(buf, sizeof(buf), "x=%d y=%s", 7, "ok");
-  EXPECT_EQ(std::string(buf, n), "x=7 y=ok");
-}
-
-TEST(LogFormat, OverflowTruncatesWithEllipsis) {
-  char buf[16];
-  const std::size_t n =
-      format_into(buf, sizeof(buf), "%s", "this message is far too long");
-  EXPECT_EQ(n, sizeof(buf) - 1);
-  EXPECT_EQ(buf[n], '\0');
-  // The tail is the 3-byte UTF-8 ellipsis, not a mid-word cut.
-  EXPECT_EQ(std::memcmp(buf + n - 3, "\xE2\x80\xA6", 3), 0);
-  EXPECT_EQ(std::string(buf, n - 3), "this message");
-}
-
-TEST(LogFormat, TinyBuffersStayTerminated) {
-  char buf[2] = {'Z', 'Z'};
-  // Too small for the ellipsis: plain truncation, still NUL-terminated.
-  EXPECT_EQ(format_into(buf, sizeof(buf), "%s", "abc"), 1u);
-  EXPECT_EQ(buf[0], 'a');
-  EXPECT_EQ(buf[1], '\0');
-  EXPECT_EQ(format_into(buf, 0, "%s", "abc"), 0u);
 }
 
 // Property sweep: transmit time is monotone in size and antitone in rate.
