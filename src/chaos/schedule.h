@@ -8,8 +8,8 @@
 // run time, so removing one event from a schedule never shifts another —
 // the property the delta-debugging Shrinker depends on.
 //
-// Schedules have a versioned binary codec (the same ByteWriter/ByteReader
-// conventions as proto/) so a failing schedule can be written to a repro
+// Schedules have a versioned binary codec (field lists, util/codec.h, like
+// every wire message) so a failing schedule can be written to a repro
 // file, attached to a bug report, and replayed bit-identically later.
 #pragma once
 
@@ -18,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "util/bytes.h"
+#include "util/codec.h"
 #include "util/time.h"
 
 namespace pvn {
@@ -44,6 +44,9 @@ enum class ChaosEventKind : std::uint8_t {
 };
 constexpr int kChaosEventKindCount = 10;
 const char* to_string(ChaosEventKind kind);
+constexpr bool wire_valid(ChaosEventKind kind) {
+  return static_cast<int>(kind) < kChaosEventKindCount;
+}
 
 // Deliberate invariant violations for auditor self-tests. Each one maps to
 // a debug hook that breaks exactly one invariant class.
@@ -58,7 +61,7 @@ enum class PlantedBug : std::uint8_t {
 constexpr int kPlantedBugCount = 6;
 const char* to_string(PlantedBug bug);
 
-struct ChaosEvent {
+struct ChaosEvent : codec::Message<ChaosEvent> {
   SimTime at = 0;           // absolute injection time
   ChaosEventKind kind = ChaosEventKind::kLinkFlap;
   std::uint32_t target = 0; // client index or access-net index, per kind
@@ -66,14 +69,19 @@ struct ChaosEvent {
   double loss = 0.0;        // kLossBurst only, in [0, 1]
   std::uint32_t arg = 0;    // rogue mode / planted bug / storm size
 
-  Bytes encode() const;
-  static std::optional<ChaosEvent> decode(ByteReader& r);
+  template <class F> void fields(F& f) {
+    f(at, kind, target, duration, loss, arg);
+  }
+  bool validate() const {
+    return at >= 0 && duration >= 0 && loss >= 0.0 && loss <= 1.0 &&
+           (kind != ChaosEventKind::kPlantedBug || arg < kPlantedBugCount);
+  }
   bool operator==(const ChaosEvent&) const = default;
 };
 
 // The testbed a schedule runs over. Kept small and explicit so a repro file
 // rebuilds the exact same world.
-struct ChaosScenario {
+struct ChaosScenario : codec::Message<ChaosScenario> {
   std::uint32_t clients = 8;
   SimDuration lease = seconds(20);
   bool standbys = true;
@@ -83,8 +91,11 @@ struct ChaosScenario {
   std::uint32_t max_pending_deploys = 0;   // server admission (0 = unbounded)
   std::uint32_t max_expiries_per_sweep = 0;
 
-  Bytes encode() const;
-  static std::optional<ChaosScenario> decode(ByteReader& r);
+  template <class F> void fields(F& f) {
+    f(clients, lease, standbys, rogue, fault_window, settle,
+      max_pending_deploys, max_expiries_per_sweep);
+  }
+  bool validate() const;
   bool operator==(const ChaosScenario&) const = default;
 };
 
@@ -93,7 +104,7 @@ constexpr std::uint32_t kChaosScheduleVersion = 1;
 constexpr std::uint32_t kMaxChaosEvents = 100'000;
 constexpr std::uint32_t kMaxChaosClients = 1'000'000;
 
-struct ChaosSchedule {
+struct ChaosSchedule : codec::Message<ChaosSchedule> {
   std::uint32_t version = kChaosScheduleVersion;
   std::uint64_t seed = 0;
   ChaosScenario scenario;
@@ -103,8 +114,12 @@ struct ChaosSchedule {
   // has elapsed.
   SimTime horizon() const { return scenario.fault_window + scenario.settle; }
 
-  Bytes encode() const;
-  static std::optional<ChaosSchedule> decode(const Bytes& data);
+  template <class F> void fields(F& f) {
+    f(version, seed);
+    f.blob(scenario);
+    f.blob_list32(events, "events");
+  }
+  bool validate() const;
   bool operator==(const ChaosSchedule&) const = default;
 };
 

@@ -6,54 +6,23 @@ Bytes ChainCheckpoint::encode() const {
   ByteWriter w;
   w.u32(kMagic);
   w.u8(kFormatVersion);
-  w.str(chain_id);
-  w.u64(seq);
-  w.i64(taken_at);
-  w.u8(incremental ? 1 : 0);
-  w.u16(static_cast<std::uint16_t>(modules.size()));
-  for (const ModuleSnapshot& m : modules) {
-    w.str(m.module);
-    w.u32(m.state_version);
-    w.u64(m.packets_seen);
-    w.u64(m.packets_dropped);
-    w.blob(m.state);
-  }
-  Bytes out = std::move(w).take();
-  const Bytes mac = digest_of(out).to_bytes();
-  out.insert(out.end(), mac.begin(), mac.end());
-  return out;
+  codec::write(w, *this);
+  w.raw(digest_of(w.bytes()).to_bytes());
+  return std::move(w).take();
 }
 
 std::optional<ChainCheckpoint> ChainCheckpoint::decode(const Bytes& b) {
   constexpr std::size_t kDigestSize = 32;
   if (b.size() < kDigestSize) return std::nullopt;
-  const Bytes payload(b.begin(), b.end() - kDigestSize);
-  const Bytes mac(b.end() - kDigestSize, b.end());
-  const auto want = Digest::from_bytes(mac);
+  const std::span<const std::uint8_t> all(b);
+  const auto payload = all.first(b.size() - kDigestSize);
+  const auto want = Digest::from_bytes(all.last(kDigestSize));
   if (!want || digest_of(payload) != *want) return std::nullopt;
 
   ByteReader r(payload);
-  if (r.u32() != kMagic) return std::nullopt;
-  if (r.u8() != kFormatVersion) return std::nullopt;
+  if (r.u32() != kMagic || r.u8() != kFormatVersion) return std::nullopt;
   ChainCheckpoint ckpt;
-  ckpt.chain_id = r.str();
-  ckpt.seq = r.u64();
-  ckpt.taken_at = r.i64();
-  ckpt.incremental = r.u8() != 0;
-  const std::uint16_t count = r.u16();
-  if (!r.ok()) return std::nullopt;
-  ckpt.modules.reserve(count);
-  for (std::uint16_t i = 0; i < count; ++i) {
-    ModuleSnapshot m;
-    m.module = r.str();
-    m.state_version = r.u32();
-    m.packets_seen = r.u64();
-    m.packets_dropped = r.u64();
-    m.state = r.blob();
-    if (!r.ok()) return std::nullopt;
-    ckpt.modules.push_back(std::move(m));
-  }
-  if (!r.exhausted()) return std::nullopt;
+  if (!codec::read(r, ckpt) || !r.exhausted()) return std::nullopt;
   return ckpt;
 }
 

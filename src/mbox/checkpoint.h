@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "mbox/host.h"
+#include "util/codec.h"
 #include "util/digest.h"
 
 namespace pvn {
@@ -25,6 +26,10 @@ struct ModuleSnapshot {
   std::uint64_t packets_seen = 0;
   std::uint64_t packets_dropped = 0;
   Bytes state;                  // Middlebox::serialize_state()
+
+  template <class F> void fields(F& f) {  // util/codec.h
+    f(module, state_version, packets_seen, packets_dropped, state);
+  }
 };
 
 struct ChainCheckpoint {
@@ -37,8 +42,14 @@ struct ChainCheckpoint {
   bool incremental = false;     // only modules whose state changed
   std::vector<ModuleSnapshot> modules;
 
+  // The fields between the magic and version header and the digest trailer.
+  template <class F> void fields(F& f) {
+    f(chain_id, seq, taken_at, incremental);
+    f.list16(modules, "modules");
+  }
+
   Bytes encode() const;
-  // Verifies magic, format version, and the trailing digest before decoding
+  // Verifies the trailing digest, magic and format version before decoding
   // any field; corruption anywhere yields nullopt.
   static std::optional<ChainCheckpoint> decode(const Bytes& b);
 };

@@ -118,8 +118,9 @@ Middlebox::Verdict TlsValidator::on_record(const FlowKey& key, FlowState& st,
                                            MboxContext& ctx) {
   switch (rec.type) {
     case TlsContentType::kClientHello: {
-      ByteReader r(rec.body);
-      st.sni = r.str();
+      const auto hello = TlsClientHello::decode(rec.body);
+      if (!hello) return Verdict::kForward;
+      st.sni = hello->server_name;
       // Remember the SNI for the reverse (server->client) flow.
       sni_by_server_flow_[key.reversed()] = st.sni;
       return Verdict::kForward;
@@ -128,16 +129,14 @@ Middlebox::Verdict TlsValidator::on_record(const FlowKey& key, FlowState& st,
       if (st.verdict_done) return Verdict::kForward;
       st.verdict_done = true;
       ++checked_;
-      ByteReader r(rec.body);
-      r.blob();  // server nonce
-      const auto chain = decode_chain(r.blob());
+      const auto hello = TlsServerHello::decode(rec.body);
       std::string sni;
       if (const auto it = sni_by_server_flow_.find(key);
           it != sni_by_server_flow_.end()) {
         sni = it->second;
       }
       const CertStatus status =
-          chain ? validate_chain(*chain, *trust_, ctx.now, sni)
+          hello ? validate_chain(hello->chain.certs, *trust_, ctx.now, sni)
                 : CertStatus::kEmptyChain;
       if (status == CertStatus::kOk) return Verdict::kForward;
       ctx.report(name_, "tls-invalid-cert",

@@ -23,6 +23,8 @@ struct Ipv4Addr {
 
   constexpr bool is_unspecified() const { return v == 0; }
 
+  template <class F> void fields(F& f) { f(v); }  // util/codec.h
+
   constexpr bool operator==(const Ipv4Addr&) const = default;
   constexpr auto operator<=>(const Ipv4Addr&) const = default;
 };
@@ -39,6 +41,12 @@ struct Prefix {
   static std::optional<Prefix> parse(std::string_view cidr);
   bool contains(Ipv4Addr ip) const;
   std::string to_string() const;
+
+  template <class F> void fields(F& f) {  // util/codec.h
+    f(addr);
+    f.byte(len);
+  }
+  bool validate() const { return len <= 32; }
 
   bool operator==(const Prefix&) const = default;
 };

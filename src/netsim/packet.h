@@ -31,6 +31,10 @@ enum class IpProto : std::uint8_t {
 };
 
 const char* to_string(IpProto proto);
+constexpr bool wire_valid(IpProto p) {
+  return p == IpProto::kIcmp || p == IpProto::kTcp || p == IpProto::kUdp ||
+         p == IpProto::kEsp;
+}
 
 struct IpHeader {
   Ipv4Addr src;

@@ -12,55 +12,6 @@ Bytes DnsRecord::canonical_bytes() const {
   return std::move(w).take();
 }
 
-void DnsRecord::encode(ByteWriter& w) const {
-  w.str(name);
-  w.u32(addr.v);
-  w.u32(ttl_seconds);
-  w.u8(signed_record ? 1 : 0);
-  if (signed_record) {
-    w.blob(signature.mac.to_bytes());
-    w.u64(signature.signer);
-  }
-}
-
-DnsRecord DnsRecord::decode(ByteReader& r) {
-  DnsRecord rec;
-  rec.name = r.str();
-  rec.addr = Ipv4Addr(r.u32());
-  rec.ttl_seconds = r.u32();
-  rec.signed_record = r.u8() != 0;
-  if (rec.signed_record) {
-    const auto mac = Digest::from_bytes(r.blob());
-    rec.signature.mac = mac.value_or(Digest{});
-    rec.signature.signer = r.u64();
-  }
-  return rec;
-}
-
-Bytes DnsMessage::encode() const {
-  ByteWriter w;
-  w.u16(id);
-  w.u8(response ? 1 : 0);
-  w.u8(nxdomain ? 1 : 0);
-  w.str(question);
-  w.u16(static_cast<std::uint16_t>(answers.size()));
-  for (const DnsRecord& rec : answers) rec.encode(w);
-  return std::move(w).take();
-}
-
-std::optional<DnsMessage> DnsMessage::decode(const Bytes& raw) {
-  ByteReader r(raw);
-  DnsMessage m;
-  m.id = r.u16();
-  m.response = r.u8() != 0;
-  m.nxdomain = r.u8() != 0;
-  m.question = r.str();
-  const std::uint16_t n = r.u16();
-  for (std::uint16_t i = 0; i < n; ++i) m.answers.push_back(DnsRecord::decode(r));
-  if (!r.ok()) return std::nullopt;
-  return m;
-}
-
 DnsServer::DnsServer(Host& host, const KeyPair* zone_key)
     : host_(&host), zone_key_(zone_key) {
   host_->bind_udp(kDnsPort, [this](Ipv4Addr src, Port sport, Port,

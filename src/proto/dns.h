@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "proto/host.h"
+#include "util/codec.h"
 #include "util/digest.h"
 
 namespace pvn {
@@ -26,20 +27,24 @@ struct DnsRecord {
   Signature signature;  // by the zone key over canonical_bytes()
 
   Bytes canonical_bytes() const;
-  void encode(ByteWriter& w) const;
-  static DnsRecord decode(ByteReader& r);
+  template <class F> void fields(F& f) {  // util/codec.h
+    f(name, addr, ttl_seconds, signed_record);
+    if (signed_record) f(signature);
+  }
   bool operator==(const DnsRecord&) const = default;
 };
 
-struct DnsMessage {
+struct DnsMessage : codec::Message<DnsMessage> {
   std::uint16_t id = 0;
   bool response = false;
   bool nxdomain = false;
   std::string question;
   std::vector<DnsRecord> answers;
 
-  Bytes encode() const;
-  static std::optional<DnsMessage> decode(const Bytes& raw);
+  template <class F> void fields(F& f) {
+    f(id, response, nxdomain, question);
+    f.list16(answers, "answers");
+  }
   bool operator==(const DnsMessage&) const = default;
 };
 

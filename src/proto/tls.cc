@@ -13,44 +13,16 @@ Bytes Certificate::canonical_bytes() const {
   return std::move(w).take();
 }
 
-void Certificate::encode(ByteWriter& w) const {
-  w.str(subject);
-  w.str(issuer);
-  w.u64(subject_key.id);
-  w.i64(not_before);
-  w.i64(not_after);
-  w.u64(serial);
-  w.blob(issuer_signature.mac.to_bytes());
-  w.u64(issuer_signature.signer);
-}
-
-Certificate Certificate::decode(ByteReader& r) {
-  Certificate c;
-  c.subject = r.str();
-  c.issuer = r.str();
-  c.subject_key.id = r.u64();
-  c.not_before = r.i64();
-  c.not_after = r.i64();
-  c.serial = r.u64();
-  c.issuer_signature.mac = Digest::from_bytes(r.blob()).value_or(Digest{});
-  c.issuer_signature.signer = r.u64();
-  return c;
-}
-
 Bytes encode_chain(const CertChain& chain) {
-  ByteWriter w;
-  w.u16(static_cast<std::uint16_t>(chain.size()));
-  for (const Certificate& c : chain) c.encode(w);
-  return std::move(w).take();
+  CertChainMessage m;
+  m.certs = chain;
+  return m.encode();
 }
 
 std::optional<CertChain> decode_chain(const Bytes& raw) {
-  ByteReader r(raw);
-  const std::uint16_t n = r.u16();
-  CertChain chain;
-  for (std::uint16_t i = 0; i < n; ++i) chain.push_back(Certificate::decode(r));
-  if (!r.ok()) return std::nullopt;
-  return chain;
+  auto m = CertChainMessage::decode(raw);
+  if (!m) return std::nullopt;
+  return std::move(m->certs);
 }
 
 const char* to_string(CertStatus status) {
@@ -149,22 +121,6 @@ CertStatus validate_chain(const CertChain& chain, const TrustStore& trust,
   return CertStatus::kOk;
 }
 
-Bytes TlsRecord::encode() const {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(type));
-  w.blob(body);
-  return std::move(w).take();
-}
-
-std::optional<TlsRecord> TlsRecord::decode(const Bytes& raw) {
-  ByteReader r(raw);
-  TlsRecord rec;
-  rec.type = static_cast<TlsContentType>(r.u8());
-  rec.body = r.blob();
-  if (!r.ok()) return std::nullopt;
-  return rec;
-}
-
 Digest derive_session_key(const Bytes& client_nonce, const Bytes& server_nonce,
                           const PublicKey& server_key) {
   ByteWriter w;
@@ -215,20 +171,20 @@ void TlsServer::on_record(Bytes frame) {
   if (!rec) return;
   switch (rec->type) {
     case TlsContentType::kClientHello: {
-      ByteReader r(rec->body);
-      r.str();  // SNI (unused server-side in this model)
-      client_nonce_ = r.blob();
-      // ServerHello: nonce + certificate chain.
+      // The SNI is unused server-side in this model.
+      const auto client_hello = TlsClientHello::decode(rec->body);
+      if (!client_hello) return;
+      client_nonce_ = client_hello->nonce;
       ByteWriter nonce;
       nonce.u64(key_.public_key().id);
       nonce.str("server-nonce");
       server_nonce_ = digest_of(nonce.bytes()).to_bytes();
+      TlsServerHello server_hello;
+      server_hello.nonce = server_nonce_;
+      server_hello.chain.certs = chain_;
       TlsRecord hello;
       hello.type = TlsContentType::kServerHello;
-      ByteWriter body;
-      body.blob(server_nonce_);
-      body.blob(encode_chain(chain_));
-      hello.body = std::move(body).take();
+      hello.body = server_hello.encode();
       conn_->send(StreamFramer::frame(hello.encode()));
       session_key_ =
           derive_session_key(client_nonce_, server_nonce_, key_.public_key());
@@ -264,12 +220,12 @@ TlsClient::TlsClient(TcpConnection& conn, std::string server_name,
 
   conn_->on_data = [this](const Bytes& data) { framer_.feed(data); };
   const auto send_hello = [this] {
+    TlsClientHello client_hello;
+    client_hello.server_name = server_name_;
+    client_hello.nonce = client_nonce_;
     TlsRecord hello;
     hello.type = TlsContentType::kClientHello;
-    ByteWriter body;
-    body.str(server_name_);
-    body.blob(client_nonce_);
-    hello.body = std::move(body).take();
+    hello.body = client_hello.encode();
     conn_->send(StreamFramer::frame(hello.encode()));
   };
   if (conn_->established()) {
@@ -292,19 +248,18 @@ void TlsClient::on_record(Bytes frame) {
   if (!rec) return;
   switch (rec->type) {
     case TlsContentType::kServerHello: {
-      ByteReader r(rec->body);
-      const Bytes server_nonce = r.blob();
-      const auto chain = decode_chain(r.blob());
-      if (!r.ok() || !chain || chain->empty()) {
+      const auto hello = TlsServerHello::decode(rec->body);
+      if (!hello || hello->chain.certs.empty()) {
         info_.cert_status = CertStatus::kEmptyChain;
         conn_->abort();
         if (on_connected_) on_connected_(info_);
         return;
       }
-      info_.server_chain = *chain;
+      const CertChain& chain = hello->chain.certs;
+      info_.server_chain = chain;
       if (policy_ == TlsClientPolicy::kStrict && trust_ != nullptr) {
         info_.cert_status =
-            validate_chain(*chain, *trust_, conn_->now(), server_name_);
+            validate_chain(chain, *trust_, conn_->now(), server_name_);
       } else {
         info_.cert_status = CertStatus::kOk;  // broken client: no checks
       }
@@ -316,8 +271,8 @@ void TlsClient::on_record(Bytes frame) {
         if (on_connected_) on_connected_(info_);
         return;
       }
-      info_.session_key = derive_session_key(
-          client_nonce_, server_nonce, chain->front().subject_key);
+      info_.session_key = derive_session_key(client_nonce_, hello->nonce,
+                                             chain.front().subject_key);
       TlsRecord fin;
       fin.type = TlsContentType::kFinished;
       conn_->send(StreamFramer::frame(fin.encode()));

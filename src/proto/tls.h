@@ -22,6 +22,7 @@
 
 #include "proto/framing.h"
 #include "proto/tcp.h"
+#include "util/codec.h"
 #include "util/digest.h"
 
 namespace pvn {
@@ -36,12 +37,20 @@ struct Certificate {
   Signature issuer_signature;  // over canonical_bytes()
 
   Bytes canonical_bytes() const;
-  void encode(ByteWriter& w) const;
-  static Certificate decode(ByteReader& r);
+  template <class F> void fields(F& f) {  // util/codec.h
+    f(subject, issuer, subject_key, not_before, not_after, serial,
+      issuer_signature);
+  }
   bool operator==(const Certificate&) const = default;
 };
 
 using CertChain = std::vector<Certificate>;  // leaf first, root last
+
+// A chain's wire form: a u16 count, then each certificate.
+struct CertChainMessage : codec::Message<CertChainMessage> {
+  CertChain certs;
+  template <class F> void fields(F& f) { f.list16(certs, "certs"); }
+};
 
 Bytes encode_chain(const CertChain& chain);
 std::optional<CertChain> decode_chain(const Bytes& raw);
@@ -118,13 +127,34 @@ enum class TlsContentType : std::uint8_t {
   kAppData = 4,
   kAlert = 5,
 };
+constexpr bool wire_valid(TlsContentType t) {
+  return t >= TlsContentType::kClientHello && t <= TlsContentType::kAlert;
+}
 
-struct TlsRecord {
+struct TlsRecord : codec::Message<TlsRecord> {
   TlsContentType type = TlsContentType::kAppData;
   Bytes body;
 
-  Bytes encode() const;
-  static std::optional<TlsRecord> decode(const Bytes& raw);
+  template <class F> void fields(F& f) { f(type, body); }
+};
+
+// The body of a kClientHello record.
+struct TlsClientHello : codec::Message<TlsClientHello> {
+  std::string server_name;  // SNI
+  Bytes nonce;
+
+  template <class F> void fields(F& f) { f(server_name, nonce); }
+};
+
+// The body of a kServerHello record.
+struct TlsServerHello : codec::Message<TlsServerHello> {
+  Bytes nonce;
+  CertChainMessage chain;
+
+  template <class F> void fields(F& f) {
+    f(nonce);
+    f.blob(chain);
+  }
 };
 
 // Client-side validation behaviour. kNone models the large population of

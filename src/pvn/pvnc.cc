@@ -5,50 +5,6 @@
 #include "mbox/registry.h"
 
 namespace pvn {
-namespace {
-
-void encode_match(ByteWriter& w, const FlowMatch& m) {
-  auto opt_u32 = [&w](const std::optional<Prefix>& p) {
-    w.u8(p.has_value() ? 1 : 0);
-    if (p) {
-      w.u32(p->addr.v);
-      w.u8(static_cast<std::uint8_t>(p->len));
-    }
-  };
-  w.u8(m.in_port.has_value() ? 1 : 0);
-  if (m.in_port) w.u32(static_cast<std::uint32_t>(*m.in_port));
-  opt_u32(m.src);
-  opt_u32(m.dst);
-  w.u8(m.proto.has_value() ? 1 : 0);
-  if (m.proto) w.u8(static_cast<std::uint8_t>(*m.proto));
-  w.u8(m.src_port.has_value() ? 1 : 0);
-  if (m.src_port) w.u16(*m.src_port);
-  w.u8(m.dst_port.has_value() ? 1 : 0);
-  if (m.dst_port) w.u16(*m.dst_port);
-  w.u8(m.tos.has_value() ? 1 : 0);
-  if (m.tos) w.u8(*m.tos);
-}
-
-FlowMatch decode_match(ByteReader& r) {
-  FlowMatch m;
-  auto opt_prefix = [&r]() -> std::optional<Prefix> {
-    if (r.u8() == 0) return std::nullopt;
-    Prefix p;
-    p.addr = Ipv4Addr(r.u32());
-    p.len = r.u8();
-    return p;
-  };
-  if (r.u8() != 0) m.in_port = static_cast<int>(r.u32());
-  m.src = opt_prefix();
-  m.dst = opt_prefix();
-  if (r.u8() != 0) m.proto = static_cast<IpProto>(r.u8());
-  if (r.u8() != 0) m.src_port = r.u16();
-  if (r.u8() != 0) m.dst_port = r.u16();
-  if (r.u8() != 0) m.tos = r.u8();
-  return m;
-}
-
-}  // namespace
 
 std::vector<std::string> Pvnc::module_names() const {
   std::vector<std::string> names;
@@ -59,64 +15,6 @@ std::vector<std::string> Pvnc::module_names() const {
 
 std::int64_t Pvnc::est_memory_bytes() const {
   return static_cast<std::int64_t>(chain.size()) * 6 * 1024 * 1024;
-}
-
-Bytes Pvnc::encode() const {
-  ByteWriter w;
-  w.str(name);
-  w.u16(static_cast<std::uint16_t>(chain.size()));
-  for (const PvncModule& m : chain) {
-    w.str(m.store_name);
-    w.u16(static_cast<std::uint16_t>(m.params.size()));
-    for (const auto& [k, v] : m.params) {
-      w.str(k);
-      w.str(v);
-    }
-  }
-  w.u16(static_cast<std::uint16_t>(policies.size()));
-  for (const PvncPolicy& p : policies) {
-    w.u8(static_cast<std::uint8_t>(p.kind));
-    encode_match(w, p.match);
-    w.i64(p.rate.bits_per_second);
-    w.u8(p.tos);
-    w.u32(p.gateway.v);
-    w.u32(static_cast<std::uint32_t>(p.priority));
-  }
-  return std::move(w).take();
-}
-
-std::optional<Pvnc> Pvnc::decode(const Bytes& raw) {
-  ByteReader r(raw);
-  Pvnc pvnc;
-  pvnc.name = r.str();
-  const std::uint16_t nmods = r.u16();
-  for (std::uint16_t i = 0; i < nmods && r.ok(); ++i) {
-    PvncModule m;
-    m.store_name = r.str();
-    const std::uint16_t nparams = r.u16();
-    for (std::uint16_t j = 0; j < nparams && r.ok(); ++j) {
-      const std::string k = r.str();
-      m.params[k] = r.str();
-    }
-    pvnc.chain.push_back(std::move(m));
-  }
-  const std::uint16_t npol = r.u16();
-  for (std::uint16_t i = 0; i < npol && r.ok(); ++i) {
-    PvncPolicy p;
-    const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(PvncPolicy::Kind::kTunnel)) {
-      return std::nullopt;
-    }
-    p.kind = static_cast<PvncPolicy::Kind>(kind);
-    p.match = decode_match(r);
-    p.rate = Rate{r.i64()};
-    p.tos = r.u8();
-    p.gateway = Ipv4Addr(r.u32());
-    p.priority = static_cast<int>(r.u32());
-    pvnc.policies.push_back(p);
-  }
-  if (!r.ok()) return std::nullopt;
-  return pvnc;
 }
 
 std::vector<std::string> validate_pvnc(const Pvnc& pvnc,

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "sdn/match.h"
+#include "util/codec.h"
 #include "util/units.h"
 
 namespace pvn {
@@ -22,6 +23,10 @@ struct PvncModule {
   std::string store_name;  // module name in the PVN Store
   std::map<std::string, std::string> params;
 
+  template <class F> void fields(F& f) {  // util/codec.h
+    f(store_name);
+    f.list16(params, "params");
+  }
   bool operator==(const PvncModule&) const = default;
 };
 
@@ -40,10 +45,19 @@ struct PvncPolicy {
   Ipv4Addr gateway;     // kTunnel
   int priority = 100;
 
+  template <class F> void fields(F& f) {  // util/codec.h
+    f(kind);
+    pvnc_match_fields(f, match);
+    f(rate.bits_per_second, tos, gateway, priority);
+  }
   bool operator==(const PvncPolicy&) const = default;
 };
+constexpr bool wire_valid(PvncPolicy::Kind k) {
+  return k <= PvncPolicy::Kind::kTunnel;
+}
 
-struct Pvnc {
+// Serialized for carrying PVNCs in deployment requests and cloud URIs.
+struct Pvnc : codec::Message<Pvnc> {
   std::string name;  // e.g. "alice-phone"
   std::vector<PvncModule> chain;      // ordered middlebox chain
   std::vector<PvncPolicy> policies;
@@ -53,10 +67,11 @@ struct Pvnc {
   // the network and computational resources requested").
   std::int64_t est_memory_bytes() const;
 
-  // Serialization for carrying PVNCs in deployment requests / cloud URIs.
-  Bytes encode() const;
-  static std::optional<Pvnc> decode(const Bytes& raw);
-
+  template <class F> void fields(F& f) {
+    f(name);
+    f.list16(chain, "chain");
+    f.list16(policies, "policies");
+  }
   bool operator==(const Pvnc&) const = default;
 };
 

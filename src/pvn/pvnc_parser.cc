@@ -1,10 +1,15 @@
 #include "pvn/pvnc_parser.h"
 
 #include <charconv>
+#include <limits>
 #include <sstream>
 
 namespace pvn {
 namespace {
+
+// Each list in a PVNC travels with a u16 count (Pvnc::fields), and the text
+// is the one place list lengths come from outside the program.
+constexpr std::size_t kMaxListSize = std::numeric_limits<std::uint16_t>::max();
 
 std::vector<std::string> split_ws(const std::string& line) {
   std::vector<std::string> out;
@@ -157,6 +162,12 @@ std::variant<Pvnc, ParseError> parse_pvnc(const std::string& text) {
         }
         mod.params[tokens[i].substr(0, eq)] = tokens[i].substr(eq + 1);
       }
+      if (mod.params.size() > kMaxListSize) {
+        return ParseError{line_no, "module has more than 65535 params"};
+      }
+      if (pvnc.chain.size() == kMaxListSize) {
+        return ParseError{line_no, "pvnc has more than 65535 modules"};
+      }
       pvnc.chain.push_back(std::move(mod));
       continue;
     }
@@ -195,6 +206,9 @@ std::variant<Pvnc, ParseError> parse_pvnc(const std::string& text) {
       if (policy.kind == PvncPolicy::Kind::kTunnel &&
           policy.gateway.is_unspecified()) {
         return ParseError{line_no, "tunnel policy needs gateway=<addr>"};
+      }
+      if (pvnc.policies.size() == kMaxListSize) {
+        return ParseError{line_no, "pvnc has more than 65535 policies"};
       }
       pvnc.policies.push_back(policy);
       continue;

@@ -50,4 +50,16 @@ struct FlowMatch {
   }
 };
 
+// FlowMatch's two wire layouts (util/codec.h). Merging them would change
+// the size of every DeployRequest, and with it the pinned digests.
+//
+// In a PVNC policy: a presence byte before each field.
+template <class F> void pvnc_match_fields(F& f, FlowMatch& m) {
+  f(m.in_port, m.src, m.dst, m.proto, m.src_port, m.dst_port, m.tos);
+}
+// In an ops flow rule: one presence bitmask, then the set fields.
+template <class F> void ops_match_fields(F& f, FlowMatch& m) {
+  f.flags(m.in_port, m.src, m.dst, m.proto, m.src_port, m.dst_port, m.tos);
+}
+
 }  // namespace pvn

@@ -44,6 +44,13 @@ void ByteWriter::str(std::string_view s) {
   buf_.insert(buf_.end(), s.begin(), s.end());
 }
 
+void ByteWriter::set_u32(std::size_t at, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    buf_[at + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(v >> (24 - 8 * i));
+  }
+}
+
 bool ByteReader::take(std::size_t n, const std::uint8_t** out) {
   if (!ok_ || data_.size() - pos_ < n) {
     ok_ = false;
@@ -102,6 +109,12 @@ void ByteReader::skip(std::size_t n) {
 Bytes ByteReader::blob() {
   const std::uint32_t n = u32();
   return raw(n);
+}
+
+ByteReader ByteReader::sub(std::size_t n) {
+  const std::uint8_t* p = nullptr;
+  if (!take(n, &p)) return ByteReader(std::span<const std::uint8_t>());
+  return ByteReader(std::span<const std::uint8_t>(p, n));
 }
 
 std::string ByteReader::str() {

@@ -101,6 +101,10 @@ class ByteWriter {
   // Length-prefixed (u32) UTF-8 string.
   void str(std::string_view s);
 
+  // Overwrites the four bytes at `at` with `v` (a length known only after
+  // what it prefixes has been written).
+  void set_u32(std::size_t at, std::uint32_t v);
+
   const Bytes& bytes() const& { return buf_; }
   Bytes take() && { return std::move(buf_); }
   std::size_t size() const { return buf_.size(); }
@@ -127,6 +131,11 @@ class ByteReader {
   void skip(std::size_t n);
   Bytes blob();
   std::string str();
+  // A reader over the next n bytes, which this reader skips. On an overrun
+  // this reader latches its error and the returned one is empty.
+  ByteReader sub(std::size_t n);
+  // Latches the error flag: the caller found a value no encoder writes.
+  void fail() { ok_ = false; }
 
   // True iff no read has overrun the buffer so far.
   bool ok() const { return ok_; }

@@ -34,6 +34,11 @@ struct Digest {
   Bytes to_bytes() const;
   // Inverse of to_bytes(): exactly 32 bytes, else nullopt.
   static std::optional<Digest> from_bytes(std::span<const std::uint8_t> b);
+
+  // The to_bytes() layout, for util/codec.h.
+  template <class F> void fields(F& f) {
+    f(lanes[0], lanes[1], lanes[2], lanes[3]);
+  }
 };
 
 // Hashes an arbitrary byte string.
@@ -51,12 +56,17 @@ Digest hmac(const Bytes& key, const Bytes& data);
 // Public identity: an opaque 64-bit id derived from the secret seed.
 struct PublicKey {
   std::uint64_t id = 0;
+  template <class F> void fields(F& f) { f(id); }
   bool operator==(const PublicKey&) const = default;
 };
 
 struct Signature {
   Digest mac;
   std::uint64_t signer = 0;  // public key id that produced this signature
+  template <class F> void fields(F& f) {
+    f.blob(mac);
+    f(signer);
+  }
   bool operator==(const Signature&) const = default;
 };
 

@@ -169,6 +169,25 @@ TEST(PvncParser, FormatRoundTrips) {
   EXPECT_EQ(std::get<Pvnc>(result), pvnc) << text;
 }
 
+// A PVNC's lists travel with u16 counts, and the text is where their
+// lengths come from: the parser refuses what the encoder could not carry.
+TEST(PvncParser, RejectsMoreModulesThanTheWireCountHolds) {
+  const auto with_modules = [](int n) {
+    std::string text = "pvnc \"big\" {\n";
+    for (int i = 0; i < n; ++i) text += " module m" + std::to_string(i) + "\n";
+    return text + "}\n";
+  };
+  const auto fits = parse_pvnc(with_modules(65'535));
+  ASSERT_TRUE(std::holds_alternative<Pvnc>(fits));
+  EXPECT_EQ(std::get<Pvnc>(fits).chain.size(), 65'535u);
+
+  const auto result = parse_pvnc(with_modules(65'536));
+  ASSERT_TRUE(std::holds_alternative<ParseError>(result));
+  EXPECT_EQ(std::get<ParseError>(result).line, 65'537);
+  EXPECT_NE(std::get<ParseError>(result).message.find("65535 modules"),
+            std::string::npos);
+}
+
 // --- Compiler -----------------------------------------------------------------------
 
 TEST(Compiler, EmitsScopedTwoTableProgram) {
