@@ -102,8 +102,8 @@ Testbed::Testbed(TestbedConfig cfg) : net(cfg.seed), cfg_(cfg) {
   // decapsulation of returning ESP traffic from the cloud gateway.
   access_sw->set_tunnel_encap(
       [this, key = tunnel_key()](Packet inner, Ipv4Addr gateway) {
-        return esp_encap(inner, Ipv4Addr(10, 0, 0, 1), gateway, key,
-                         /*spi=*/1, ++tunnel_seq_);
+        return esp_encap(std::move(inner), Ipv4Addr(10, 0, 0, 1), gateway,
+                         key, /*spi=*/1, ++tunnel_seq_);
       });
   esp_decap_proc = std::make_unique<EspDecapProcessor>(tunnel_key());
   access_sw->register_processor("esp-decap", esp_decap_proc.get());

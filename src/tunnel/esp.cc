@@ -12,7 +12,7 @@ constexpr std::size_t kMacSize = 32;
 
 }  // namespace
 
-Packet esp_encap(const Packet& inner, Ipv4Addr outer_src, Ipv4Addr gateway,
+Packet esp_encap(Packet inner, Ipv4Addr outer_src, Ipv4Addr gateway,
                  const Bytes& key, std::uint32_t spi, std::uint32_t seq) {
   const std::size_t inner_size = inner.size();
   ByteWriter w;
@@ -36,11 +36,12 @@ Packet esp_encap(const Packet& inner, Ipv4Addr outer_src, Ipv4Addr gateway,
                      // subject to different ISP policies — §3.2)
   outer.l4 = std::move(w).take();
   outer.created_at = inner.created_at;
-  outer.hop_trace = inner.hop_trace;
+  outer.hop_trace = std::move(inner.hop_trace);
+  outer.trace_id = inner.trace_id;
   return outer;
 }
 
-std::optional<Packet> esp_decap(const Packet& outer, const Bytes& key) {
+std::optional<Packet> esp_decap(Packet outer, const Bytes& key) {
   if (outer.ip.proto != IpProto::kEsp) return std::nullopt;
   const std::span<const std::uint8_t> frame = outer.l4.get();
   ByteReader r(frame);
@@ -65,7 +66,8 @@ std::optional<Packet> esp_decap(const Packet& outer, const Bytes& key) {
   inner.ip = IpHeader::decode(ir);
   inner.l4 = ir.raw(ir.remaining());
   inner.created_at = outer.created_at;
-  inner.hop_trace = outer.hop_trace;
+  inner.hop_trace = std::move(outer.hop_trace);
+  inner.trace_id = outer.trace_id;
   return inner;
 }
 

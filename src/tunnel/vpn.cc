@@ -17,8 +17,8 @@ void TunnelIngress::handle_packet(Packet pkt, int in_port) {
     // Client -> WAN.
     if (selector_(pkt)) {
       tunneled_.inc();
-      Packet outer = esp_encap(pkt, self_, gateway_, key_, /*spi=*/1, ++seq_);
-      send(1, std::move(outer));
+      send(1, esp_encap(std::move(pkt), self_, gateway_, key_, /*spi=*/1,
+                        ++seq_));
     } else {
       bypassed_.inc();
       send(1, std::move(pkt));
@@ -27,7 +27,7 @@ void TunnelIngress::handle_packet(Packet pkt, int in_port) {
   }
   // WAN -> client.
   if (pkt.ip.proto == IpProto::kEsp && pkt.ip.dst == self_) {
-    if (auto inner = esp_decap(pkt, key_)) {
+    if (auto inner = esp_decap(std::move(pkt), key_)) {
       send(0, std::move(*inner));
     }
     return;
@@ -75,7 +75,8 @@ DeviceTunnel::DeviceTunnel(Host& host, Ipv4Addr gateway, Bytes key)
       return pkt;
     }
     tunneled_.inc();
-    return esp_encap(pkt, host_->addr(), gateway_, key_, /*spi=*/1, ++seq_);
+    return esp_encap(std::move(pkt), host_->addr(), gateway_, key_, /*spi=*/1,
+                     ++seq_);
   });
 }
 
@@ -107,7 +108,8 @@ VpnGateway::VpnGateway(Network& net, std::string name, Ipv4Addr addr,
 void VpnGateway::handle_packet(Packet pkt, int in_port) {
   (void)in_port;
   if (pkt.ip.proto == IpProto::kEsp && pkt.ip.dst == addr_) {
-    auto inner = esp_decap(pkt, key_);
+    const Ipv4Addr outer_src = pkt.ip.src;
+    auto inner = esp_decap(std::move(pkt), key_);
     if (!inner) {
       auth_fail_.inc();
       return;
@@ -119,7 +121,7 @@ void VpnGateway::handle_packet(Packet pkt, int in_port) {
                dport);
     nat_[NatKey{inner->ip.dst, dport, sport,
                 static_cast<std::uint8_t>(inner->ip.proto)}] = inner->ip.src;
-    client_via_[inner->ip.src] = pkt.ip.src;
+    client_via_[inner->ip.src] = outer_src;
     inner->ip.src = addr_;
     send(0, std::move(*inner));
     return;
@@ -133,13 +135,12 @@ void VpnGateway::handle_packet(Packet pkt, int in_port) {
                                      static_cast<std::uint8_t>(pkt.ip.proto)});
     if (it == nat_.end()) return;
     const Ipv4Addr client = it->second;
-    Packet inner = pkt;
-    inner.ip.dst = client;
     const auto via = client_via_.find(client);
     if (via == client_via_.end()) return;
     reencap_.inc();
-    Packet outer = esp_encap(inner, addr_, via->second, key_, /*spi=*/1, ++seq_);
-    send(0, std::move(outer));
+    pkt.ip.dst = client;
+    send(0, esp_encap(std::move(pkt), addr_, via->second, key_, /*spi=*/1,
+                      ++seq_));
     return;
   }
 }

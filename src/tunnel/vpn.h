@@ -64,7 +64,7 @@ class EspDecapProcessor : public PacketProcessor {
     (void)now;
     delay = 0;
     std::vector<Packet> out;
-    if (auto inner = esp_decap(pkt, key_)) {
+    if (auto inner = esp_decap(std::move(pkt), key_)) {
       out.push_back(std::move(*inner));
     } else {
       ++auth_failures_;

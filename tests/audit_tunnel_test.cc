@@ -34,6 +34,32 @@ TEST(Esp, EncapDecapRoundTrip) {
   EXPECT_EQ(esp_peek_spi(outer), 1u);
 }
 
+TEST(Esp, RoundTripKeepsOutOfBandFields) {
+  // The simulation-only fields ride through encap and decap: the packet's
+  // id, creation time, hop trace and causal trace id.
+  Network net;
+  const Bytes key = to_bytes("k");
+  Packet inner = net.make_packet(Ipv4Addr(10, 0, 0, 2), Ipv4Addr(1, 2, 3, 4),
+                                 IpProto::kTcp, Bytes(100, 0x42));
+  inner.created_at = milliseconds(7);
+  inner.trace_id = 42;
+  for (const char* hop : {"client", "access-sw"}) {
+    inner.hop_trace.record(net.names(), net.names().intern(hop));
+  }
+  const Packet sent = inner;
+
+  const auto back = esp_decap(esp_encap(std::move(inner), Ipv4Addr(10, 0, 0, 1),
+                                        Ipv4Addr(203, 0, 113, 5), key, 1, 1),
+                              key);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->id, sent.id);
+  EXPECT_EQ(back->created_at, sent.created_at);
+  EXPECT_EQ(back->hop_trace, sent.hop_trace);
+  EXPECT_EQ(back->hop_trace.strings(),
+            (std::vector<std::string>{"client", "access-sw"}));
+  EXPECT_EQ(back->trace_id, 42u);
+}
+
 TEST(Esp, WrongKeyOrTamperFailsAuth) {
   Network net;
   Packet inner = net.make_packet(Ipv4Addr(10, 0, 0, 2), Ipv4Addr(1, 2, 3, 4),
