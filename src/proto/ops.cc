@@ -121,7 +121,7 @@ std::optional<std::pair<OpsMsgType, Bytes>> ops_unwrap(const Bytes& payload) {
     return std::nullopt;
   }
   Bytes body = r.blob();
-  if (!r.ok()) return std::nullopt;
+  if (!r.ok() || !r.exhausted()) return std::nullopt;
   return std::make_pair(static_cast<OpsMsgType>(type), std::move(body));
 }
 

@@ -304,7 +304,8 @@ std::optional<FlowRule> decode_flow_rule(ByteReader& r);
 // mutable counters, so it has no operator==).
 bool same_rule(const FlowRule& a, const FlowRule& b);
 
-// Wraps/unwraps a typed ops message for the UDP payload.
+// Wraps/unwraps a typed ops message for the UDP payload. Unwrap rejects an
+// unassigned type, a short body and any byte after the body.
 Bytes ops_wrap(OpsMsgType type, const Bytes& body);
 std::optional<std::pair<OpsMsgType, Bytes>> ops_unwrap(const Bytes& payload);
 
