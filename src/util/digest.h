@@ -46,8 +46,12 @@ Digest digest_of(std::span<const std::uint8_t> data);
 Digest digest_of(const Bytes& data);
 Digest digest_of(std::string_view data);
 
-// Keyed MAC: digest over key-prefixed and key-suffixed data (HMAC-shaped),
-// i.e. digest_of(blob(key) || data || blob(key)) in ByteWriter framing.
+// Keyed MAC over key-prefixed and key-suffixed data (HMAC-shaped). It reads
+// u32 len(key) || key || data || u64 len(data) || key (big-endian lengths,
+// as ByteWriter writes them), each piece zero-padded to whole 8-byte words,
+// one little-endian word at a time: a word steps all four lanes, then
+// digest_of's finisher mixes them. A word per step instead of digest_of's
+// byte per step is what keeps ESP cheap (DESIGN.md §9).
 Digest hmac(const Bytes& key, std::span<const std::uint8_t> data);
 Digest hmac(const Bytes& key, const Bytes& data);
 

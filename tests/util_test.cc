@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <memory>
 #include <vector>
 
@@ -459,13 +460,51 @@ Digest reference_digest(std::span<const std::uint8_t> data) {
   return d;
 }
 
-// Reference MAC: the digest of the materialized blob(key) || data || blob(key).
+// Reference MAC, spelled apart from util/digest.cc: ByteWriter builds the
+// framed input u32 len(key) || key || data || u64 len(data) || key with each
+// piece zero-padded to whole 8-byte words, and the four lanes fold it one
+// little-endian word at a time, then finish as reference_digest does.
 Digest reference_hmac(const Bytes& key, std::span<const std::uint8_t> data) {
   ByteWriter w;
-  w.blob(key);
+  const auto pad = [&w] {
+    while (w.size() % 8 != 0) w.u8(0);
+  };
+  w.u32(static_cast<std::uint32_t>(key.size()));
+  pad();
+  w.raw(key);
+  pad();
   w.raw(data);
-  w.blob(key);
-  return reference_digest(w.bytes());
+  pad();
+  w.u64(data.size());
+  w.raw(key);
+  pad();
+  const Bytes& framed = w.bytes();
+
+  constexpr std::uint64_t kMul[4] = {
+      0x9E3779B185EBCA87ull, 0xC2B2AE3D27D4EB4Full, 0x165667B19E3779F9ull,
+      0x85EBCA77C2B2AE63ull};
+  constexpr int kRot[4] = {31, 27, 33, 29};
+  const auto mix = [](std::uint64_t z) {
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+  };
+  Digest d;
+  for (std::size_t lane = 0; lane < d.lanes.size(); ++lane) {
+    std::uint64_t h = 0xCBF29CE484222325ull + 0x9E3779B97F4A7C15ull * lane;
+    for (std::size_t at = 0; at < framed.size(); at += 8) {
+      std::uint64_t word = 0;
+      for (std::size_t b = 0; b < 8; ++b) {
+        word |= std::uint64_t{framed[at + b]} << (8 * b);
+      }
+      h = std::rotl((h ^ word) * kMul[lane], kRot[lane]);
+    }
+    d.lanes[lane] = mix(h + lane);
+  }
+  for (std::size_t i = 0; i < d.lanes.size(); ++i) {
+    d.lanes[i] = mix(d.lanes[i] ^ d.lanes[(i + 1) % d.lanes.size()]);
+  }
+  return d;
 }
 
 Bytes random_bytes(Rng& rng, std::size_t n) {
@@ -501,6 +540,88 @@ TEST(Hmac, MatchesConcatenatingReferenceBitForBit) {
   const Bytes key = random_bytes(rng, 64);
   EXPECT_EQ(hmac(key, Bytes{}), reference_hmac(key, {}));
   EXPECT_EQ(hmac(Bytes{}, key), reference_hmac({}, key));
+}
+
+TEST(Hmac, MatchesReferenceAtEveryPaddingBoundary) {
+  Rng rng(6565);
+  const Bytes key_pool = random_bytes(rng, 64);
+  const Bytes data_pool = random_bytes(rng, 64);
+  for (std::size_t k = 0; k <= 64; ++k) {
+    const Bytes key(key_pool.begin(),
+                    key_pool.begin() + static_cast<std::ptrdiff_t>(k));
+    for (std::size_t n = 0; n <= 64; ++n) {
+      const std::span<const std::uint8_t> data(data_pool.data(), n);
+      ASSERT_EQ(hmac(key, data), reference_hmac(key, data))
+          << "key " << k << " B, data " << n << " B";
+    }
+  }
+}
+
+TEST(Hmac, TrailingZeroByteChangesTheMac) {
+  // Zero padding never lets data and data || 0x00 share an input: the data
+  // length is absorbed after the data.
+  Rng rng(6666);
+  for (int i = 0; i < 200; ++i) {
+    const Bytes key = random_bytes(rng, rng.next_below(65));
+    Bytes data = random_bytes(rng, i <= 64 ? static_cast<std::size_t>(i)
+                                           : rng.next_below(1501));
+    const Digest mac = hmac(key, data);
+    data.push_back(0);
+    EXPECT_NE(mac, hmac(key, data)) << "data " << data.size() - 1 << " B";
+  }
+}
+
+TEST(Hmac, KeyAndDataBoundaryIsBound) {
+  // Moving bytes from the end of the key to the start of the data changes
+  // the MAC: the key length is absorbed first and the key again at the end.
+  Rng rng(6767);
+  for (int i = 0; i < 200; ++i) {
+    const Bytes key = random_bytes(rng, rng.next_below(65));
+    const Bytes moved = random_bytes(rng, 1 + rng.next_below(16));
+    const Bytes data = random_bytes(rng, rng.next_below(257));
+    Bytes longer_key = key;
+    longer_key.insert(longer_key.end(), moved.begin(), moved.end());
+    Bytes longer_data = moved;
+    longer_data.insert(longer_data.end(), data.begin(), data.end());
+    EXPECT_NE(hmac(longer_key, data), hmac(key, longer_data))
+        << "key " << key.size() << " B, moved " << moved.size() << " B";
+  }
+}
+
+TEST(Hmac, EverySingleBitFlipChangesAllFourLanes) {
+  Rng rng(6868);
+  const Bytes key = random_bytes(rng, 32);
+  const Bytes data = random_bytes(rng, 1500);
+  const Digest mac = hmac(key, data);
+  const auto expect_all_lanes_differ = [&mac](const Digest& other,
+                                              const char* where,
+                                              std::size_t at) {
+    for (std::size_t lane = 0; lane < mac.lanes.size(); ++lane) {
+      EXPECT_NE(other.lanes[lane], mac.lanes[lane])
+          << "lane " << lane << ", bit " << at << " of the " << where;
+    }
+  };
+  for (int i = 0; i < 300; ++i) {
+    const std::size_t at = rng.next_below(8 * data.size());
+    Bytes flipped = data;
+    flipped[at / 8] ^= static_cast<std::uint8_t>(1u << (at % 8));
+    expect_all_lanes_differ(hmac(key, flipped), "data", at);
+  }
+  for (int i = 0; i < 100; ++i) {
+    const std::size_t at = rng.next_below(8 * key.size());
+    Bytes flipped = key;
+    flipped[at / 8] ^= static_cast<std::uint8_t>(1u << (at % 8));
+    expect_all_lanes_differ(hmac(flipped, data), "key", at);
+  }
+}
+
+TEST(Hmac, KnownAnswer) {
+  // Any change to the MAC's definition moves this value; rewrite it on
+  // purpose, with the reason, or not at all.
+  EXPECT_EQ(hmac(to_bytes("pvn-hmac-known-answer-key"),
+                 to_bytes("selective redirection through ESP (Fig. 1c)"))
+                .hex(),
+            "49409b4938a72e99a9269b5cfa37975d740088d3d9015ea172d5fa6f60e53868");
 }
 
 TEST(Signatures, VerifyAcceptsGenuineSignature) {
